@@ -53,7 +53,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
 
     @property
     def shape(self):
@@ -104,7 +104,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
     # -- operator sugar ------------------------------------------------
 
@@ -161,7 +161,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tenso
     if track and backward is not None:
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = lambda: backward(out)
+        out._backward = backward  # gets the output passed in, so no node refers to itself
     return out
 
 
@@ -198,35 +198,6 @@ def power(a, exponent: float) -> Tensor:
     return _make(a.data ** e, (a,), bw)
 
 
-def exp(a) -> Tensor:
-    a = astensor(a)
-    y = np.exp(a.data)
-
-    def bw(out):
-        a._accumulate(out.grad * out.data)
-
-    return _make(y, (a,), bw)
-
-
-def log(a) -> Tensor:
-    a = astensor(a)
-
-    def bw(out):
-        a._accumulate(out.grad / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
-
-
-def sqrt(a) -> Tensor:
-    a = astensor(a)
-    y = np.sqrt(a.data)
-
-    def bw(out):
-        a._accumulate(out.grad * 0.5 / out.data)
-
-    return _make(y, (a,), bw)
-
-
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
     a, b = astensor(a), astensor(b)
@@ -237,30 +208,6 @@ def maximum(a, b) -> Tensor:
         b._accumulate(_unbroadcast(out.grad * ~take_a, b.shape))
 
     return _make(np.where(take_a, a.data, b.data), (a, b), bw)
-
-
-def where(cond: np.ndarray, a, b) -> Tensor:
-    """Select by a constant boolean mask (no gradient through cond)."""
-    a, b = astensor(a), astensor(b)
-    cond = np.asarray(cond, dtype=bool)
-
-    def bw(out):
-        a._accumulate(_unbroadcast(out.grad * cond, a.shape))
-        b._accumulate(_unbroadcast(out.grad * ~cond, b.shape))
-
-    return _make(np.where(cond, a.data, b.data), (a, b), bw)
-
-
-def sigmoid(a) -> Tensor:
-    a = astensor(a)
-    # guarded form, stable for large |x|
-    y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-
-    def bw(out):
-        a._accumulate(out.grad * out.data * (1.0 - out.data))
-
-    return _make(y, (a,), bw)
 
 
 def silu(a) -> Tensor:

@@ -73,19 +73,6 @@ class ModelConfig:
         return (self.n_serial_blocks + 1) * self.patch_len
 
 
-class InvocationCounter:
-    """Counts backbone block executions (a serial block counts once)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self):
-        self.count = 0
-
-
-BLOCK_COUNTER = InvocationCounter()
-
-
 @dataclass
 class MoEAux:
     """Per-layer load-balance accumulators for one batch.
@@ -280,7 +267,6 @@ def aux_loss(aux: MoEAux) -> Tensor:
 def moe_block(h: Tensor, params: Params, prefix: str, cfg: ModelConfig,
               n_max: int | None = None) -> tuple[Tensor, MoEAux]:
     """u = MHA(RMSNorm(h)) + h;  h' = MoE(RMSNorm(u)) + u."""
-    BLOCK_COUNTER.count += 1
     attn = attention_forward(rmsnorm(h, params[prefix + "attn_norm.g"], RMS_EPS),
                              params, prefix, cfg, n_max=n_max)
     u = ad.add(attn, h)

@@ -22,7 +22,8 @@ from .datagen import SignalSpec, adf_statistic, dataset_complexity, forecastabil
 from .dataloader import (DEFAULT_SHARD_BYTES, MANIFEST_NAME, ShardManifest, build_shards,
                          default_data_dir, read_csv_series, write_csv_series)
 from .errors import CheckpointError, ConfigError, DataError, InputError, SerialcastError
-from .inference import bench_inference, evaluate, expected_block_count, forecast, forecast_rolling_ntp
+from .inference import (bench_inference, evaluate, expected_block_count, expected_passes, forecast,
+                        forecast_rolling_ntp)
 from .objectives import default_grid
 from .trainer import (TrainConfig, gradient_check_suite, load_checkpoint, run_posttrain,
                       run_pretrain, validate_params)
@@ -194,10 +195,8 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _train_cfg(merged: dict, stage: str, seed: int, alpha: float, out_dir: str,
-               mixture: tuple[float, ...] = (1.0,)) -> TrainConfig:
+def _train_cfg(merged: dict, stage: str, seed: int, alpha: float, out_dir: str) -> TrainConfig:
     return TrainConfig(stage=stage, seed=seed, alpha=alpha, out_dir=out_dir,
-                       mixture_weights=mixture,
                        **{k: merged[k] for k in TRAIN_KEYS})
 
 
@@ -221,7 +220,7 @@ def cmd_posttrain(args) -> int:
     echo_config("posttrain", merged, args.seed)
     cfg = _model_cfg(merged)
     weights = tuple(float(w) for w in args.mixture_weights.split(","))
-    tcfg = _train_cfg(merged, "posttrain", args.seed, merged["alpha"], args.out_dir, weights)
+    tcfg = _train_cfg(merged, "posttrain", args.seed, merged["alpha"], args.out_dir)
     sources = [(_load_manifest(args.data), weights[0])]
     if args.revisit:
         if len(weights) < 2:
@@ -281,12 +280,11 @@ def cmd_eval(args) -> int:
     cfg, params = _load_model(args, merged)
     series = _gather_series(args.input)
     report = evaluate(params, cfg, series, args.horizon, season=args.season, mode=args.mode)
-    other = evaluate(params, cfg, series, args.horizon, season=args.season,
-                     mode="rolling" if args.mode == "serial" else "serial")
+    # the other mode's pass count depends only on the horizon: closed form
     if args.mode == "serial":
-        report.passes_rolling = other.passes_rolling
+        report.passes_rolling = len(series) * expected_passes("rolling", args.horizon, cfg)
     else:
-        report.passes_serial = other.passes_serial
+        report.passes_serial = len(series) * expected_passes("serial", args.horizon, cfg)
     for line in report.lines():
         print(line)
     return 0
@@ -326,9 +324,6 @@ def build_parser() -> _Parser:
     def common(p, model=False, train=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--workers", type=int, default=1,
-                       help="reserved; current paths are single-worker deterministic")
-        p.add_argument("--verbose", action="store_true")
         if model:
             _add_keys(p, MODEL_KEYS)
         if train:

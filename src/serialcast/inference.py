@@ -4,8 +4,8 @@ A serial forecast runs the main stack once and as many serial blocks as the
 horizon requires (depth = ceil(F/P) - 1), collecting last-token projections
 from every depth in a single pass. Horizons beyond the native window fall
 back to outer autoregression: the median quantile is fed back as context and
-the extended window is re-normalized per pass. The rolling baseline uses
-only the main stack, one patch per full-prefix recompute.
+the extended window is re-normalized per pass. The rolling baseline is the
+same loop with one-patch chunks, so every pass runs the main stack only.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .backbone import BLOCK_COUNTER, ModelConfig, model_forward
+from .backbone import ModelConfig, model_forward
 from .errors import InputError
 from .numerics import Params
 from .objectives import QuantileGrid, default_grid, patch_project, wql
@@ -31,6 +31,7 @@ class ForecastDistribution:
     values: np.ndarray  # (Q, F), original data scale
     levels: QuantileGrid
     passes: int = 1  # forward passes spent producing it
+    blocks: int = 0  # backbone blocks run over all passes (a serial block counts once)
 
     @property
     def horizon(self) -> int:
@@ -42,7 +43,8 @@ class ForecastDistribution:
 
 
 def _single_pass(context: np.ndarray, depth: int, params: Params, cfg: ModelConfig):
-    """One forward pass; returns (Q, (depth+1)*P) data-scale quantile patches."""
+    """One forward pass; returns (Q, (depth+1)*P) data-scale quantile patches
+    and the number of blocks it ran."""
     norm, stats = renormalize(context)
     patches, masks, n = patchify(norm, cfg.patch_len)
     batch = PatchBatch(patches[None], masks[None], np.array([stats.mu]),
@@ -53,17 +55,64 @@ def _single_pass(context: np.ndarray, depth: int, params: Params, cfg: ModelConf
     for h in [trace.h_main] + trace.serial_outputs:
         last = Tensor(h.data[:, -1:, :])  # only the last token feeds predictions
         blocks.append(patch_project(last, params, cfg).data[0, 0])  # (Q, P)
-    return denormalize(np.concatenate(blocks, axis=1), stats)
+    return denormalize(np.concatenate(blocks, axis=1), stats), len(trace.aux)
 
 
-def _prep_context(series, cfg: ModelConfig, truncate_context: bool) -> np.ndarray:
+def _observed(series) -> np.ndarray:
+    """The series as a flat float64 array; rejects empty or non-finite input."""
     x = np.asarray(series, dtype=np.float64).reshape(-1)
     if x.size < 1:
         raise InputError("forecast needs at least one observed point")
-    limit = cfg.n_max * cfg.patch_len
-    if truncate_context and x.size > limit:
-        x = x[-limit:]
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise InputError(f"non-finite value {x[bad[0]]} at index {bad[0]}")
     return x
+
+
+def _truncate(x: np.ndarray, cfg: ModelConfig, truncate_context: bool) -> np.ndarray:
+    limit = cfg.n_max * cfg.patch_len
+    return x[-limit:] if truncate_context and x.size > limit else x
+
+
+def _chunk_len(mode: str, cfg: ModelConfig) -> int:
+    """Steps one pass contributes: (H+1)*P for serial, one patch for rolling."""
+    return cfg.patch_len if mode == "rolling" else cfg.native_horizon
+
+
+def _chunk_plan(horizon: int, chunk_len: int) -> list[int]:
+    """Steps taken from each pass: full chunks, then the remainder."""
+    return [min(chunk_len, horizon - start) for start in range(0, horizon, chunk_len)]
+
+
+def _depth(chunk: int, cfg: ModelConfig) -> int:
+    return math.ceil(chunk / cfg.patch_len) - 1
+
+
+def _forecast_loop(series, horizon: int, params: Params, cfg: ModelConfig, chunk_len: int,
+                   grid: QuantileGrid | None, sort_quantiles: bool,
+                   truncate_context: bool) -> ForecastDistribution:
+    """One pass per chunk of at most ``chunk_len`` steps, at the depth the chunk
+    needs; between passes the median is appended to the context, which is then
+    re-normalized."""
+    if horizon < 1:
+        raise InputError("horizon must be >= 1")
+    grid = grid or default_grid(cfg.n_quantiles)
+    if grid.q != cfg.n_quantiles:
+        raise InputError(f"grid has {grid.q} levels, model expects {cfg.n_quantiles}")
+    context = _truncate(_observed(series), cfg, truncate_context)
+    chunks: list[np.ndarray] = []
+    blocks = 0
+    for chunk in _chunk_plan(horizon, chunk_len):
+        if chunks:
+            context = _truncate(np.concatenate([context, chunks[-1][grid.median_index()]]),
+                                cfg, truncate_context)
+        pred, ran = _single_pass(context, _depth(chunk, cfg), params, cfg)
+        chunks.append(pred[:, :chunk])
+        blocks += ran
+    values = np.concatenate(chunks, axis=1)
+    if sort_quantiles:
+        values = np.sort(values, axis=0)
+    return ForecastDistribution(values, grid, len(chunks), blocks)
 
 
 def forecast(series, horizon: int, params: Params, cfg: ModelConfig,
@@ -75,66 +124,27 @@ def forecast(series, horizon: int, params: Params, cfg: ModelConfig,
     appended to the context and the pass repeats on the extended, freshly
     re-normalized window.
     """
-    if horizon < 1:
-        raise InputError("horizon must be >= 1")
-    grid = grid or default_grid(cfg.n_quantiles)
-    if grid.q != cfg.n_quantiles:
-        raise InputError(f"grid has {grid.q} levels, model expects {cfg.n_quantiles}")
-    context = _prep_context(series, cfg, truncate_context)
-    native = cfg.native_horizon
-    chunks: list[np.ndarray] = []
-    remaining = horizon
-    passes = 0
-    while remaining > 0:
-        chunk = min(remaining, native)
-        depth = max(0, math.ceil(chunk / cfg.patch_len) - 1)
-        pred = _single_pass(context, depth, params, cfg)[:, :chunk]
-        chunks.append(pred)
-        passes += 1
-        remaining -= chunk
-        if remaining > 0:
-            context = _prep_context(np.concatenate([context, pred[grid.median_index()]]),
-                                    cfg, truncate_context)
-    values = np.concatenate(chunks, axis=1)[:, :horizon]
-    if sort_quantiles:
-        values = np.sort(values, axis=0)
-    return ForecastDistribution(values, grid, passes)
+    return _forecast_loop(series, horizon, params, cfg, _chunk_len("serial", cfg), grid,
+                          sort_quantiles, truncate_context)
 
 
 def forecast_rolling_ntp(series, horizon: int, params: Params, cfg: ModelConfig,
                          grid: QuantileGrid | None = None, sort_quantiles: bool = True,
                          truncate_context: bool = True) -> ForecastDistribution:
     """Autoregressive baseline: main blocks only, one patch per full recompute."""
-    if horizon < 1:
-        raise InputError("horizon must be >= 1")
-    grid = grid or default_grid(cfg.n_quantiles)
-    context = _prep_context(series, cfg, truncate_context)
-    rolls = math.ceil(horizon / cfg.patch_len)
-    chunks = []
-    for _ in range(rolls):
-        pred = _single_pass(context, 0, params, cfg)  # (Q, P)
-        chunks.append(pred)
-        context = _prep_context(np.concatenate([context, pred[grid.median_index()]]),
-                                cfg, truncate_context)
-    values = np.concatenate(chunks, axis=1)[:, :horizon]
-    if sort_quantiles:
-        values = np.sort(values, axis=0)
-    return ForecastDistribution(values, grid, rolls)
+    return _forecast_loop(series, horizon, params, cfg, _chunk_len("rolling", cfg), grid,
+                          sort_quantiles, truncate_context)
+
+
+def expected_passes(mode: str, horizon: int, cfg: ModelConfig) -> int:
+    """Closed-form forward passes for a forecast of ``horizon`` steps."""
+    return len(_chunk_plan(horizon, _chunk_len(mode, cfg)))
 
 
 def expected_block_count(mode: str, horizon: int, cfg: ModelConfig) -> int:
     """Closed-form block invocations for a forecast of ``horizon`` steps."""
-    p, l, h = cfg.patch_len, cfg.n_main_blocks, cfg.n_serial_blocks
-    if mode == "rolling":
-        return math.ceil(horizon / p) * l
-    native = (h + 1) * p
-    total = 0
-    remaining = horizon
-    while remaining > 0:
-        chunk = min(remaining, native)
-        total += l + max(0, math.ceil(chunk / p) - 1)
-        remaining -= chunk
-    return total
+    return sum(cfg.n_main_blocks + _depth(chunk, cfg)
+               for chunk in _chunk_plan(horizon, _chunk_len(mode, cfg)))
 
 
 # -- metrics -----------------------------------------------------------------
@@ -203,7 +213,7 @@ def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int,
     crps_vals = []
     times = []
     for series in series_list:
-        x = np.asarray(series, dtype=np.float64)
+        x = _observed(series)  # the held-out part is checked too
         if x.size <= horizon + season:
             raise InputError("series too short to hold out the horizon")
         context, actual = x[:-horizon], x[-horizon:]
@@ -257,21 +267,14 @@ def bench_inference(params: Params, cfg: ModelConfig, horizons, repetitions: int
     out = []
     for f in horizons:
         times = {"serial": [], "rolling": []}
-        blocks = {}
+        dists = {}
         for mode, fn in (("serial", forecast), ("rolling", forecast_rolling_ntp)):
             for _ in range(repetitions):
-                BLOCK_COUNTER.reset()
                 t0 = time.perf_counter()
-                dist = fn(series, f, params, cfg)
+                dists[mode] = fn(series, f, params, cfg)
                 times[mode].append(1000.0 * (time.perf_counter() - t0))
-                blocks[mode] = BLOCK_COUNTER.count
-                passes = dist.passes
-                if mode == "serial":
-                    passes_serial = passes
-                else:
-                    passes_rolling = passes
-        out.append(BenchPoint(f, blocks["serial"], blocks["rolling"],
-                              passes_serial, passes_rolling,
+        serial, rolling = dists["serial"], dists["rolling"]
+        out.append(BenchPoint(f, serial.blocks, rolling.blocks, serial.passes, rolling.passes,
                               float(np.median(times["serial"])),
                               float(np.median(times["rolling"]))))
     return out

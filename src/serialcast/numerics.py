@@ -103,11 +103,6 @@ def scaled_masked_softmax(scores, tau, causal: bool = True) -> Tensor:
     return ad.masked_softmax(scaled, mask, axis=-1)
 
 
-def linear(x, w, b=None) -> Tensor:
-    y = ad.matmul(ad.astensor(x), ad.astensor(w))
-    return y if b is None else ad.add(y, ad.astensor(b))
-
-
 # -- finite-difference oracle -------------------------------------------
 
 

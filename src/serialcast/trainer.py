@@ -56,7 +56,6 @@ class TrainConfig:
     precision: str = "f32"
     resample_prob: float = 0.3
     flip_prob: float = 0.5
-    mixture_weights: tuple[float, ...] = (1.0,)
     n_max_override: int = 0  # posttrain context extension target (0 = keep)
     checkpoint_interval: int = 0  # 0 = only at the end
     out_dir: str = "runs"

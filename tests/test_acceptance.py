@@ -219,8 +219,7 @@ def test_criterion_8_posttrain_effect(toy_run):
     post_manifest = build_shards(corpus(16, 2048, 555), 1 << 20,
                                  str(toy_run["tmp"] / "post_data"))
     post_cfg = TrainConfig(stage="posttrain", steps=400, batch_size=8, peak_lr=1e-3,
-                           seed=0, mixture_weights=(0.7, 0.3),
-                           out_dir=str(toy_run["tmp"] / "run_post"))
+                           seed=0, out_dir=str(toy_run["tmp"] / "run_post"))
     post = run_posttrain(toy_run["result"].checkpoint_path, TOY_CFG, post_cfg,
                          [(post_manifest, 0.7), (toy_run["manifest"], 0.3)])
     post_loss = first_block_val_loss(post.params)

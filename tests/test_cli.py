@@ -5,7 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from serialcast import cli
+from serialcast.backbone import ModelConfig
 from serialcast.cli import run
+from serialcast.inference import expected_passes
 
 MODEL_FLAGS = ["--d-model", "16", "--patch-len", "4", "--n-max", "8",
                "--n-main-blocks", "1", "--n-serial-blocks", "1", "--n-experts", "2",
@@ -137,6 +140,17 @@ def test_forecast_rolling_mode(pipeline, capsys):
     assert code == 0
 
 
+def test_forecast_non_finite_input_exits_one(pipeline, capsys):
+    path = pipeline["tmp"] / "with_nan.csv"
+    values = [f"{v}" for v in np.sin(np.arange(64) / 4.0)]
+    values[17] = "nan"
+    path.write_text("value\n" + "\n".join(values) + "\n")
+    code = run(["forecast", "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
+                "--input", str(path), "--horizon", "8"])
+    assert code == 1
+    assert "index 17" in capsys.readouterr().err
+
+
 def test_forecast_mismatched_model_flags(pipeline, capsys):
     code = run(["forecast", "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
                 "--input", pipeline["csv"], "--horizon", "8", "--d-model", "32"])
@@ -150,6 +164,29 @@ def test_eval_report_keys(pipeline, capsys):
     out = capsys.readouterr().out
     for key in ("mase", "crps_wql", "passes_serial", "passes_rolling", "wall_ms_p50"):
         assert any(line.startswith(key + " ") for line in out.splitlines()), key
+
+
+@pytest.mark.parametrize("mode", ["serial", "rolling"])
+def test_eval_single_evaluation_closed_form_passes(pipeline, capsys, monkeypatch, mode):
+    calls = []
+    evaluate = cli.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["mode"])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", counting)
+    horizon = 12
+    code = run(["eval", "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
+                "--input", pipeline["csv"], pipeline["csv"], "--horizon", str(horizon),
+                "--mode", mode])
+    assert code == 0
+    assert calls == [mode]
+    report = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    cfg = ModelConfig(d_model=16, patch_len=4, n_max=8, n_main_blocks=1, n_serial_blocks=1,
+                      n_experts=2, top_k=1, n_heads=1, n_quantiles=3)  # as MODEL_FLAGS
+    for other in ("serial", "rolling"):
+        assert int(report[f"passes_{other}"]) == 2 * expected_passes(other, horizon, cfg)
 
 
 def test_bench_reports_exact_counts(pipeline, capsys):

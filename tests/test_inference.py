@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from serialcast.backbone import BLOCK_COUNTER, ModelConfig, init_params
+from serialcast.backbone import ModelConfig, init_params
 from serialcast.errors import InputError
 from serialcast.inference import (bench_inference, eval_crps_wql, evaluate,
-                                  expected_block_count, forecast, forecast_rolling_ntp,
-                                  mase, seasonal_naive_scale)
-from serialcast.objectives import QuantileGrid, pinball
+                                  expected_block_count, expected_passes, forecast,
+                                  forecast_rolling_ntp, mase, seasonal_naive_scale)
+from serialcast.objectives import QuantileGrid, default_grid, pinball
 
 CFG = ModelConfig(d_model=16, patch_len=4, n_max=8, n_main_blocks=2, n_serial_blocks=3,
                   n_experts=2, top_k=1, n_heads=1, n_quantiles=5)
@@ -26,25 +26,22 @@ def series():
 
 class TestForecast:
     def test_short_horizon_single_pass_depth_zero(self, params, series):
-        BLOCK_COUNTER.reset()
         dist = forecast(series, CFG.patch_len, params, CFG)
         assert dist.passes == 1
-        assert BLOCK_COUNTER.count == CFG.n_main_blocks
+        assert dist.blocks == CFG.n_main_blocks
         assert dist.values.shape == (5, CFG.patch_len)
 
     def test_native_horizon_one_pass_full_depth(self, params, series):
-        BLOCK_COUNTER.reset()
         dist = forecast(series, CFG.native_horizon, params, CFG)
         assert dist.passes == 1
-        assert BLOCK_COUNTER.count == CFG.n_main_blocks + CFG.n_serial_blocks
+        assert dist.blocks == CFG.n_main_blocks + CFG.n_serial_blocks
 
     def test_beyond_native_outer_autoregression(self, params, series):
         f = CFG.native_horizon + CFG.patch_len
-        BLOCK_COUNTER.reset()
         dist = forecast(series, f, params, CFG)
         assert dist.passes == 2
         assert dist.values.shape[1] == f
-        assert BLOCK_COUNTER.count == (CFG.n_main_blocks + CFG.n_serial_blocks) + CFG.n_main_blocks
+        assert dist.blocks == (CFG.n_main_blocks + CFG.n_serial_blocks) + CFG.n_main_blocks
 
     def test_prefix_consistency_exact(self, params, series):
         full = forecast(series, CFG.native_horizon, params, CFG)
@@ -75,6 +72,14 @@ class TestForecast:
         with pytest.raises(InputError):
             forecast(series, 0, params, CFG)
 
+    @pytest.mark.parametrize("fn", [forecast, forecast_rolling_ntp])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_before_truncation(self, params, fn, bad):
+        x = np.sin(np.arange(500) / 4.0)
+        x[3] = bad  # outside the last n_max * P points that truncation keeps
+        with pytest.raises(InputError, match="index 3$"):
+            fn(x, 8, params, CFG)
+
     def test_long_context_truncated(self, params):
         x = np.sin(np.arange(500) / 4.0)
         dist = forecast(x, 8, params, CFG)
@@ -100,12 +105,14 @@ class TestRolling:
 
     def test_block_counter_matches_closed_form(self, params, series):
         for f in (1, 4, 7, 12, 16, 23, 40):
-            BLOCK_COUNTER.reset()
-            forecast_rolling_ntp(series, f, params, CFG)
-            assert BLOCK_COUNTER.count == expected_block_count("rolling", f, CFG)
-            BLOCK_COUNTER.reset()
-            forecast(series, f, params, CFG)
-            assert BLOCK_COUNTER.count == expected_block_count("serial", f, CFG)
+            for mode, fn in (("rolling", forecast_rolling_ntp), ("serial", forecast)):
+                dist = fn(series, f, params, CFG)
+                assert dist.blocks == expected_block_count(mode, f, CFG)
+                assert dist.passes == expected_passes(mode, f, CFG)
+
+    def test_grid_size_must_match_model(self, params, series):
+        with pytest.raises(InputError):
+            forecast_rolling_ntp(series, 8, params, CFG, default_grid(3))
 
 
 class TestMase:
