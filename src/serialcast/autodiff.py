@@ -106,49 +106,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node)
 
-    # -- operator sugar ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / np.asarray(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 def astensor(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
@@ -276,21 +233,8 @@ def getitem(a, idx) -> Tensor:
     return _make(a.data[idx], (a,), bw)
 
 
-def take_rows(a, index: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D tensor; backward scatter-adds (repeats allowed)."""
-    a = astensor(a)
-    index = np.asarray(index, dtype=np.intp)
-
-    def bw(out):
-        g = np.zeros(a.shape, dtype=out.grad.dtype)
-        np.add.at(g, index, out.grad)
-        a._accumulate(g)
-
-    return _make(a.data[index], (a,), bw)
-
-
 def scatter_rows_add(rows, index: np.ndarray, n_rows: int) -> Tensor:
-    """Inverse of take_rows: place rows at index into an (n_rows, D) zero base."""
+    """Inverse of a row gather: add rows at index into an (n_rows, D) zero base."""
     rows = astensor(rows)
     index = np.asarray(index, dtype=np.intp)
     base = np.zeros((n_rows,) + rows.shape[1:], dtype=rows.dtype)
@@ -344,6 +288,40 @@ def matmul(a, b) -> Tensor:
         b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(a.data @ b.data, (a, b), bw)
+
+
+def grouped_linear(a, w, b, counts) -> Tensor:
+    """Per-group affine map over contiguous row segments.
+
+    a: (R, I) rows sorted by group, w: (G, I, O), b: (G, O), counts: (G,)
+    with sum R. The counts[j] rows of group j map to rows @ w[j] + b[j].
+    """
+    a, w, b = astensor(a), astensor(w), astensor(b)
+    bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    if a.ndim != 2 or w.ndim != 3 or b.shape != (w.shape[0], w.shape[2]) \
+            or bounds.size != w.shape[0] + 1 or bounds[-1] != a.shape[0]:
+        raise ValueError(f"grouped_linear shapes: rows {a.shape}, weights {w.shape}, "
+                         f"biases {b.shape}, counts summing to {bounds[-1]}")
+    groups = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
+    y = np.empty((a.shape[0], w.shape[2]), dtype=np.result_type(a.data, w.data, b.data))
+    for j, lo, hi in groups:
+        # a single-row matmul takes a different BLAS path than the same row
+        # inside a batch; run a lone row twice so causality stays bit-exact
+        rows = a.data[lo:hi] if hi - lo > 1 else a.data[[lo, lo]]
+        y[lo:hi] = (rows @ w.data[j])[: hi - lo] + b.data[j]
+
+    def bw(out):
+        g = out.grad
+        ga, gw, gb = np.zeros_like(a.data), np.zeros_like(w.data), np.zeros_like(b.data)
+        for j, lo, hi in groups:
+            ga[lo:hi] = g[lo:hi] @ w.data[j].T
+            gw[j] = a.data[lo:hi].T @ g[lo:hi]
+            gb[j] = g[lo:hi].sum(axis=0)
+        a._accumulate(ga)
+        w._accumulate(gw)
+        b._accumulate(gb)
+
+    return _make(y, (a, w, b), bw)
 
 
 def softmax(a, axis: int = -1) -> Tensor:

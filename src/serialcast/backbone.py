@@ -8,7 +8,8 @@ then apply one more such block; the j-th serial block's outputs predict the
 patch shifted by j+1.
 
 Parameters live in a flat name -> Tensor dict so the optimizer, checkpoints
-and the finite-difference harness can address every family uniformly.
+and the finite-difference harness can address every family uniformly. Each
+expert family is one stacked tensor: ``moe.w1`` is (E, d, 2d), and so on.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .numerics import Params, l2_normalize, rmsnorm, rope_angle_table, scaled_masked_softmax
 from .tokenizer import EmbedderParams, PatchBatch, embed_patches
 
@@ -28,6 +29,8 @@ INIT_STD = 0.02
 
 VARIANT_SERIAL = "serial"  # fuse with the initial embeddings (default)
 VARIANT_SHIFT = "shift_token"  # fuse with future-input embeddings, clamped at the end
+
+EXPERT_FAMILIES = ("w1", "b1", "w2", "b2")  # stacked (E, ...) tensors under "<block>.moe."
 
 
 @dataclass
@@ -138,11 +141,12 @@ def _init_block(params: Params, prefix: str, cfg: ModelConfig, rng, dtype):
     params[prefix + "attn.tau_raw"] = Tensor(np.full(cfg.n_heads, tau0, dtype=dtype), requires_grad=True)
     params[prefix + "moe_norm.g"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
     params[prefix + "moe.router.w"] = mat((d, e))
-    for j in range(e):
-        params[prefix + f"moe.expert{j}.w1"] = mat((d, dff))
-        params[prefix + f"moe.expert{j}.b1"] = zeros(dff)
-        params[prefix + f"moe.expert{j}.w2"] = mat((dff, d))
-        params[prefix + f"moe.expert{j}.b2"] = zeros(d)
+    # one (E, ...) tensor per expert family, drawn expert by expert
+    w1, w2 = zip(*[(_trunc_normal(rng, (d, dff)), _trunc_normal(rng, (dff, d))) for _ in range(e)])
+    params[prefix + "moe.w1"] = Tensor(np.stack(w1).astype(dtype), requires_grad=True)
+    params[prefix + "moe.b1"] = zeros((e, dff))
+    params[prefix + "moe.w2"] = Tensor(np.stack(w2).astype(dtype), requires_grad=True)
+    params[prefix + "moe.b2"] = zeros((e, d))
 
 
 def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float64) -> Params:
@@ -210,16 +214,13 @@ def attention_forward(h_in: Tensor, params: Params, prefix: str, cfg: ModelConfi
     return ad.matmul(out, params[prefix + "attn.wo"])
 
 
-def _expert_ffn(x: Tensor, params: Params, prefix: str) -> Tensor:
-    h = ad.silu(ad.add(ad.matmul(x, params[prefix + "w1"]), params[prefix + "b1"]))
-    return ad.add(ad.matmul(h, params[prefix + "w2"]), params[prefix + "b2"])
-
-
 def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple[Tensor, MoEAux]:
-    """Sparse top-K expert mixture.
+    """Sparse top-K expert mixture over stacked expert weights.
 
     Gates keep the selected softmax affinities un-renormalized; ties in the
-    top-K cut are broken toward the lowest expert index.
+    top-K cut are broken toward the lowest expert index. The (token, slot)
+    pairs are sorted by expert once, so every expert runs on one contiguous
+    segment of rows.
     """
     b, n, d = u.shape
     e, k = cfg.n_experts, cfg.top_k
@@ -228,34 +229,24 @@ def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tup
 
     # stable sort on descending affinity -> equal scores keep index order
     order = np.argsort(-affinity.data, axis=-1, kind="stable")
-    selected = order[:, :k]  # (BN, K)
+    selected = order[:, :k].reshape(-1)  # (BN*K,) token-major
 
-    counts = np.bincount(selected.reshape(-1), minlength=e).astype(np.float64)
+    counts = np.bincount(selected, minlength=e)
     aux = MoEAux(
         assign_frac=counts / (k * b * n),
         mean_affinity=ad.tmean(affinity, axis=0),
     )
 
-    total = None
-    token_ids = np.arange(b * n)
-    for j in range(e):
-        rows = token_ids[(selected == j).any(axis=1)]
-        if rows.size == 0:
-            continue
-        gate = ad.reshape(ad.getitem(affinity, (rows, np.full(rows.size, j))), (rows.size, 1))
-        if rows.size == 1:
-            # single-row matmuls take a different BLAS path than the same row
-            # inside a batch; pad to two rows so causality stays bit-exact
-            padded = _expert_ffn(ad.take_rows(flat, np.repeat(rows, 2)), params,
-                                 prefix + f"expert{j}.")
-            y = ad.mul(ad.getitem(padded, slice(0, 1)), gate)
-        else:
-            y = ad.mul(_expert_ffn(ad.take_rows(flat, rows), params, prefix + f"expert{j}."), gate)
-        contrib = ad.scatter_rows_add(y, rows, b * n)
-        total = contrib if total is None else ad.add(total, contrib)
-    if total is None:
-        raise InputError("no tokens routed")
-    return ad.reshape(total, (b, n, d)), aux
+    # stable: each expert's rows stay in token order, so a token sums its
+    # experts' outputs in expert index order, as a per-expert loop would
+    pairs = np.argsort(selected, kind="stable")
+    tokens = pairs // k
+    hidden = ad.silu(ad.grouped_linear(ad.getitem(flat, tokens), params[prefix + "w1"],
+                                       params[prefix + "b1"], counts))
+    y = ad.grouped_linear(hidden, params[prefix + "w2"], params[prefix + "b2"], counts)
+    gates = ad.getitem(affinity, (tokens[:, None], selected[pairs, None]))  # (BN*K, 1)
+    out = ad.scatter_rows_add(ad.mul(y, gates), tokens, b * n)
+    return ad.reshape(out, (b, n, d)), aux
 
 
 def aux_loss(aux: MoEAux) -> Tensor:

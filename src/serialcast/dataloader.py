@@ -259,12 +259,18 @@ class WindowSampler:
         self.manifest = manifest
         self.queue = ShardQueue(manifest, queue_capacity)
         self.source = source or manifest.root_dir
+        self._eligible: dict[int, np.ndarray] = {}
 
     def eligible_counts(self, length: int) -> np.ndarray:
-        return np.array(
-            [sum(max(0, n - length + 1) for n in e.series_lengths) for e in self.manifest.entries],
-            dtype=np.float64,
-        )
+        """Windows of ``length`` points per shard; cached, the manifest is fixed."""
+        if length not in self._eligible:
+            counts = np.array(
+                [sum(max(0, n - length + 1) for n in e.series_lengths) for e in self.manifest.entries],
+                dtype=np.float64,
+            )
+            counts.flags.writeable = False  # shared by every later call
+            self._eligible[length] = counts
+        return self._eligible[length]
 
     def sample_raw(self, length: int, rng: np.random.Generator) -> np.ndarray:
         counts = self.eligible_counts(length)
@@ -310,7 +316,7 @@ class MixtureSampler:
 
 
 def read_csv_series(path: str) -> np.ndarray:
-    """One series per file: a `value` header then one float per line."""
+    """One series per file: a `value` header then one finite float per line."""
     with open(path) as f:
         header = f.readline().strip().lower()
         if header != "value":
@@ -318,7 +324,11 @@ def read_csv_series(path: str) -> np.ndarray:
         values = [float(line) for line in f if line.strip()]
     if not values:
         raise DataError(f"{path}: no values")
-    return np.asarray(values, dtype=np.float64)
+    x = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise InputError(f"{path}: non-finite value {x[bad[0]]} at index {bad[0]}")
+    return x
 
 
 def write_csv_series(path: str, values):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .backbone import ModelConfig, init_params, model_forward
+from .backbone import EXPERT_FAMILIES, ModelConfig, init_params, model_forward
 from .datagen import RESAMPLE_FACTORS, derive_seed, resample, value_flip
 from .dataloader import MixtureSampler, ShardManifest, WindowSampler
 from .errors import CheckpointError, ConfigError, InputError, SamplerError
@@ -426,18 +426,36 @@ def gradient_check_suite(cfg: ModelConfig | None = None, seed: int = 0,
     batch = make_supervised_batch(windows, cfg.n_max, cfg.patch_len)
     grid = default_grid(cfg.n_quantiles)
 
-    def loss_fn(p: Params) -> float:
-        trace = model_forward(batch, p, cfg, depth=cfg.n_serial_blocks)
-        total, _ = stage_loss("pretrain", trace, batch, p, cfg, grid)
+    def loss_fn(_entries: Params) -> float:  # the entries are views into params
+        trace = model_forward(batch, params, cfg, depth=cfg.n_serial_blocks)
+        total, _ = stage_loss("pretrain", trace, batch, params, cfg, grid)
         return float(total.data)
 
     zero_grads(params)
     trace = model_forward(batch, params, cfg, depth=cfg.n_serial_blocks)
     total, _ = stage_loss("pretrain", trace, batch, params, cfg, grid)
     total.backward()
-    analytic = {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                for k, p in params.items()}
-    numeric = finite_diff_gradient(loss_fn, params, epsilon,
+    entries = _expert_slices(params)
+    numeric = finite_diff_gradient(loss_fn, entries, epsilon,
                                    coords_per_tensor=coords_per_tensor,
                                    rng=np.random.default_rng(derive_seed(seed, 2)))
+    analytic = {k: p.grad for k, p in entries.items()}
     return compare_gradients(analytic, numeric, rel_tol=rel_tol, abs_floor=abs_floor)
+
+
+def _expert_slices(params: Params) -> Params:
+    """Every parameter, with each stacked expert family split into entries
+    ``<block>.moe.w1[j]`` that share values and gradients with the stacked
+    tensor, ordered expert by expert within a block."""
+    out: Params = {}
+    for name, p in params.items():
+        prefix, _, fam = name.rpartition(".")
+        if not (prefix.endswith("moe") and fam in EXPERT_FAMILIES):
+            out[name] = p
+        elif fam == EXPERT_FAMILIES[0]:
+            for j in range(p.shape[0]):
+                for f in EXPERT_FAMILIES:
+                    stacked = params[f"{prefix}.{f}"]
+                    out[f"{prefix}.{f}[{j}]"] = view = Tensor(stacked.data[j])
+                    view.grad = stacked.grad[j]
+    return out

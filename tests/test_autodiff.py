@@ -72,7 +72,7 @@ def test_shape_ops():
 
 def test_gather_scatter():
     idx = np.array([0, 2, 2, 1])
-    check_op(lambda a: ad.take_rows(a, idx), (3, 4))
+    check_op(lambda a: ad.getitem(a, idx), (3, 4))
     check_op(lambda a: ad.scatter_rows_add(a, idx, 5), (4, 3))
 
 
@@ -89,6 +89,33 @@ def test_matmul_batched():
     check_op(lambda a, b: ad.matmul(a, b), (2, 2, 3, 4), (2, 2, 4, 3), seed=5)
     with pytest.raises(ValueError):
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+
+
+def test_grouped_linear():
+    # groups of 2, 0, 1 and 3 rows: an empty group and a lone row
+    counts = np.array([2, 0, 1, 3])
+    check_op(lambda a, w, b: ad.grouped_linear(a, w, b, counts), (6, 3), (4, 3, 2), (4, 2))
+    rng = np.random.default_rng(1)
+    a, w, b = rng.normal(size=(6, 3)), rng.normal(size=(4, 3, 2)), rng.normal(size=(4, 2))
+    out = ad.grouped_linear(Tensor(a), Tensor(w), Tensor(b), counts).data
+    np.testing.assert_allclose(out[2], a[2] @ w[2] + b[2], atol=1e-12)
+    np.testing.assert_allclose(out[3:], a[3:] @ w[3] + b[3], atol=1e-12)
+    with pytest.raises(ValueError):
+        ad.grouped_linear(Tensor(a), Tensor(w), Tensor(b), np.array([2, 0, 1, 2]))
+
+
+def test_grouped_linear_row_independent_of_group_size():
+    # a row's output must not depend on how many rows share its group, or
+    # causality in the expert layers is no longer bit-exact
+    rng = np.random.default_rng(2)
+    w, b = rng.normal(size=(2, 16, 32)), rng.normal(size=(2, 32))
+    rows = rng.normal(size=(5, 16))
+    outs = []
+    for size in (1, 2, 5):
+        a = np.concatenate([rng.normal(size=(3, 16)), rows[:size]])
+        out = ad.grouped_linear(Tensor(a), Tensor(w), Tensor(b), np.array([3, size])).data
+        outs.append(out[3])
+    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
 
 def test_softmax_rows_sum_to_one():
@@ -135,14 +162,6 @@ def test_no_grad_suppresses_graph():
     assert y._parents == () and y._backward is None
 
 
-def test_operator_sugar():
-    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    y = (2.0 * x + 1.0 - x) / 2.0
-    np.testing.assert_allclose(y.data, [1.0, 1.5])
-    ad.tsum(y).backward()
-    np.testing.assert_allclose(x.grad, [0.5, 0.5])
-
-
 def test_deep_chain_iterative_topo():
     # deep graphs must not hit the recursion limit
     x = Tensor(np.array([1.0]), requires_grad=True)
@@ -162,7 +181,7 @@ def test_graph_freed_without_cycle_collector():
     try:
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        loss = ad.tmean(ad.softplus(ad.add(ad.matmul(x, w), ad.mul(x[:, :2], 0.5))))
+        loss = ad.tmean(ad.softplus(ad.add(ad.matmul(x, w), ad.mul(ad.getitem(x, (slice(None), slice(0, 2))), 0.5))))
         loss.backward()
         assert x.grad is not None and w.grad is not None
         del x, w, loss

@@ -79,13 +79,10 @@ def probe_moe_params(cfg: ModelConfig, logits: np.ndarray, dtype=np.float64):
     w = np.zeros((d, e))
     w[:, :] = logits[None, :] / d  # ones @ w = logits
     params["moe.router.w"] = Tensor(w)
-    for j in range(e):
-        params[f"moe.expert{j}.w1"] = Tensor(np.zeros((d, cfg.d_ff)))
-        params[f"moe.expert{j}.b1"] = Tensor(np.zeros(cfg.d_ff))
-        params[f"moe.expert{j}.w2"] = Tensor(np.zeros((cfg.d_ff, d)))
-        b2 = np.zeros(d)
-        b2[j] = 1.0
-        params[f"moe.expert{j}.b2"] = Tensor(b2)
+    params["moe.w1"] = Tensor(np.zeros((e, d, cfg.d_ff)))
+    params["moe.b1"] = Tensor(np.zeros((e, cfg.d_ff)))
+    params["moe.w2"] = Tensor(np.zeros((e, cfg.d_ff, d)))
+    params["moe.b2"] = Tensor(np.eye(e, d))  # expert j adds e_j
     return params
 
 
@@ -136,6 +133,52 @@ class TestMoE:
         np.testing.assert_allclose(aux.assign_frac, counts / (k * flat.shape[0]), atol=1e-12)
         np.testing.assert_allclose(aux.mean_affinity.data, a.mean(axis=0), atol=1e-12)
 
+    def test_matches_per_expert_reference(self, tiny_cfg, tiny_params):
+        rng = np.random.default_rng(10)
+        u = rng.normal(size=(2, 4, tiny_cfg.d_model))
+        out, _ = moe_forward(Tensor(u), tiny_params, "block0.moe.", tiny_cfg)
+        flat = u.reshape(-1, tiny_cfg.d_model)
+        logits = flat @ tiny_params["block0.moe.router.w"].data
+        z = np.exp(logits - logits.max(axis=1, keepdims=True))
+        a = z / z.sum(axis=1, keepdims=True)
+        w1, b1, w2, b2 = (tiny_params["block0.moe." + f].data for f in ("w1", "b1", "w2", "b2"))
+        expected = np.zeros_like(flat)
+        for t, row in enumerate(flat):
+            for j in np.argsort(-a[t], kind="stable")[:tiny_cfg.top_k]:
+                h = row @ w1[j] + b1[j]
+                expected[t] += a[t, j] * ((h / (1.0 + np.exp(-h))) @ w2[j] + b2[j])
+        np.testing.assert_allclose(out.data.reshape(expected.shape), expected, atol=1e-12)
+
+    @staticmethod
+    def _graph_size(out: Tensor) -> int:
+        seen, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        return len(seen)
+
+    def test_graph_size_independent_of_expert_count(self):
+        sizes = []
+        for e in (2, 8):
+            cfg = ModelConfig(d_model=16, patch_len=4, n_max=8, n_main_blocks=1, n_serial_blocks=0,
+                              n_experts=e, top_k=2, n_heads=1, n_quantiles=3)
+            params = init_params(cfg, seed=0, dtype=np.float64)
+            u = Tensor(np.random.default_rng(11).normal(size=(2, 8, 16)))
+            out, _ = moe_forward(u, params, "block0.moe.", cfg)
+            sizes.append(self._graph_size(out))
+        assert sizes[0] == sizes[1]
+
+    def test_stacked_expert_params(self, tiny_cfg, tiny_params):
+        assert not [k for k in tiny_params if "expert" in k]
+        e, d = tiny_cfg.n_experts, tiny_cfg.d_model
+        assert tiny_params["block0.moe.w1"].shape == (e, d, 2 * d)
+        assert tiny_params["block0.moe.b1"].shape == (e, 2 * d)
+        assert tiny_params["block0.moe.w2"].shape == (e, 2 * d, d)
+        assert tiny_params["block0.moe.b2"].shape == (e, d)
+        assert len(init_params(ModelConfig(), seed=0)) == 116  # 340 with one tensor per expert
+
 
 class TestAuxLoss:
     def test_uniform_gives_one(self):
@@ -163,9 +206,8 @@ class TestAuxLoss:
 def identity_block_params(params, prefix):
     """Zero the attention output projection and expert outputs in place."""
     params[prefix + "attn.wo"].data[:] = 0.0
-    for key in list(params):
-        if key.startswith(prefix + "moe.expert") and (key.endswith(".w2") or key.endswith(".b2")):
-            params[key].data[:] = 0.0
+    params[prefix + "moe.w2"].data[:] = 0.0
+    params[prefix + "moe.b2"].data[:] = 0.0
 
 
 class TestBlocks:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from serialcast import cli
+from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig
 from serialcast.cli import run
 from serialcast.inference import expected_passes
+from serialcast.trainer import load_checkpoint, save_checkpoint
 
 MODEL_FLAGS = ["--d-model", "16", "--patch-len", "4", "--n-max", "8",
                "--n-main-blocks", "1", "--n-serial-blocks", "1", "--n-experts", "2",
@@ -155,6 +157,48 @@ def test_forecast_mismatched_model_flags(pipeline, capsys):
     code = run(["forecast", "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
                 "--input", pipeline["csv"], "--horizon", "8", "--d-model", "32"])
     assert code == 2  # checkpoint/config mismatch is a load failure
+
+
+def test_forecast_per_expert_checkpoint_rejected(pipeline, capsys):
+    # the layout with one tensor per expert (moe.expert{j}.w1, ...) no longer loads
+    params, _ = load_checkpoint(pipeline["ckpt"])
+    old = {}
+    for name, p in params.items():
+        prefix, _, fam = name.rpartition(".")
+        if prefix.endswith("moe") and fam in ("w1", "b1", "w2", "b2"):
+            for j in range(p.shape[0]):
+                old[f"{prefix}.expert{j}.{fam}"] = Tensor(p.data[j])
+        else:
+            old[name] = p
+    path = str(pipeline["tmp"] / "per_expert.sfck")
+    save_checkpoint(old, None, path)
+    code = run(["forecast", "--checkpoint", path, "--config", pipeline["config"],
+                "--input", pipeline["csv"], "--horizon", "8"])
+    assert code == 2
+    assert "block0.moe.w1" in capsys.readouterr().err
+
+
+def _csv_with_nan(path, index: int):
+    values = [f"{v}" for v in np.sin(np.arange(64) / 4.0)]
+    values[index] = "nan"
+    path.write_text("value\n" + "\n".join(values) + "\n")
+    return str(path)
+
+
+def test_eval_non_finite_input_names_file(pipeline, capsys):
+    bad = _csv_with_nan(pipeline["tmp"] / "b.csv", 60)
+    code = run(["eval", "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
+                "--input", pipeline["csv"], bad, "--horizon", "4"])
+    assert code == 1
+    assert f"{bad}: non-finite value nan at index 60" in capsys.readouterr().err
+
+
+def test_shard_non_finite_input_exits_one(pipeline, capsys):
+    bad = _csv_with_nan(pipeline["tmp"] / "c.csv", 5)
+    out = str(pipeline["tmp"] / "nan_shards")
+    assert run(["shard", "--input", bad, "--out", out]) == 1
+    assert "index 5" in capsys.readouterr().err
+    assert not os.path.exists(out) or not os.listdir(out)
 
 
 def test_eval_report_keys(pipeline, capsys):

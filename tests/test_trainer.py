@@ -35,7 +35,8 @@ class TestDecayPolicy:
         assert decay_applies("block0.attn.wq")
         assert decay_applies("serial1.fusion.w")
         assert not decay_applies("block0.attn_norm.g")
-        assert not decay_applies("block0.moe.expert1.b1")
+        assert not decay_applies("block0.moe.b1")
+        assert decay_applies("block0.moe.w1")
         assert not decay_applies("embedder.skip.b")
         assert not decay_applies("block0.attn.tau_raw")
 
@@ -262,6 +263,17 @@ class TestGradientCheckSuite:
         assert reports, "no families checked"
         failures = [r for r in reports if not r.passed]
         assert failures == [], f"failed: {[str(r) for r in failures]}"
+        # every expert slice of every stacked family is its own entry
+        cfg = REFERENCE_TINY
+        names = {r.param_name for r in reports}
+        blocks = [f"block{i}." for i in range(cfg.n_main_blocks)] + \
+                 [f"serial{j}.block." for j in range(1, cfg.n_serial_blocks + 1)]
+        for prefix in blocks:
+            for fam in ("w1", "b1", "w2", "b2"):
+                assert prefix + f"moe.{fam}" not in names
+                for j in range(cfg.n_experts):
+                    assert prefix + f"moe.{fam}[{j}]" in names
+        assert len(reports) == 110
 
     def test_tau_gradient_nonzero(self):
         reports = gradient_check_suite(seed=0, coords_per_tensor=4)
