@@ -324,10 +324,16 @@ def grouped_linear(a, w, b, counts) -> Tensor:
     return _make(y, (a, w, b), bw)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Shift-invariant softmax along one axis."""
+def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
+    """Shift-invariant softmax along one axis; entries where ``mask`` is False
+    come out exactly 0.
+
+    The -inf substitution happens on the input as given, so the mask cannot be
+    weakened by any finite scaling applied upstream.
+    """
     a = astensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
+    x = a.data if mask is None else np.where(np.asarray(mask, dtype=bool), a.data, -np.inf)
+    z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=axis, keepdims=True)
 
@@ -336,26 +342,6 @@ def softmax(a, axis: int = -1) -> Tensor:
         a._accumulate(out.data * (g - (g * out.data).sum(axis=axis, keepdims=True)))
 
     return _make(p, (a,), bw)
-
-
-def masked_softmax(scores, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax with masked entries forced to exactly 0 (mask True = keep).
-
-    The -inf substitution happens on the already-scaled scores, so the mask
-    cannot be weakened by any finite scaling applied upstream.
-    """
-    scores = astensor(scores)
-    mask = np.asarray(mask, dtype=bool)
-    neg = np.where(mask, scores.data, -np.inf)
-    z = neg - neg.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(out):
-        g = out.grad
-        scores._accumulate(out.data * (g - (g * out.data).sum(axis=axis, keepdims=True)))
-
-    return _make(p, (scores,), bw)
 
 
 def rope_rotate(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:

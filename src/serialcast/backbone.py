@@ -184,13 +184,11 @@ def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float64) -> Params:
 # -- forward pieces ------------------------------------------------------
 
 
-def attention_forward(h_in: Tensor, params: Params, prefix: str, cfg: ModelConfig,
-                      n_max: int | None = None) -> Tensor:
+def attention_forward(h_in: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> Tensor:
     """QK-normalized rotary causal attention; residual is added by the caller."""
     b, n, d = h_in.shape
-    limit = cfg.n_max if n_max is None else n_max
-    if n > limit:
-        raise ConfigError(f"context of {n} patches exceeds the {limit}-patch bound")
+    if n > cfg.n_max:
+        raise ConfigError(f"context of {n} patches exceeds the {cfg.n_max}-patch bound")
     nh, dh = cfg.n_heads, cfg.d_head
 
     def split_heads(x: Tensor) -> Tensor:
@@ -255,19 +253,18 @@ def aux_loss(aux: MoEAux) -> Tensor:
     return ad.mul(ad.tsum(ad.mul(aux.mean_affinity, aux.assign_frac)), float(e))
 
 
-def moe_block(h: Tensor, params: Params, prefix: str, cfg: ModelConfig,
-              n_max: int | None = None) -> tuple[Tensor, MoEAux]:
+def moe_block(h: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple[Tensor, MoEAux]:
     """u = MHA(RMSNorm(h)) + h;  h' = MoE(RMSNorm(u)) + u."""
     attn = attention_forward(rmsnorm(h, params[prefix + "attn_norm.g"], RMS_EPS),
-                             params, prefix, cfg, n_max=n_max)
+                             params, prefix, cfg)
     u = ad.add(attn, h)
     moe_out, aux = moe_forward(rmsnorm(u, params[prefix + "moe_norm.g"], RMS_EPS),
                                params, prefix + "moe.", cfg)
     return ad.add(moe_out, u), aux
 
 
-def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params, cfg: ModelConfig,
-                 n_max: int | None = None) -> tuple[Tensor, MoEAux]:
+def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params,
+                 cfg: ModelConfig) -> tuple[Tensor, MoEAux]:
     """Fuse the previous depth with the initial embeddings, then one block."""
     if not (1 <= j <= cfg.n_serial_blocks):
         raise ConfigError(f"serial block index {j} outside 1..{cfg.n_serial_blocks}")
@@ -277,7 +274,7 @@ def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params, cfg: ModelC
          rmsnorm(h0, params[pre + "norm_h0.g"], RMS_EPS)],
         axis=-1,
     )
-    return moe_block(ad.matmul(fused, params[pre + "fusion.w"]), params, pre + "block.", cfg, n_max=n_max)
+    return moe_block(ad.matmul(fused, params[pre + "fusion.w"]), params, pre + "block.", cfg)
 
 
 def _shift_embeddings(h0: Tensor, j: int) -> Tensor:
@@ -287,8 +284,7 @@ def _shift_embeddings(h0: Tensor, j: int) -> Tensor:
     return ad.getitem(h0, (slice(None), idx))
 
 
-def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: int,
-                  n_max: int | None = None) -> ForwardTrace:
+def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: int) -> ForwardTrace:
     """Embed, run all main blocks, then the first ``depth`` serial blocks.
 
     Deterministic: running at a larger depth reproduces every shallower
@@ -305,12 +301,12 @@ def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: in
     trace.embeddings.append(h0)
     h = h0
     for layer in range(cfg.n_main_blocks):
-        h, aux = moe_block(h, params, f"block{layer}.", cfg, n_max=n_max)
+        h, aux = moe_block(h, params, f"block{layer}.", cfg)
         trace.embeddings.append(h)
         trace.aux.append(aux)
     for j in range(1, depth + 1):
         ref = _shift_embeddings(h0, j) if cfg.variant == VARIANT_SHIFT else h0
-        h, aux = serial_block(h, ref, j, params, cfg, n_max=n_max)
+        h, aux = serial_block(h, ref, j, params, cfg)
         trace.embeddings.append(h)
         trace.aux.append(aux)
     return trace

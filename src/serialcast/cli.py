@@ -14,6 +14,8 @@ import argparse
 import glob
 import os
 import sys
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,35 +30,16 @@ from .objectives import default_grid
 from .trainer import (TrainConfig, gradient_check_suite, load_checkpoint, run_posttrain,
                       run_pretrain, validate_params)
 
-MODEL_KEYS = {
-    "d_model": (int, 64),
-    "patch_len": (int, 8),
-    "n_max": (int, 32),
-    "n_main_blocks": (int, 4),
-    "n_serial_blocks": (int, 4),
-    "n_experts": (int, 8),
-    "top_k": (int, 2),
-    "n_heads": (int, 0),
-    "n_quantiles": (int, 9),
-    "theta_base": (float, 10000.0),
-    "alpha": (float, 0.01),
-    "variant": (str, "serial"),
-}
 
-TRAIN_KEYS = {
-    "steps": (int, 1000),
-    "batch_size": (int, 8),
-    "peak_lr": (float, 5e-3),
-    "warmup_frac": (float, 0.03),
-    "lr_floor_frac": (float, 0.1),
-    "weight_decay": (float, 0.1),
-    "clip_norm": (float, 1.0),
-    "precision": (str, "f32"),
-    "resample_prob": (float, 0.3),
-    "flip_prob": (float, 0.5),
-    "n_max_override": (int, 0),
-    "checkpoint_interval": (int, 0),
-}
+def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object]]:
+    """Config keys of a dataclass: field name -> (annotated type, default)."""
+    types = get_type_hints(cls)
+    return {f.name: (types[f.name], f.default) for f in fields(cls) if f.name not in skip}
+
+
+MODEL_KEYS = _keys(ModelConfig)
+# the subcommand sets the stage; --seed and --out-dir have their own flags
+TRAIN_KEYS = _keys(TrainConfig, skip=("stage", "seed", "out_dir"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,8 +178,8 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _train_cfg(merged: dict, stage: str, seed: int, alpha: float, out_dir: str) -> TrainConfig:
-    return TrainConfig(stage=stage, seed=seed, alpha=alpha, out_dir=out_dir,
+def _train_cfg(merged: dict, stage: str, seed: int, out_dir: str) -> TrainConfig:
+    return TrainConfig(stage=stage, seed=seed, out_dir=out_dir,
                        **{k: merged[k] for k in TRAIN_KEYS})
 
 
@@ -204,7 +187,7 @@ def cmd_train(args) -> int:
     merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
     echo_config("train", merged, args.seed)
     cfg = _model_cfg(merged)
-    tcfg = _train_cfg(merged, "pretrain", args.seed, merged["alpha"], args.out_dir)
+    tcfg = _train_cfg(merged, "pretrain", args.seed, args.out_dir)
     manifest = _load_manifest(args.data or default_data_dir())
     result = run_pretrain(cfg, tcfg, manifest, resume_from=args.resume,
                           log_every=args.log_every)
@@ -220,7 +203,7 @@ def cmd_posttrain(args) -> int:
     echo_config("posttrain", merged, args.seed)
     cfg = _model_cfg(merged)
     weights = tuple(float(w) for w in args.mixture_weights.split(","))
-    tcfg = _train_cfg(merged, "posttrain", args.seed, merged["alpha"], args.out_dir)
+    tcfg = _train_cfg(merged, "posttrain", args.seed, args.out_dir)
     sources = [(_load_manifest(args.data), weights[0])]
     if args.revisit:
         if len(weights) < 2:

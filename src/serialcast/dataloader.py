@@ -236,17 +236,6 @@ class ShardQueue:
         return sum(self.manifest.entries[i].byte_len for i in self._resident)
 
 
-@dataclass
-class WindowSample:
-    input: np.ndarray  # (N*P,)
-    targets: np.ndarray  # ((H+1)*P,)
-    source: str = ""
-
-    @property
-    def window(self) -> np.ndarray:
-        return np.concatenate([self.input, self.targets])
-
-
 class WindowSampler:
     """Uniform sampling over eligible windows, shard-weighted by window count.
 
@@ -255,10 +244,9 @@ class WindowSampler:
     proportionally more windows. Deterministic under a fixed rng.
     """
 
-    def __init__(self, manifest: ShardManifest, queue_capacity: int = 4, source: str = ""):
+    def __init__(self, manifest: ShardManifest, queue_capacity: int = 4):
         self.manifest = manifest
         self.queue = ShardQueue(manifest, queue_capacity)
-        self.source = source or manifest.root_dir
         self._eligible: dict[int, np.ndarray] = {}
 
     def eligible_counts(self, length: int) -> np.ndarray:
@@ -285,13 +273,6 @@ class WindowSampler:
         start = int(rng.integers(0, values.size - length + 1))
         return np.asarray(values[start : start + length], dtype=np.float64)
 
-    def sample(self, n_patches: int, patch_len: int, horizon_blocks: int,
-               rng: np.random.Generator) -> WindowSample:
-        w = (n_patches + horizon_blocks + 1) * patch_len
-        raw = self.sample_raw(w, rng)
-        split = n_patches * patch_len
-        return WindowSample(raw[:split], raw[split:], self.source)
-
 
 class MixtureSampler:
     """Draws each sample from one source, chosen with probability ~ weight."""
@@ -309,11 +290,6 @@ class MixtureSampler:
         i = int(rng.choice(len(self.samplers), p=self.probs))
         return self.samplers[i].sample_raw(length, rng)
 
-    def sample(self, n_patches: int, patch_len: int, horizon_blocks: int,
-               rng: np.random.Generator) -> WindowSample:
-        i = int(rng.choice(len(self.samplers), p=self.probs))
-        return self.samplers[i].sample(n_patches, patch_len, horizon_blocks, rng)
-
 
 def read_csv_series(path: str) -> np.ndarray:
     """One series per file: a `value` header then one finite float per line."""
@@ -321,7 +297,14 @@ def read_csv_series(path: str) -> np.ndarray:
         header = f.readline().strip().lower()
         if header != "value":
             raise DataError(f"{path}: expected a 'value' header, got {header!r}")
-        values = [float(line) for line in f if line.strip()]
+        values = []
+        for lineno, line in enumerate(f, 2):  # line 1 is the header
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise InputError(f"{path}: line {lineno}: not a number: "
+                                     f"{line.strip()!r}") from None
     if not values:
         raise DataError(f"{path}: no values")
     x = np.asarray(values, dtype=np.float64)

@@ -69,9 +69,9 @@ def _observed(series) -> np.ndarray:
     return x
 
 
-def _truncate(x: np.ndarray, cfg: ModelConfig, truncate_context: bool) -> np.ndarray:
-    limit = cfg.n_max * cfg.patch_len
-    return x[-limit:] if truncate_context and x.size > limit else x
+def _truncate(x: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """The last ``n_max`` patches' worth of steps."""
+    return x[-cfg.n_max * cfg.patch_len:]
 
 
 def _chunk_len(mode: str, cfg: ModelConfig) -> int:
@@ -89,8 +89,7 @@ def _depth(chunk: int, cfg: ModelConfig) -> int:
 
 
 def _forecast_loop(series, horizon: int, params: Params, cfg: ModelConfig, chunk_len: int,
-                   grid: QuantileGrid | None, sort_quantiles: bool,
-                   truncate_context: bool) -> ForecastDistribution:
+                   grid: QuantileGrid | None, sort_quantiles: bool) -> ForecastDistribution:
     """One pass per chunk of at most ``chunk_len`` steps, at the depth the chunk
     needs; between passes the median is appended to the context, which is then
     re-normalized."""
@@ -99,13 +98,12 @@ def _forecast_loop(series, horizon: int, params: Params, cfg: ModelConfig, chunk
     grid = grid or default_grid(cfg.n_quantiles)
     if grid.q != cfg.n_quantiles:
         raise InputError(f"grid has {grid.q} levels, model expects {cfg.n_quantiles}")
-    context = _truncate(_observed(series), cfg, truncate_context)
+    context = _truncate(_observed(series), cfg)
     chunks: list[np.ndarray] = []
     blocks = 0
     for chunk in _chunk_plan(horizon, chunk_len):
         if chunks:
-            context = _truncate(np.concatenate([context, chunks[-1][grid.median_index()]]),
-                                cfg, truncate_context)
+            context = _truncate(np.concatenate([context, chunks[-1][grid.median_index()]]), cfg)
         pred, ran = _single_pass(context, _depth(chunk, cfg), params, cfg)
         chunks.append(pred[:, :chunk])
         blocks += ran
@@ -116,8 +114,7 @@ def _forecast_loop(series, horizon: int, params: Params, cfg: ModelConfig, chunk
 
 
 def forecast(series, horizon: int, params: Params, cfg: ModelConfig,
-             grid: QuantileGrid | None = None, sort_quantiles: bool = True,
-             truncate_context: bool = True) -> ForecastDistribution:
+             grid: QuantileGrid | None = None, sort_quantiles: bool = True) -> ForecastDistribution:
     """Quantile forecast for ``horizon`` future steps.
 
     Depth adapts to the horizon; beyond (H+1)*P steps the median forecast is
@@ -125,15 +122,15 @@ def forecast(series, horizon: int, params: Params, cfg: ModelConfig,
     re-normalized window.
     """
     return _forecast_loop(series, horizon, params, cfg, _chunk_len("serial", cfg), grid,
-                          sort_quantiles, truncate_context)
+                          sort_quantiles)
 
 
 def forecast_rolling_ntp(series, horizon: int, params: Params, cfg: ModelConfig,
-                         grid: QuantileGrid | None = None, sort_quantiles: bool = True,
-                         truncate_context: bool = True) -> ForecastDistribution:
+                         grid: QuantileGrid | None = None,
+                         sort_quantiles: bool = True) -> ForecastDistribution:
     """Autoregressive baseline: main blocks only, one patch per full recompute."""
     return _forecast_loop(series, horizon, params, cfg, _chunk_len("rolling", cfg), grid,
-                          sort_quantiles, truncate_context)
+                          sort_quantiles)
 
 
 def expected_passes(mode: str, horizon: int, cfg: ModelConfig) -> int:

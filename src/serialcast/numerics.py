@@ -99,8 +99,7 @@ def scaled_masked_softmax(scores, tau, causal: bool = True) -> Tensor:
     if np.any(tau_t.data <= 0):
         raise InputError("tau must be > 0")
     scaled = ad.mul(scores, tau_t)
-    mask = causal_mask(n) if causal else np.ones((n, n), dtype=bool)
-    return ad.masked_softmax(scaled, mask, axis=-1)
+    return ad.softmax(scaled, axis=-1, mask=causal_mask(n) if causal else None)
 
 
 # -- finite-difference oracle -------------------------------------------

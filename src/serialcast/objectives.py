@@ -178,24 +178,23 @@ def mean_aux_loss(aux_list: list[MoEAux]) -> Tensor:
 
 
 def stage_loss(stage: str, trace: ForwardTrace, batch: PatchBatch, params: Params,
-               cfg: ModelConfig, grid: QuantileGrid | None = None,
-               alpha: float | None = None) -> tuple[Tensor, dict[str, float]]:
+               cfg: ModelConfig,
+               grid: QuantileGrid | None = None) -> tuple[Tensor, dict[str, float]]:
     """Composite objective for a training stage.
 
-    pretrain:  next-token + serial (uniform weights)  + alpha * balance
-    posttrain: next-token + serial (1/sqrt(j) weights) + alpha * balance
+    pretrain:  next-token + serial (uniform weights)  + cfg.alpha * balance
+    posttrain: next-token + serial (1/sqrt(j) weights) + cfg.alpha * balance
     Returns the scalar loss tensor and a float breakdown for logging.
     """
     if stage not in ("pretrain", "posttrain"):
         raise InputError(f"unknown stage {stage!r}")
     grid = grid or default_grid(cfg.n_quantiles)
-    alpha = cfg.alpha if alpha is None else alpha
     h_depths = trace.depth
     w = uniform_weights(h_depths) if stage == "pretrain" else horizon_decay_weights(h_depths)
     ntp = ntp_loss(trace, batch, params, cfg, grid)
     ser = serial_loss(trace, batch, params, cfg, w, grid)
     aux = mean_aux_loss(trace.aux)
-    total = ad.add(ad.add(ntp, ser), ad.mul(aux, float(alpha)))
+    total = ad.add(ad.add(ntp, ser), ad.mul(aux, float(cfg.alpha)))
     parts = {"ntp": float(ntp.data), "serial": float(ser.data),
              "aux": float(aux.data), "total": float(total.data)}
     return total, parts

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .autodiff import Tensor
 from .backbone import EXPERT_FAMILIES, ModelConfig, init_params, model_forward
 from .datagen import RESAMPLE_FACTORS, derive_seed, resample, value_flip
 from .dataloader import MixtureSampler, ShardManifest, WindowSampler
-from .errors import CheckpointError, ConfigError, InputError, SamplerError
+from .errors import CheckpointError, InputError, SamplerError
 from .numerics import (GradCheckReport, Params, compare_gradients, finite_diff_gradient,
                        zero_grads)
 from .objectives import QuantileGrid, default_grid, stage_loss
@@ -36,6 +36,10 @@ CKPT_MAGIC = b"SFCK"
 CKPT_VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _CODE_DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.float32)}
+
+ADAM_BETA1 = 0.9  # first-moment decay
+ADAM_BETA2 = 0.95  # second-moment decay
+ADAM_EPS = 1e-8  # keeps the update finite where the second moment is 0
 
 
 @dataclass
@@ -48,15 +52,10 @@ class TrainConfig:
     lr_floor_frac: float = 0.1
     weight_decay: float = 0.1
     clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.95
-    adam_eps: float = 1e-8
-    alpha: float = 0.01
     seed: int = 0
     precision: str = "f32"
     resample_prob: float = 0.3
     flip_prob: float = 0.5
-    n_max_override: int = 0  # posttrain context extension target (0 = keep)
     checkpoint_interval: int = 0  # 0 = only at the end
     out_dir: str = "runs"
 
@@ -120,7 +119,7 @@ def clip_gradients(params: Params, max_norm: float) -> float:
 def adamw_update(params: Params, opt: OptState, lr: float, cfg: TrainConfig):
     opt.step += 1
     t = opt.step
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -129,7 +128,7 @@ def adamw_update(params: Params, opt: OptState, lr: float, cfg: TrainConfig):
         opt.v[name] = b2 * opt.v[name] + (1 - b2) * g * g
         m_hat = opt.m[name] / (1 - b1**t)
         v_hat = opt.v[name] / (1 - b2**t)
-        update = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if cfg.weight_decay > 0 and decay_applies(name):
             update = update + cfg.weight_decay * p.data
         p.data = p.data - lr * update
@@ -150,8 +149,7 @@ def train_step(params: Params, batch: PatchBatch, model_cfg: ModelConfig,
     """One optimization step; a non-finite loss aborts without touching params."""
     zero_grads(params)
     trace = model_forward(batch, params, model_cfg, depth=model_cfg.n_serial_blocks)
-    total, parts = stage_loss(train_cfg.stage, trace, batch, params, model_cfg,
-                              grid, alpha=train_cfg.alpha)
+    total, parts = stage_loss(train_cfg.stage, trace, batch, params, model_cfg, grid)
     if not math.isfinite(parts["total"]):
         return StepResult(parts["total"], parts, 0.0, lr, skipped=True)
     total.backward()
@@ -319,13 +317,6 @@ def validate_params(params: Params, cfg: ModelConfig):
                                   f"config wants {p.shape}")
 
 
-def extend_context(cfg: ModelConfig, new_n_max: int) -> ModelConfig:
-    """Raise the context bound; rotary positions need no new weights."""
-    if new_n_max < cfg.n_max:
-        raise ConfigError(f"cannot shrink context {cfg.n_max} -> {new_n_max}")
-    return replace(cfg, n_max=new_n_max, n_heads=cfg.n_heads)
-
-
 # -- stage runners ----------------------------------------------------------
 
 
@@ -338,10 +329,8 @@ class TrainResult:
     model_cfg: ModelConfig | None = None
 
 
-def _as_sampler(data, source: str = "") -> WindowSampler:
-    if isinstance(data, ShardManifest):
-        return WindowSampler(data, source=source)
-    return data
+def _as_sampler(data) -> WindowSampler:
+    return WindowSampler(data) if isinstance(data, ShardManifest) else data
 
 
 def _run_loop(params: Params, opt: OptState, sampler, model_cfg: ModelConfig,
@@ -370,7 +359,7 @@ def run_pretrain(model_cfg: ModelConfig, train_cfg: TrainConfig, data,
     """Stage 1: uniform serial weights, augmentation on, fresh or resumed."""
     if train_cfg.stage != "pretrain":
         raise InputError("run_pretrain needs stage=pretrain")
-    sampler = _as_sampler(data, "pretrain")
+    sampler = _as_sampler(data)
     if resume_from:
         params, opt = load_checkpoint(resume_from)
         validate_params(params, model_cfg)
@@ -386,19 +375,19 @@ def run_pretrain(model_cfg: ModelConfig, train_cfg: TrainConfig, data,
 
 def run_posttrain(pretrained: str, model_cfg: ModelConfig, train_cfg: TrainConfig,
                   sources: list[tuple[ShardManifest, float]], log_every: int = 0) -> TrainResult:
-    """Stage 2: horizon-decayed serial weights, data revisiting, optional
-    context extension. Optimizer moments start fresh for the new schedule."""
+    """Stage 2: horizon-decayed serial weights and data revisiting.
+
+    Optimizer moments start fresh for the new schedule. ``model_cfg.n_max``
+    may exceed the pre-training bound: rotary positions need no new weights,
+    so extending the context is only a larger ``n_max``.
+    """
     if train_cfg.stage != "posttrain":
         raise InputError("run_posttrain needs stage=posttrain")
     params, _ = load_checkpoint(pretrained)
-    cfg = model_cfg
-    if train_cfg.n_max_override:
-        cfg = extend_context(cfg, train_cfg.n_max_override)
-    validate_params(params, cfg)
-    sampler = MixtureSampler([(WindowSampler(m, source=f"src{i}"), w)
-                              for i, (m, w) in enumerate(sources)])
+    validate_params(params, model_cfg)
+    sampler = MixtureSampler([(WindowSampler(m), w) for m, w in sources])
     opt = OptState.fresh(params)
-    return _run_loop(params, opt, sampler, cfg, train_cfg, log_every=log_every)
+    return _run_loop(params, opt, sampler, model_cfg, train_cfg, log_every=log_every)
 
 
 # -- gradient-check harness --------------------------------------------------

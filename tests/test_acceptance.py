@@ -8,6 +8,7 @@ one CPU, dominated by those runs.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,7 @@ from serialcast.inference import (bench_inference, eval_crps_wql, forecast,
                                   forecast_rolling_ntp, mase)
 from serialcast.objectives import (default_grid, pinball, serial_loss, wql, horizon_decay_weights)
 from serialcast.tokenizer import make_batch, make_supervised_batch
-from serialcast.trainer import (TrainConfig, extend_context, gradient_check_suite,
-                                run_posttrain, run_pretrain)
+from serialcast.trainer import TrainConfig, gradient_check_suite, run_posttrain, run_pretrain
 
 
 def report(criterion: int, detail: str):
@@ -130,7 +130,7 @@ def test_criterion_3_causality_standard_and_extended():
     params = init_params(cfg, seed=5, dtype=np.float64)
     checked = 0
     for label, run_cfg, n_patches in (("standard", cfg, cfg.n_max),
-                                      ("extended", extend_context(cfg, 16), 16)):
+                                      ("extended", replace(cfg, n_max=16), 16)):
         series = np.sin(np.arange(n_patches * cfg.patch_len) / 3.0)
         base = make_batch([series], cfg.patch_len)
         trace_a = model_forward(base, params, run_cfg, cfg.n_serial_blocks)

@@ -126,11 +126,12 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_masked_softmax_masks_exactly():
+    # masked entries are exactly 0 and the kept ones still sum to 1
     mask = np.tril(np.ones((4, 4), dtype=bool))
-    p = ad.masked_softmax(Tensor(np.random.default_rng(1).normal(size=(4, 4))), mask)
+    p = ad.softmax(Tensor(np.random.default_rng(1).normal(size=(4, 4))), mask=mask)
     assert (p.data[~mask] == 0.0).all()
     np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-12)
-    check_op(lambda a: ad.masked_softmax(a, mask), (4, 4))
+    check_op(lambda a: ad.softmax(a, mask=mask), (4, 4))
 
 
 def test_rope_rotate_grad_and_norm():

@@ -1,6 +1,7 @@
 """CLI contracts: exit codes, config precedence, determinism, pipeline."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from serialcast import cli
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig
 from serialcast.cli import run
-from serialcast.inference import expected_passes
+from serialcast.dataloader import read_csv_series
+from serialcast.inference import expected_passes, forecast
 from serialcast.trainer import load_checkpoint, save_checkpoint
 
 MODEL_FLAGS = ["--d-model", "16", "--patch-len", "4", "--n-max", "8",
@@ -58,6 +60,13 @@ def test_stats_on_csv(tmp_path, capsys):
     assert "aggregate forecastability" in out
     value = float([l for l in out.splitlines() if l.startswith("aggregate forecastability")][0].split()[-1])
     assert value > 0.9
+
+
+def test_stats_non_numeric_line_exits_one(tmp_path, capsys):
+    path = tmp_path / "abc.csv"
+    path.write_text("value\n1.0\n2.0\nabc\n4.0\n")
+    assert run(["stats", "--input", str(path)]) == 1
+    assert f"{path}: line 4: not a number: 'abc'" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -248,6 +257,40 @@ def test_posttrain_from_checkpoint(pipeline, capsys):
                 "--out-dir", out_dir])
     assert code == 0
     assert os.path.exists(os.path.join(out_dir, "posttrain.sfck"))
+
+
+def test_posttrain_n_max_extends_context(pipeline, capsys):
+    # stage 2 at twice the pre-training bound: config.txt records the new bound,
+    # so a forecast from it keeps the whole 16-patch context
+    out_dir = pipeline["tmp"] / "post_ext"
+    assert run(["posttrain", "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
+                "--data", pipeline["data"], "--n-max", "16", "--steps", "2", "--batch-size", "2",
+                "--out-dir", str(out_dir)]) == 0
+    assert "n_max=16" in (out_dir / "config.txt").read_text().splitlines()
+    ckpt = str(out_dir / "posttrain.sfck")
+    capsys.readouterr()
+    assert run(["forecast", "--checkpoint", ckpt, "--config", str(out_dir / "config.txt"),
+                "--input", pipeline["csv"], "--horizon", "8"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    got = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    cfg = ModelConfig(d_model=16, patch_len=4, n_max=16, n_main_blocks=1, n_serial_blocks=1,
+                      n_experts=2, top_k=1, n_heads=1, n_quantiles=3)  # MODEL_FLAGS, n_max 16
+    params, _ = load_checkpoint(ckpt)
+    series = read_csv_series(pipeline["csv"])
+    assert series.size == 64
+    assert np.array_equal(got, forecast(series, 8, params, cfg).values)
+    assert not np.array_equal(got, forecast(series, 8, params, replace(cfg, n_max=8)).values)
+
+
+def test_n_max_override_rejected(pipeline, tmp_path, capsys):
+    argv = ["posttrain", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+            "--steps", "1", "--batch-size", "2", "--out-dir", str(tmp_path / "post")] + MODEL_FLAGS
+    assert run(argv + ["--n-max-override", "16"]) == 1
+    cfg_file = tmp_path / "override.txt"
+    cfg_file.write_text("n_max_override=16\n")
+    assert run(argv + ["--config", str(cfg_file)]) == 1
+    assert "n_max_override" in capsys.readouterr().err
+    assert not (tmp_path / "post").exists()
 
 
 def test_gradcheck_exit_zero(capsys):

@@ -140,15 +140,15 @@ class TestWindowSampler:
         series = np.arange(w, dtype=np.float32)
         manifest = make_manifest(tmp_path, [series])
         sampler = WindowSampler(manifest)
-        sample = sampler.sample(n, p, h, np.random.default_rng(0))
-        np.testing.assert_array_equal(sample.window, series.astype(np.float64))
-        assert sample.input.size == n * p and sample.targets.size == (h + 1) * p
+        window = sampler.sample_raw(w, np.random.default_rng(0))
+        np.testing.assert_array_equal(window, series.astype(np.float64))
 
     def test_deterministic_under_seed(self, tmp_path):
         series = [np.random.default_rng(4).normal(size=800).astype(np.float32)]
         manifest = make_manifest(tmp_path, series)
-        draws1 = [WindowSampler(manifest).sample(4, 4, 1, np.random.default_rng(9)).window
-                  for _ in range(1)]
+        first = WindowSampler(manifest).sample_raw(24, np.random.default_rng(9))
+        again = WindowSampler(manifest).sample_raw(24, np.random.default_rng(9))
+        np.testing.assert_array_equal(first, again)
         sampler = WindowSampler(manifest)
         rng_a, rng_b = np.random.default_rng(123), np.random.default_rng(123)
         seq_a = [sampler.sample_raw(32, rng_a) for _ in range(20)]
@@ -197,7 +197,7 @@ class TestMixtureSampler:
     def _two_sources(self, tmp_path):
         m1 = make_manifest(tmp_path, [np.full(500, 1.0, dtype=np.float32)], sub="s1")
         m2 = make_manifest(tmp_path, [np.full(500, 2.0, dtype=np.float32)], sub="s2")
-        return WindowSampler(m1, source="one"), WindowSampler(m2, source="two")
+        return WindowSampler(m1), WindowSampler(m2)  # all 1.0, all 2.0
 
     def test_degenerate_weight_all_from_first(self, tmp_path):
         s1, s2 = self._two_sources(tmp_path)
@@ -217,8 +217,8 @@ class TestMixtureSampler:
     def test_single_source_reduces_to_sampler(self, tmp_path):
         s1, _ = self._two_sources(tmp_path)
         mix = MixtureSampler([(s1, 2.5)])
-        sample = mix.sample(4, 4, 1, np.random.default_rng(9))
-        assert sample.source == "one"
+        window = mix.sample_raw(24, np.random.default_rng(9))
+        assert window.size == 24 and np.all(window == 1.0)
 
     def test_weight_validation(self, tmp_path):
         s1, s2 = self._two_sources(tmp_path)

