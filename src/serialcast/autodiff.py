@@ -13,6 +13,7 @@ to the operand's shape. Graph construction can be suppressed globally with
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,11 +123,21 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tenso
     return out
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors. A Python number takes the dtype of a float
+    tensor operand, so an f32 graph stays f32 under any numpy promotion rule."""
+    if isinstance(b, (int, float)) and isinstance(a, Tensor) and a.dtype.kind == "f":
+        return a, Tensor(np.asarray(b, dtype=a.dtype))
+    if isinstance(a, (int, float)) and isinstance(b, Tensor) and b.dtype.kind == "f":
+        return Tensor(np.asarray(a, dtype=b.dtype)), b
+    return astensor(a), astensor(b)
+
+
 # -- elementwise -------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
 
     def bw(out):
         a._accumulate(_unbroadcast(out.grad, a.shape))
@@ -136,7 +147,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
 
     def bw(out):
         a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
@@ -145,19 +156,9 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), bw)
 
 
-def power(a, exponent: float) -> Tensor:
-    a = astensor(a)
-    e = float(exponent)
-
-    def bw(out):
-        a._accumulate(out.grad * e * a.data ** (e - 1.0))
-
-    return _make(a.data ** e, (a,), bw)
-
-
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
     take_a = a.data >= b.data
 
     def bw(out):
@@ -233,17 +234,44 @@ def getitem(a, idx) -> Tensor:
     return _make(a.data[idx], (a,), bw)
 
 
-def scatter_rows_add(rows, index: np.ndarray, n_rows: int) -> Tensor:
-    """Inverse of a row gather: add rows at index into an (n_rows, D) zero base."""
-    rows = astensor(rows)
-    index = np.asarray(index, dtype=np.intp)
-    base = np.zeros((n_rows,) + rows.shape[1:], dtype=rows.dtype)
-    np.add.at(base, index, rows.data)
+# A slot table ``slots`` of shape (T, K) lists, for each of T tokens, the K
+# rows of a (T*K, ...) row array that belong to it; every row appears once.
+# gather_slots and sum_slots are each other's adjoints.
+
+
+def _spread(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """(T*K, ...) rows with rows[slots[t, j]] = x[t]."""
+    rows = np.empty((slots.size,) + x.shape[1:], dtype=x.dtype)
+    rows[slots] = x[:, None]
+    return rows
+
+
+def _sum(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """(T, ...) sums of each token's rows, added in slot order onto zeros."""
+    out = np.zeros((slots.shape[0],) + rows.shape[1:], dtype=rows.dtype)
+    for j in range(slots.shape[1]):
+        out += rows[slots[:, j]]
+    return out
+
+
+def gather_slots(a, slots: np.ndarray) -> Tensor:
+    """Copy token row a[t] into each of its K slot rows."""
+    a = astensor(a)
 
     def bw(out):
-        rows._accumulate(out.grad[index])
+        a._accumulate(_sum(out.grad, slots))
 
-    return _make(base, (rows,), bw)
+    return _make(_spread(a.data, slots), (a,), bw)
+
+
+def sum_slots(rows, slots: np.ndarray) -> Tensor:
+    """Sum each token's K slot rows: out[t] = sum_j rows[slots[t, j]]."""
+    rows = astensor(rows)
+
+    def bw(out):
+        rows._accumulate(_spread(out.grad, slots))
+
+    return _make(_sum(rows.data, slots), (rows,), bw)
 
 
 # -- reductions --------------------------------------------------------
@@ -263,7 +291,8 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
-    n = a.data.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
+    # a Python int, so an f32 gradient is divided in f32
+    n = a.data.size if axis is None else math.prod(a.shape[ax] for ax in np.atleast_1d(axis))
 
     def bw(out):
         g = out.grad
@@ -324,24 +353,64 @@ def grouped_linear(a, w, b, counts) -> Tensor:
     return _make(y, (a, w, b), bw)
 
 
-def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Shift-invariant softmax along one axis; entries where ``mask`` is False
-    come out exactly 0.
+def softmax(a, axis: int = -1, mask: np.ndarray | None = None, scale=None) -> Tensor:
+    """Shift-invariant softmax of ``a * scale`` along one axis; entries where
+    ``mask`` is False come out exactly 0.
 
-    The -inf substitution happens on the input as given, so the mask cannot be
-    weakened by any finite scaling applied upstream.
+    ``scale`` (a tensor broadcasting against ``a``, or a number) multiplies
+    the input before the -inf substitution, so no finite scale can weaken the
+    mask. Gradients flow to both ``a`` and ``scale``.
     """
     a = astensor(a)
-    x = a.data if mask is None else np.where(np.asarray(mask, dtype=bool), a.data, -np.inf)
+    s = None if scale is None else _operands(a, scale)[1]
+    x = a.data if s is None else a.data * s.data
+    if mask is not None:
+        x = np.where(np.asarray(mask, dtype=bool), x, -np.inf)
     z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=axis, keepdims=True)
 
     def bw(out):
         g = out.grad
-        a._accumulate(out.data * (g - (g * out.data).sum(axis=axis, keepdims=True)))
+        gx = out.data * (g - (g * out.data).sum(axis=axis, keepdims=True))
+        if s is None:
+            a._accumulate(gx)
+        else:
+            a._accumulate(_unbroadcast(gx * s.data, a.shape))
+            s._accumulate(_unbroadcast(gx * a.data, s.shape))
 
-    return _make(p, (a,), bw)
+    return _make(p, (a,) if s is None else (a, s), bw)
+
+
+def rmsnorm(x, gain, eps: float) -> Tensor:
+    """gain * x / sqrt(mean(x^2) + eps) over the last axis."""
+    x, gain = astensor(x), astensor(gain)
+    inv = ((x.data * x.data).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype)) ** -0.5
+    xn = x.data * inv
+
+    def bw(out):
+        gxn = out.grad * gain.data
+        x._accumulate(inv * (gxn - xn * (gxn * xn).mean(axis=-1, keepdims=True)))
+        gain._accumulate(_unbroadcast(out.grad * xn, gain.shape))
+
+    return _make(xn * gain.data, (x, gain), bw)
+
+
+def l2_normalize(v, guard: float) -> Tensor:
+    """v / sqrt(max(sum(v^2), guard)) over the last axis. A guarded row, the
+    all-zero row among them, passes no gradient back."""
+    v = astensor(v)
+    ss = (v.data * v.data).sum(axis=-1, keepdims=True)
+    guard = np.asarray(guard, dtype=v.dtype)
+    kept = ss >= guard
+    inv = np.where(kept, ss, guard) ** -0.5
+    y = v.data * inv
+
+    def bw(out):
+        g = out.grad
+        v._accumulate(np.where(kept, inv, 0) * (g - y * (g * y).sum(axis=-1, keepdims=True)))
+
+    return _make(y, (v,), bw)
 
 
 def rope_rotate(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:

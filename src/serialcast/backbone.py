@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .numerics import Params, l2_normalize, rmsnorm, rope_angle_table, scaled_masked_softmax
+from .numerics import Params, l2_normalize, rmsnorm, rope_table, scaled_masked_softmax
 from .tokenizer import EmbedderParams, PatchBatch, embed_patches
 
 RMS_EPS = 1e-6
@@ -198,9 +198,7 @@ def attention_forward(h_in: Tensor, params: Params, prefix: str, cfg: ModelConfi
     k = split_heads(ad.matmul(h_in, params[prefix + "attn.wk"]))
     v = split_heads(ad.matmul(h_in, params[prefix + "attn.wv"]))
 
-    cos, sin = rope_angle_table(np.arange(n), dh, cfg.theta_base)
-    cos = cos.astype(h_in.dtype)
-    sin = sin.astype(h_in.dtype)
+    cos, sin = rope_table(n, dh, cfg.theta_base, h_in.dtype)
     q = ad.rope_rotate(l2_normalize(q), cos, sin)
     k = ad.rope_rotate(l2_normalize(k), cos, sin)
 
@@ -231,19 +229,22 @@ def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tup
 
     counts = np.bincount(selected, minlength=e)
     aux = MoEAux(
-        assign_frac=counts / (k * b * n),
+        assign_frac=(counts / (k * b * n)).astype(u.dtype),
         mean_affinity=ad.tmean(affinity, axis=0),
     )
 
-    # stable: each expert's rows stay in token order, so a token sums its
-    # experts' outputs in expert index order, as a per-expert loop would
+    # stable: each expert's rows stay in token order; slots[t] lists token t's
+    # K rows in ascending row order, which is expert index order, so a token
+    # sums its experts' outputs as a per-expert loop would
     pairs = np.argsort(selected, kind="stable")
-    tokens = pairs // k
-    hidden = ad.silu(ad.grouped_linear(ad.getitem(flat, tokens), params[prefix + "w1"],
+    slots = np.empty_like(pairs)
+    slots[pairs] = np.arange(pairs.size)
+    slots = np.sort(slots.reshape(b * n, k), axis=1)
+    hidden = ad.silu(ad.grouped_linear(ad.gather_slots(flat, slots), params[prefix + "w1"],
                                        params[prefix + "b1"], counts))
     y = ad.grouped_linear(hidden, params[prefix + "w2"], params[prefix + "b2"], counts)
-    gates = ad.getitem(affinity, (tokens[:, None], selected[pairs, None]))  # (BN*K, 1)
-    out = ad.scatter_rows_add(ad.mul(y, gates), tokens, b * n)
+    gates = ad.getitem(affinity, (pairs[:, None] // k, selected[pairs, None]))  # (BN*K, 1)
+    out = ad.sum_slots(ad.mul(y, gates), slots)
     return ad.reshape(out, (b, n, d)), aux
 
 

@@ -296,7 +296,7 @@ def read_csv_series(path: str) -> np.ndarray:
     with open(path) as f:
         header = f.readline().strip().lower()
         if header != "value":
-            raise DataError(f"{path}: expected a 'value' header, got {header!r}")
+            raise InputError(f"{path}: expected a 'value' header, got {header!r}")
         values = []
         for lineno, line in enumerate(f, 2):  # line 1 is the header
             if line.strip():
@@ -306,7 +306,7 @@ def read_csv_series(path: str) -> np.ndarray:
                     raise InputError(f"{path}: line {lineno}: not a number: "
                                      f"{line.strip()!r}") from None
     if not values:
-        raise DataError(f"{path}: no values")
+        raise InputError(f"{path}: no values")
     x = np.asarray(values, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:

@@ -1,14 +1,17 @@
 """Layer primitives used by the backbone, plus a finite-difference oracle.
 
-Every primitive here is a differentiable composite over the autodiff ops:
-callers get analytic gradients for free via ``Tensor.backward()``, and
-``finite_diff_gradient`` provides the independent central-difference estimate
-used to verify them. Tests and oracles run in 64-bit; training may run the
-same code in 32-bit.
+The norms and the scaled masked softmax each check their input and then run
+as one autodiff op with a hand-written backward (``autodiff.rmsnorm``,
+``autodiff.l2_normalize``, ``autodiff.softmax`` with a scale), computing in
+the input's dtype, so an f32 model stays f32. ``finite_diff_gradient``
+provides the independent central-difference estimate used to verify every
+analytic gradient. Tests and oracles run in 64-bit; training may run the same
+code in 32-bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,24 +39,16 @@ def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
     """
     if eps < 0:
         raise InputError("rmsnorm eps must be >= 0")
-    x = ad.astensor(x)
-    assert_finite(x, "rmsnorm input")
-    gain = ad.astensor(gain)
-    ms = ad.tmean(ad.mul(x, x), axis=-1, keepdims=True)
-    inv = ad.power(ad.add(ms, float(eps)), -0.5)
-    return ad.mul(ad.mul(x, inv), gain)
+    return ad.rmsnorm(assert_finite(ad.astensor(x), "rmsnorm input"), gain, eps)
 
 
 def l2_normalize(v) -> Tensor:
     """Unit-normalize along the last axis; zero vectors map to zero.
 
-    The guard max(||v||, 1e-12) is applied through the squared norm so the
-    zero case stays differentiable (gradient 0 into the guarded branch).
+    The guard max(||v||, 1e-12) is applied to the squared norm. A guarded
+    row, the all-zero row among them, passes no gradient back.
     """
-    v = ad.astensor(v)
-    ss = ad.tsum(ad.mul(v, v), axis=-1, keepdims=True)
-    inv = ad.power(ad.maximum(ss, L2_GUARD**2), -0.5)
-    return ad.mul(v, inv)
+    return ad.l2_normalize(v, L2_GUARD**2)
 
 
 def rope_angle_table(positions: np.ndarray, d: int, theta_base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
@@ -81,9 +76,22 @@ def rotary_rotate(v, position: int, theta_base: float = 10000.0) -> Tensor:
     return ad.rope_rotate(v, cos[0], sin[0])
 
 
+# bounded: one entry per context length, head size and dtype in use
+@functools.lru_cache(maxsize=256)
+def rope_table(n: int, d: int, theta_base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos/sin tables for positions 0..n-1, cast once to ``dtype``."""
+    tables = tuple(t.astype(dtype) for t in rope_angle_table(np.arange(n), d, theta_base))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=256)
 def causal_mask(n: int) -> np.ndarray:
-    """(n, n) boolean mask: True where key index j <= query index i."""
-    return np.tril(np.ones((n, n), dtype=bool))
+    """Read-only (n, n) boolean mask: True where key index j <= query index i."""
+    mask = np.tril(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def scaled_masked_softmax(scores, tau, causal: bool = True) -> Tensor:
@@ -94,12 +102,11 @@ def scaled_masked_softmax(scores, tau, causal: bool = True) -> Tensor:
     """
     scores = ad.astensor(scores)
     assert_finite(scores, "attention scores")
-    n = scores.shape[-1]
-    tau_t = ad.astensor(tau)
-    if np.any(tau_t.data <= 0):
+    tau_data = tau.data if isinstance(tau, Tensor) else np.asarray(tau)
+    if np.any(tau_data <= 0):
         raise InputError("tau must be > 0")
-    scaled = ad.mul(scores, tau_t)
-    return ad.softmax(scaled, axis=-1, mask=causal_mask(n) if causal else None)
+    mask = causal_mask(scores.shape[-1]) if causal else None
+    return ad.softmax(scores, axis=-1, mask=mask, scale=tau)
 
 
 # -- finite-difference oracle -------------------------------------------

@@ -37,8 +37,9 @@ def renormalize(series) -> tuple[np.ndarray, NormStats]:
 
 
 def denormalize(pred, stats: NormStats) -> np.ndarray:
-    """x_hat = sigma * x_tilde + mu, elementwise."""
-    return np.asarray(pred) * stats.sigma + stats.mu
+    """x_hat = sigma * x_tilde + mu, elementwise, in float64 whatever the
+    model's dtype: data scale is never rounded to 32 bits."""
+    return np.asarray(pred, dtype=np.float64) * stats.sigma + stats.mu
 
 
 def patchify(series, patch_len: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -1,4 +1,5 @@
-"""Gradient checks for every autodiff op against central finite differences."""
+"""Gradient checks for every autodiff op, and for the fused layer primitives
+built on it, against central finite differences."""
 
 import gc
 
@@ -7,6 +8,8 @@ import pytest
 
 from serialcast import autodiff as ad
 from serialcast.autodiff import Tensor
+from serialcast.numerics import (L2_GUARD, causal_mask, l2_normalize, rmsnorm, rope_table,
+                                 scaled_masked_softmax)
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -50,10 +53,6 @@ def test_mul_broadcast():
     check_op(lambda a, b: ad.mul(a, b), (3, 4), (3, 1))
 
 
-def test_power():
-    check_op(lambda a: ad.power(ad.add(ad.mul(a, a), 1.0), -0.5), (5,))
-
-
 def test_maximum():
     check_op(lambda a, b: ad.maximum(a, b), (7,), (7,), seed=3)
 
@@ -73,7 +72,19 @@ def test_shape_ops():
 def test_gather_scatter():
     idx = np.array([0, 2, 2, 1])
     check_op(lambda a: ad.getitem(a, idx), (3, 4))
-    check_op(lambda a: ad.scatter_rows_add(a, idx, 5), (4, 3))
+    rng = np.random.default_rng(6)
+    for k in (1, 2, 3):
+        # 4 tokens, each owning k of the 4k rows, listed in ascending row order
+        slots = np.sort(rng.permutation(4 * k).reshape(4, k), axis=1)
+        check_op(lambda a: ad.gather_slots(a, slots), (4, 3))
+        check_op(lambda r: ad.sum_slots(r, slots), (4 * k, 3))
+        # same sums, in the same order, as an unbuffered add into a zero base
+        rows = rng.normal(size=(4 * k, 3))
+        want = np.zeros((4, 3))
+        np.add.at(want, np.argsort(slots.reshape(-1)) // k, rows)
+        assert np.array_equal(ad.sum_slots(Tensor(rows), slots).data, want)
+        x = rng.normal(size=(4, 3))
+        assert np.array_equal(ad.gather_slots(Tensor(x), slots).data[slots[:, -1]], x)
 
 
 def test_reductions():
@@ -141,6 +152,64 @@ def test_rope_rotate_grad_and_norm():
     v = Tensor(rng.normal(size=8))
     r = ad.rope_rotate(v, np.cos(1.23), np.sin(1.23))
     assert np.isclose(np.linalg.norm(r.data), np.linalg.norm(v.data), atol=1e-12)
+
+
+# -- fused layer primitives: one node each --------------------------------
+
+
+def test_fused_rmsnorm_grad():
+    check_op(lambda x, g: rmsnorm(x, g, 1e-6), (2, 3, 5), (5,))  # gain broadcast over rows
+    check_op(lambda x, g: rmsnorm(x, g, 0.0), (4, 6), (1, 6), seed=1)
+
+
+def test_fused_l2_normalize_grad_and_zero_row():
+    check_op(lambda v: l2_normalize(v), (3, 4))
+    keep = np.array([[1.0], [0.0], [1.0]])  # row 1 reaches the op as all zeros
+    check_op(lambda v: l2_normalize(ad.mul(v, keep)), (3, 4), seed=2)
+    v = Tensor(np.zeros((2, 4)), requires_grad=True)
+    ad.tsum(ad.mul(l2_normalize(v), np.arange(8.0).reshape(2, 4))).backward()
+    assert np.array_equal(v.grad, np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("causal", [True, False])
+def test_fused_scaled_masked_softmax_grad(causal):
+    # scores (B, heads, N, N) against a per-head tau, through softplus as in the model
+    check_op(lambda s, t: scaled_masked_softmax(s, ad.reshape(ad.softplus(t), (2, 1, 1)),
+                                                causal=causal), (1, 2, 4, 4), (2,), seed=4)
+
+
+def test_fused_forward_equals_composite():
+    # the fused f64 forwards evaluate the old composite expressions in the same order
+    rng = np.random.default_rng(8)
+    x, g = Tensor(rng.normal(size=(2, 3, 8))), Tensor(rng.normal(size=8))
+    ms = ad.tmean(ad.mul(x, x), axis=-1, keepdims=True)
+    inv = Tensor(ad.add(ms, 1e-6).data ** -0.5)
+    assert np.array_equal(rmsnorm(x, g, 1e-6).data, ad.mul(ad.mul(x, inv), g).data)
+    v = Tensor(np.concatenate([rng.normal(size=(3, 8)), np.zeros((1, 8))]))
+    ss = ad.tsum(ad.mul(v, v), axis=-1, keepdims=True)
+    inv = Tensor(ad.maximum(ss, L2_GUARD**2).data ** -0.5)
+    assert np.array_equal(l2_normalize(v).data, ad.mul(v, inv).data)
+    scores, tau = Tensor(rng.normal(size=(2, 5, 5))), Tensor(rng.uniform(0.5, 4.0, size=(2, 1, 1)))
+    for mask in (causal_mask(5), None):
+        want = ad.softmax(ad.mul(scores, tau), mask=mask).data
+        got = scaled_masked_softmax(scores, tau, causal=mask is not None).data
+        assert np.array_equal(got, want)
+
+
+def test_python_number_takes_tensor_dtype():
+    x = Tensor(np.ones(3, dtype=np.float32))
+    for op in (ad.add, ad.mul, ad.maximum):
+        assert op(x, 0.5).dtype == np.float32 and op(2, x).dtype == np.float32
+    assert ad.add(Tensor(np.ones(3)), 0.5).dtype == np.float64
+
+
+def test_cached_tables_read_only():
+    cos, sin = rope_table(6, 4, 10000.0, np.dtype(np.float32))
+    assert cos.dtype == sin.dtype == np.float32
+    assert rope_table(6, 4, 10000.0, np.dtype(np.float32))[0] is cos
+    for table in (cos, sin, causal_mask(6)):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
 
 
 def test_grad_accumulates_on_reuse():

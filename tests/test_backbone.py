@@ -278,6 +278,22 @@ class TestModelForward:
                 if i < tiny_cfg.n_max:
                     assert not np.array_equal(ha.data[0, i:], hb.data[0, i:])
 
+    def test_causality_exact_float32(self):
+        # the criterion-3 probe on an f32 model, standard and extended context
+        cfg = ModelConfig(d_model=32, patch_len=4, n_max=8, n_main_blocks=2, n_serial_blocks=2,
+                          n_experts=4, top_k=2, n_heads=1, n_quantiles=3)
+        params = init_params(cfg, seed=5, dtype=np.float32)
+        for run_cfg, n_patches in ((cfg, cfg.n_max), (replace(cfg, n_max=16), 16)):
+            series = np.sin(np.arange(n_patches * cfg.patch_len) / 3.0)
+            trace_a = model_forward(make_batch([series], cfg.patch_len), params, run_cfg,
+                                    cfg.n_serial_blocks)
+            for i in range(n_patches):
+                batch = make_batch([series], cfg.patch_len)
+                batch.patches[0, i, :] += 0.25
+                trace_b = model_forward(batch, params, run_cfg, cfg.n_serial_blocks)
+                for ha, hb in zip(trace_a.embeddings[1:], trace_b.embeddings[1:]):
+                    assert np.array_equal(ha.data[0, :i], hb.data[0, :i])
+
     def test_shift_variant_uses_future_embeddings(self, tiny_batch):
         cfg = ModelConfig(d_model=16, patch_len=4, n_max=4, n_main_blocks=2, n_serial_blocks=2,
                           n_experts=4, top_k=2, n_heads=1, n_quantiles=3, variant="shift_token")

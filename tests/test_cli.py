@@ -69,6 +69,15 @@ def test_stats_non_numeric_line_exits_one(tmp_path, capsys):
     assert f"{path}: line 4: not a number: 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [("val\n1.0\n", "expected a 'value' header, got 'val'"),
+                                           ("value\n", "no values")])
+def test_stats_bad_csv_exits_one(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert run(["stats", "--input", str(path)]) == 1
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text("d_model=32\npatch_len=4\n")

@@ -241,12 +241,12 @@ class TestCsv:
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as f:
             f.write("1.0\n2.0\n")
-        with pytest.raises(DataError, match="header"):
+        with pytest.raises(InputError, match="header"):
             read_csv_series(path)
 
     def test_empty_rejected(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         with open(path, "w") as f:
             f.write("value\n")
-        with pytest.raises(DataError):
+        with pytest.raises(InputError, match="no values"):
             read_csv_series(path)

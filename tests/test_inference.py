@@ -97,6 +97,13 @@ class TestRolling:
         b = forecast_rolling_ntp(series, CFG.patch_len, params, CFG)
         np.testing.assert_array_equal(a.values, b.values)
 
+    def test_single_patch_equals_serial_float32(self, series):
+        params32 = init_params(CFG, seed=3, dtype=np.float32)
+        serial = forecast(series, CFG.native_horizon, params32, CFG)
+        rolling = forecast_rolling_ntp(series, CFG.patch_len, params32, CFG)
+        assert rolling.values.dtype == np.float64  # data scale stays 64-bit
+        np.testing.assert_array_equal(rolling.values, serial.values[:, : CFG.patch_len])
+
     def test_roll_count_seventeen_at_paper_ratio(self, params):
         # 272 = 17 patches at P=16; here scaled to P=4 -> F=68 is 17 rolls
         series = np.sin(np.arange(32) / 3.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serialcast.backbone import model_forward
+from serialcast.backbone import init_params, model_forward
 from serialcast.errors import InputError
 from serialcast.objectives import (QuantileGrid, mean_aux_loss, ntp_loss, patch_project,
                                    pinball, pred_loss, stage_loss, serial_loss,
@@ -200,6 +200,23 @@ class TestTrainingLosses:
     def test_mean_aux_requires_accumulators(self):
         with pytest.raises(InputError):
             mean_aux_loss([])
+
+
+def test_float32_graph_is_float32_throughout(tiny_cfg, tiny_batch):
+    # every node reachable from the f32 training loss, constants included
+    params = init_params(tiny_cfg, seed=1, dtype=np.float32)
+    trace = model_forward(tiny_batch, params, tiny_cfg, tiny_cfg.n_serial_blocks)
+    loss, _ = stage_loss("pretrain", trace, tiny_batch, params, tiny_cfg)
+    seen, stack, dtypes = set(), [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            dtypes.add(node.dtype)
+            stack.extend(node._parents)
+    assert dtypes == {np.dtype(np.float32)}, dtypes
+    loss.backward()
+    assert {p.grad.dtype for p in params.values()} == {np.dtype(np.float32)}
 
 
 class TestGridValidation:
