@@ -40,6 +40,8 @@ def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object]]:
 MODEL_KEYS = _keys(ModelConfig)
 # the subcommand sets the stage; --seed and --out-dir have their own flags
 TRAIN_KEYS = _keys(TrainConfig, skip=("stage", "seed", "out_dir"))
+# composites are built in code; --seed has its own flag
+SIGNAL_KEYS = _keys(SignalSpec, skip=("combine", "components", "seed"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +58,7 @@ def _add_keys(parser: argparse.ArgumentParser, keys: dict):
 
 def load_config_file(path: str) -> dict[str, str]:
     values = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8", errors="replace") as f:  # bad bytes fail as bad values
         for i, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -76,7 +78,11 @@ def merge_config(args, keys: dict, config_path: str | None) -> dict:
             if k not in keys:
                 raise ConfigError(f"unknown config key {k!r}")
             typ = keys[k][0]
-            merged[k] = typ(v)
+            try:
+                merged[k] = typ(v)
+            except ValueError:
+                raise ConfigError(f"{config_path}: {k}={v!r} is not a valid "
+                                  f"{typ.__name__}") from None
     for k in keys:
         flag = getattr(args, k, None)
         if flag is not None:
@@ -84,9 +90,9 @@ def merge_config(args, keys: dict, config_path: str | None) -> dict:
     return merged
 
 
-def echo_config(name: str, merged: dict, seed: int):
-    print(f"[{name}] seed={seed} " + " ".join(f"{k}={merged[k]}" for k in sorted(merged)),
-          file=sys.stderr)
+def echo_config(name: str, merged: dict, seed: int | None = None):
+    head = f"[{name}]" if seed is None else f"[{name}] seed={seed}"
+    print(head + "".join(f" {k}={merged[k]}" for k in sorted(merged)), file=sys.stderr)
 
 
 def save_config(path: str, merged: dict):
@@ -101,10 +107,8 @@ def _model_cfg(merged: dict) -> ModelConfig:
 
 
 def _signal_spec_from_args(args, seed: int) -> SignalSpec:
-    return SignalSpec(kind=args.kind, amplitude=args.amplitude, period=args.period,
-                      phase=args.phase, slope=args.slope, rate=args.rate,
-                      exponent=args.exponent, location=args.location,
-                      noise_sigma=args.noise_sigma, length=args.length, seed=seed)
+    given = {k: getattr(args, k) for k in SIGNAL_KEYS if getattr(args, k) is not None}
+    return SignalSpec(seed=seed, **given)
 
 
 def _load_manifest(path: str) -> ShardManifest:
@@ -239,7 +243,7 @@ def _load_model(args, merged: dict):
 
 def cmd_forecast(args) -> int:
     merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
-    echo_config("forecast", merged, args.seed)
+    echo_config("forecast", merged)
     cfg, params = _load_model(args, merged)
     series = read_csv_series(args.input)
     grid = default_grid(cfg.n_quantiles)
@@ -259,7 +263,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_eval(args) -> int:
     merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
-    echo_config("eval", merged, args.seed)
+    echo_config("eval", merged)
     cfg, params = _load_model(args, merged)
     series = _gather_series(args.input)
     report = evaluate(params, cfg, series, args.horizon, season=args.season, mode=args.mode)
@@ -304,26 +308,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="serialcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False, train=False):
+    def seed(p):
         p.add_argument("--seed", type=int, default=0)
+
+    def model_config(p, train=False):
         p.add_argument("--config", default=None, help="key=value config file")
-        if model:
-            _add_keys(p, MODEL_KEYS)
+        _add_keys(p, MODEL_KEYS)
         if train:
             _add_keys(p, TRAIN_KEYS)
 
     p = sub.add_parser("synth", help="generate a synthetic series or shard corpus")
-    common(p)
-    p.add_argument("--kind", default="sinusoidal")
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--period", type=float, default=8.0)
-    p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=0.01)
-    p.add_argument("--exponent", type=float, default=2.0)
-    p.add_argument("--location", type=int, default=0)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0)
+    seed(p)
+    _add_keys(p, SIGNAL_KEYS)
     p.add_argument("--format", choices=("csv", "shard"), default="csv")
     p.add_argument("--count", type=int, default=32, help="series count for shard format")
     p.add_argument("--shard-bytes", dest="shard_bytes", type=int, default=DEFAULT_SHARD_BYTES)
@@ -331,21 +327,20 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("shard", help="pack CSV series into shards")
-    common(p)
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--shard-bytes", dest="shard_bytes", type=int, default=DEFAULT_SHARD_BYTES)
     p.add_argument("--out", default=default_data_dir())
     p.set_defaults(fn=cmd_shard)
 
     p = sub.add_parser("stats", help="complexity statistics (unit-root, forecastability)")
-    common(p)
     p.add_argument("--input", nargs="*", default=[])
     p.add_argument("--manifest", default=None)
     p.add_argument("--lag", type=int, default=None)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("train", help="stage-1 pre-training")
-    common(p, model=True, train=True)
+    seed(p)
+    model_config(p, train=True)
     p.add_argument("--data", default=None, help="manifest path or shard dir")
     p.add_argument("--out-dir", dest="out_dir", default="runs/pretrain")
     p.add_argument("--resume", default=None)
@@ -353,7 +348,8 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("posttrain", help="stage-2 continued pre-training")
-    common(p, model=True, train=True)
+    seed(p)
+    model_config(p, train=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="post-training corpus manifest")
     p.add_argument("--revisit", default=None, help="pre-training corpus manifest to mix back")
@@ -363,13 +359,13 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_posttrain)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p)
+    seed(p)
     p.add_argument("--coords", type=int, default=24)
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("forecast", help="quantile forecast from a CSV series")
-    common(p, model=True)
+    model_config(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--horizon", type=int, required=True)
@@ -378,7 +374,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_forecast)
 
     p = sub.add_parser("eval", help="hold-out evaluation with MASE / CRPS-wQL")
-    common(p, model=True)
+    model_config(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--horizon", type=int, required=True)
@@ -387,7 +383,8 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="serial vs rolling inference cost")
-    common(p, model=True)
+    seed(p)
+    model_config(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--horizons", default="80")
     p.add_argument("--reps", type=int, default=5)

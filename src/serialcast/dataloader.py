@@ -227,14 +227,6 @@ class ShardQueue:
         self.load_count += 1
         return data
 
-    @property
-    def resident_count(self) -> int:
-        return len(self._resident)
-
-    @property
-    def resident_bytes(self) -> int:
-        return sum(self.manifest.entries[i].byte_len for i in self._resident)
-
 
 class WindowSampler:
     """Uniform sampling over eligible windows, shard-weighted by window count.
@@ -292,8 +284,11 @@ class MixtureSampler:
 
 
 def read_csv_series(path: str) -> np.ndarray:
-    """One series per file: a `value` header then one finite float per line."""
-    with open(path) as f:
+    """One series per file: a `value` header then one finite float per line.
+
+    Bytes that are not UTF-8 read as U+FFFD, so they fail as a bad header or
+    a line that is not a number, naming the file and the line."""
+    with open(path, encoding="utf-8", errors="replace") as f:
         header = f.readline().strip().lower()
         if header != "value":
             raise InputError(f"{path}: expected a 'value' header, got {header!r}")

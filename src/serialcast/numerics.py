@@ -66,16 +66,6 @@ def rope_angle_table(positions: np.ndarray, d: int, theta_base: float = 10000.0)
     return np.cos(angles), np.sin(angles)
 
 
-def rotary_rotate(v, position: int, theta_base: float = 10000.0) -> Tensor:
-    """Rotate interleaved pairs (v[2m], v[2m+1]) counterclockwise by
-    position * theta_base^(-2m/d); norm-preserving."""
-    v = ad.astensor(v)
-    if position < 0:
-        raise InputError("rotary position must be >= 0")
-    cos, sin = rope_angle_table(np.array([position]), v.shape[-1], theta_base)
-    return ad.rope_rotate(v, cos[0], sin[0])
-
-
 # bounded: one entry per context length, head size and dtype in use
 @functools.lru_cache(maxsize=256)
 def rope_table(n: int, d: int, theta_base: float, dtype) -> tuple[np.ndarray, np.ndarray]:

@@ -70,14 +70,6 @@ def wql(x, xhat, q: float, mask=None) -> float:
     return 2.0 * rho.sum() / max((np.abs(x) * m).sum(), WQL_EPS)
 
 
-def pred_loss(x_patch, preds, grid: QuantileGrid, mask=None) -> float:
-    """Mean over levels of wQL for one patch; preds has shape (Q, P)."""
-    preds = np.asarray(preds, dtype=np.float64)
-    if preds.shape[0] != grid.q:
-        raise InputError(f"expected {grid.q} quantile rows, got {preds.shape[0]}")
-    return float(np.mean([wql(x_patch, preds[k], qk, mask) for k, qk in enumerate(grid.levels)]))
-
-
 # -- head ----------------------------------------------------------------
 
 

@@ -6,18 +6,25 @@ decay. Every step's batch is drawn with an rng derived statelessly from
 (seed, step), so resuming from a checkpoint reproduces the interrupted
 trajectory exactly.
 
-Checkpoint format "SFCK" (little-endian): magic, u32 version, u32 tensor
-count, per-tensor index records (name, dtype code, shape, payload offset),
-u64 payload length, raw payload, then an optional training-state extension
-with the optimizer moments and step counter. Save -> load -> save is
-byte-identical.
+Checkpoint format "SFCK" version 2 (little-endian): magic, u32 version,
+u64 optimizer step, u32 parameter count, then one stream of tensor records
+read front to back, each ``u16 name length, name, u8 dtype code, u8 ndim,
+ndim x u64 shape, raw values``. The parameters come first; the optimizer
+moments, when saved, follow as ``m.<name>`` and ``v.<name>`` records. A
+CRC32 of everything before it ends the file. Loading checks the magic, the
+CRC, then the version, so a flipped byte, a truncated file or a version-1
+file is a ``CheckpointError``. Saving writes a temporary file and renames it
+over the target, so a failed save leaves the previous checkpoint intact.
+Save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +40,8 @@ from .objectives import QuantileGrid, default_grid, stage_loss
 from .tokenizer import PatchBatch, make_supervised_batch
 
 CKPT_MAGIC = b"SFCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+_HEADER = struct.Struct("<4sIQI")  # magic, version, optimizer step, parameter count
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _CODE_DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.float32)}
 
@@ -203,103 +211,81 @@ def draw_batch(sampler, model_cfg: ModelConfig, train_cfg: TrainConfig, step: in
 # -- checkpoints -----------------------------------------------------------
 
 
-def _write_tensor_section(chunks: list[bytes], tensors: dict[str, np.ndarray]):
-    index = []
-    payload = bytearray()
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr)
+def _encode(params: Params, state: OptState | None):
+    """The checkpoint's chunks in file order, all but the CRC trailer."""
+    step = 0 if state is None else state.step
+    yield _HEADER.pack(CKPT_MAGIC, CKPT_VERSION, step, len(params))
+    records = [(k, p.data) for k, p in params.items()]
+    if state is not None:
+        records += [(f"m.{k}", a) for k, a in state.m.items()]
+        records += [(f"v.{k}", a) for k, a in state.v.items()]
+    for name, arr in records:
         if arr.dtype not in _DTYPE_CODES:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for {name}")
         nb = name.encode()
-        rec = struct.pack("<H", len(nb)) + nb
-        rec += struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim)
-        rec += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-        rec += struct.pack("<Q", len(payload))
-        index.append(rec)
-        payload += arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-    chunks.append(struct.pack("<I", len(tensors)))
-    chunks.extend(index)
-    chunks.append(struct.pack("<Q", len(payload)))
-    chunks.append(bytes(payload))
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
-            raise CheckpointError("truncated checkpoint")
-        out = self.blob[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _read_tensor_section(r: _Reader) -> dict[str, np.ndarray]:
-    (count,) = r.unpack("<I")
-    index = []
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
-        code, ndim = r.unpack("<BB")
-        shape = r.unpack(f"<{ndim}Q") if ndim else ()
-        (offset,) = r.unpack("<Q")
-        index.append((name, code, shape, offset))
-    (payload_len,) = r.unpack("<Q")
-    payload = r.take(payload_len)
-    out = {}
-    for name, code, shape, offset in index:
-        dtype = _CODE_DTYPES.get(code)
-        if dtype is None:
-            raise CheckpointError(f"unknown dtype code {code} for {name}")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        raw = payload[offset : offset + n_bytes]
-        if len(raw) != n_bytes:
-            raise CheckpointError(f"payload truncated for {name}")
-        out[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
-    return out
+        yield struct.pack(f"<H{len(nb)}sBB{arr.ndim}Q", len(nb), nb, _DTYPE_CODES[arr.dtype],
+                          arr.ndim, *arr.shape)
+        yield np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
 
 
 def save_checkpoint(params: Params, state: OptState | None, path: str):
-    chunks: list[bytes] = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION)]
-    _write_tensor_section(chunks, {k: p.data for k, p in params.items()})
-    if state is None:
-        chunks.append(struct.pack("<B", 0))
-    else:
-        chunks.append(struct.pack("<B", 1))
-        chunks.append(struct.pack("<Q", state.step))
-        moments = {f"m.{k}": v for k, v in state.m.items()}
-        moments.update({f"v.{k}": v for k, v in state.v.items()})
-        _write_tensor_section(chunks, moments)
+    """Write ``path + ".tmp"``, fsync it, then rename it over ``path``, so a
+    failed save leaves the previous checkpoint untouched."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            crc = 0
+            for chunk in _encode(params, state):
+                f.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            f.write(struct.pack("<I", crc))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[Params, OptState | None]:
     with open(path, "rb") as f:
         blob = f.read()
-    r = _Reader(blob)
-    if r.take(4) != CKPT_MAGIC:
+    if blob[:4] != CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    (version,) = r.unpack("<I")
+    version = int.from_bytes(blob[4:8], "little")
+    body = memoryview(blob)[:-4]
+    if len(blob) < _HEADER.size + 4 or zlib.crc32(body) != int.from_bytes(blob[-4:], "little"):
+        hint = "" if version == CKPT_VERSION else (
+            f"; header says version {version}, this build reads version {CKPT_VERSION}")
+        raise CheckpointError(f"{path}: checksum mismatch, corrupt or truncated checkpoint{hint}")
     if version != CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    tensors = _read_tensor_section(r)
-    params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()}
-    (has_state,) = r.unpack("<B")
-    state = None
-    if has_state:
-        (step,) = r.unpack("<Q")
-        moments = _read_tensor_section(r)
-        m = {k[2:]: v for k, v in moments.items() if k.startswith("m.")}
-        v = {k[2:]: v for k, v in moments.items() if k.startswith("v.")}
-        state = OptState(m, v, step)
-    return params, state
+    _, _, step, count = _HEADER.unpack_from(body)
+    records, off = [], _HEADER.size
+    try:
+        while off < len(body):
+            (n,) = struct.unpack_from("<H", body, off)
+            name = bytes(body[off + 2 : off + 2 + n]).decode()
+            code, ndim = struct.unpack_from("<BB", body, off + 2 + n)
+            shape = struct.unpack_from(f"<{ndim}Q", body, off + 4 + n)
+            off += 4 + n + 8 * ndim
+            if code not in _CODE_DTYPES:
+                raise ValueError(f"unknown dtype code {code} for {name}")
+            dtype, size = _CODE_DTYPES[code], math.prod(shape)
+            arr = np.frombuffer(body, dtype.newbyteorder("<"), size, off)
+            records.append((name, arr.astype(dtype).reshape(shape)))
+            off += size * dtype.itemsize
+    except (struct.error, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed record at byte {off}: {e}") from None
+    params = {k: Tensor(a, requires_grad=True) for k, a in records[:count]}
+    m = {k[2:]: a for k, a in records[count:] if k.startswith("m.")}
+    v = {k[2:]: a for k, a in records[count:] if k.startswith("v.")}
+    if len(params) != count or len(m) + len(v) != len(records) - count:
+        raise CheckpointError(f"{path}: expected {count} distinct parameter records, "
+                              "then optimizer moments only")
+    return params, (OptState(m, v, step) if m or v else None)
 
 
 def validate_params(params: Params, cfg: ModelConfig):

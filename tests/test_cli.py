@@ -78,6 +78,39 @@ def test_stats_bad_csv_exits_one(tmp_path, capsys, text, message):
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
+def test_stats_non_utf8_csv_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"value\n1.0\n2\xb05\n")
+    assert run(["stats", "--input", str(path)]) == 1
+    assert f"{path}: line 3: not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, shown", [(b"d_model=abc\n", "'abc'"),
+                                         (b"d_model=\xff\n", "'\ufffd'")])
+def test_bad_config_value_exits_one(tmp_path, capsys, line, shown):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(line)
+    assert run(["forecast", "--checkpoint", "x.sfck", "--config", str(cfg_file),
+                "--input", "x.csv", "--horizon", "4"]) == 1
+    assert f"{cfg_file}: d_model={shown} is not a valid int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--checkpoint", "x.sfck", "--input", "x.csv", "--horizon", "4", "--seed", "1"],
+    ["eval", "--checkpoint", "x.sfck", "--input", "x.csv", "--horizon", "4", "--seed", "1"],
+    ["shard", "--input", "x.csv", "--seed", "1"],
+    ["stats", "--input", "x.csv", "--seed", "1"],
+    ["synth", "--config", "c.txt"],
+    ["shard", "--input", "x.csv", "--config", "c.txt"],
+    ["stats", "--input", "x.csv", "--config", "c.txt"],
+    ["gradcheck", "--config", "c.txt"],
+])
+def test_removed_flags_exit_one(argv, capsys):
+    # flags that nothing read; forecasts and evals are deterministic without a seed
+    assert run(argv) == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text("d_model=32\npatch_len=4\n")
@@ -147,7 +180,7 @@ def test_forecast_csv_output(pipeline, capsys):
 
 def test_forecast_deterministic_bytes(pipeline, capsys):
     argv = ["forecast", "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
-            "--input", pipeline["csv"], "--horizon", "8", "--seed", "1"]
+            "--input", pipeline["csv"], "--horizon", "8"]
     assert run(argv) == 0
     first = capsys.readouterr().out
     assert run(argv) == 0

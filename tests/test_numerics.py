@@ -9,8 +9,7 @@ from serialcast import autodiff as ad
 from serialcast.autodiff import Tensor
 from serialcast.errors import ConfigError, InputError, NumericError
 from serialcast.numerics import (compare_gradients, finite_diff_gradient, l2_normalize,
-                                 rmsnorm, rope_angle_table, rotary_rotate,
-                                 scaled_masked_softmax)
+                                 rmsnorm, rope_angle_table, scaled_masked_softmax)
 
 finite_vec = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=16)
 
@@ -64,6 +63,16 @@ class TestL2Normalize:
         out = l2_normalize(Tensor(x)).data
         n = np.linalg.norm(out)
         assert np.isclose(n, 1.0, atol=1e-9) or (np.linalg.norm(x) < 1e-10 and n < 1.0)
+
+
+def rotary_rotate(v, position: int, theta_base: float = 10000.0) -> Tensor:
+    """Reference rotation of one vector: interleaved pairs (v[2m], v[2m+1])
+    turn counterclockwise by position * theta_base^(-2m/d)."""
+    v = ad.astensor(v)
+    if position < 0:
+        raise InputError("rotary position must be >= 0")
+    cos, sin = rope_angle_table(np.array([position]), v.shape[-1], theta_base)
+    return ad.rope_rotate(v, cos[0], sin[0])
 
 
 class TestRotary:

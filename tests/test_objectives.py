@@ -10,10 +10,18 @@ from hypothesis import strategies as st
 from serialcast.backbone import init_params, model_forward
 from serialcast.errors import InputError
 from serialcast.objectives import (QuantileGrid, mean_aux_loss, ntp_loss, patch_project,
-                                   pinball, pred_loss, stage_loss, serial_loss,
+                                   pinball, stage_loss, serial_loss,
                                    uniform_weights, wql, horizon_decay_weights)
 
 level = st.floats(0.01, 0.99)
+
+
+def pred_loss(x_patch, preds, grid: QuantileGrid, mask=None) -> float:
+    """Mean over levels of wQL for one patch; preds has shape (Q, P)."""
+    preds = np.asarray(preds, dtype=np.float64)
+    if preds.shape[0] != grid.q:
+        raise InputError(f"expected {grid.q} quantile rows, got {preds.shape[0]}")
+    return float(np.mean([wql(x_patch, preds[k], qk, mask) for k, qk in enumerate(grid.levels)]))
 value = st.floats(-100.0, 100.0)
 
 

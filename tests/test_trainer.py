@@ -1,13 +1,17 @@
 """Optimizer invariants, checkpoint format, resume, context extension, gradcheck."""
 
+import errno
 import math
 import os
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from serialcast import autodiff as ad
+from serialcast import trainer
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig, init_params, model_forward
 from serialcast.datagen import SignalSpec, gen_signal
@@ -173,6 +177,80 @@ class TestCheckpoint:
         open(path, "wb").write(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    def test_crc_trailer_is_last_four_bytes(self, tmp_path):
+        params = init_params(SMALL, seed=8, dtype=np.float32)
+        path = str(tmp_path / "h.sfck")
+        save_checkpoint(params, None, path)
+        blob = open(path, "rb").read()
+        assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
+        loaded, state = load_checkpoint(path)
+        assert state is None
+        save_checkpoint(loaded, state, path + ".2")  # byte-identical without moments too
+        assert open(path + ".2", "rb").read() == blob
+
+    def test_version_1_refused(self, tmp_path):
+        # the version-1 layout: an index of payload offsets, a payload length,
+        # the payload, then a has-state byte, and no checksum
+        w = np.arange(6, dtype="<f4").reshape(2, 3)
+        v1 = (b"SFCK" + struct.pack("<II", 1, 1) + struct.pack("<H", 6) + b"head.w"
+              + struct.pack("<BB2QQ", 1, 2, 2, 3, 0) + struct.pack("<Q", w.nbytes) + w.tobytes()
+              + b"\x00")
+        path = tmp_path / "v1.sfck"
+        path.write_bytes(v1)
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(str(path))
+        # a version-1 header on a checksummed file is refused by version alone
+        save_checkpoint(init_params(SMALL, seed=8, dtype=np.float32), None, str(path))
+        body = bytearray(path.read_bytes()[:-4])
+        body[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
+            load_checkpoint(str(path))
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "t.sfck")
+        old = init_params(SMALL, seed=9, dtype=np.float32)
+        save_checkpoint(old, None, path)
+        before = open(path, "rb").read()
+        real_open = open
+
+        class TornFile:
+            """Accepts half a checkpoint's bytes, then fails like a full disk."""
+
+            def __init__(self, f):
+                self.f, self.room = f, len(before) // 2
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.f.write(data[: self.room])
+                self.room -= len(data)
+                if self.room < 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return TornFile(f) if "w" in mode else f
+
+        monkeypatch.setattr(trainer, "open", torn_open, raising=False)
+        new = init_params(SMALL, seed=10, dtype=np.float32)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(new, OptState.fresh(new), path)
+        monkeypatch.undo()
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["t.sfck"]
+        loaded, _ = load_checkpoint(path)
+        for k in old:
+            np.testing.assert_array_equal(loaded[k].data, old[k].data)
 
     def test_mismatched_config_lists_offender(self, tmp_path):
         params = init_params(SMALL, seed=6, dtype=np.float32)
