@@ -7,14 +7,15 @@ embeddings with the initial patch embeddings through a learned projection and
 then apply one more such block; the j-th serial block's outputs predict the
 patch shifted by j+1.
 
-Parameters live in a flat name -> Tensor dict so the optimizer, checkpoints
-and the finite-difference harness can address every family uniformly. Each
-expert family is one stacked tensor: ``moe.w1`` is (E, d, 2d), and so on.
+Parameters live in a flat name -> Tensor dict laid out by ``param_table``,
+which init, checkpoint validation, weight decay and the gradient check all
+read. Each expert family is one stacked tensor: ``moe.w1`` is (E, d, 2d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,15 +23,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
 from .numerics import Params, l2_normalize, rmsnorm, rope_table, scaled_masked_softmax
-from .tokenizer import EmbedderParams, PatchBatch, embed_patches
+from .tokenizer import PatchBatch, embed_patches
 
 RMS_EPS = 1e-6
 INIT_STD = 0.02
 
 VARIANT_SERIAL = "serial"  # fuse with the initial embeddings (default)
 VARIANT_SHIFT = "shift_token"  # fuse with future-input embeddings, clamped at the end
-
-EXPERT_FAMILIES = ("w1", "b1", "w2", "b2")  # stacked (E, ...) tensors under "<block>.moe."
 
 
 @dataclass
@@ -97,10 +96,6 @@ class ForwardTrace:
     n_main: int = 0
 
     @property
-    def h0(self) -> Tensor:
-        return self.embeddings[0]
-
-    @property
     def h_main(self) -> Tensor:
         """Output of the last main block."""
         return self.embeddings[self.n_main]
@@ -114,70 +109,78 @@ class ForwardTrace:
         return len(self.embeddings) - self.n_main - 1
 
 
-# -- initialization ------------------------------------------------------
+# -- parameters ----------------------------------------------------------
+
+
+class ParamSpec(NamedTuple):
+    shape: tuple[int, ...]
+    init: str  # normal | zeros | ones | tau | fusion | experts
+    per_expert: bool = False  # a stacked (E, ...) expert family
+
+
+RANDOM_INITS = ("normal", "fusion", "experts")  # the inits that draw from the rng
+
+
+def _block_table(pre: str, cfg: ModelConfig) -> dict[str, ParamSpec]:
+    d, dff, e = cfg.d_model, cfg.d_ff, cfg.n_experts
+    return {
+        pre + "attn_norm.g": ParamSpec((d,), "ones"),
+        **{pre + f"attn.{w}": ParamSpec((d, d), "normal") for w in ("wq", "wk", "wv", "wo")},
+        pre + "attn.tau_raw": ParamSpec((cfg.n_heads,), "tau"),
+        pre + "moe_norm.g": ParamSpec((d,), "ones"),
+        pre + "moe.router.w": ParamSpec((d, e), "normal"),
+        pre + "moe.w1": ParamSpec((e, d, dff), "experts", True),
+        pre + "moe.b1": ParamSpec((e, dff), "zeros", True),
+        pre + "moe.w2": ParamSpec((e, dff, d), "experts", True),
+        pre + "moe.b2": ParamSpec((e, d), "zeros", True),
+    }
+
+
+def param_table(cfg: ModelConfig) -> dict[str, ParamSpec]:
+    """Every parameter once, in draw order: name -> (shape, init rule).
+
+    ``tau`` starts each head's temperature at sqrt(d_head); ``fusion`` is [I; 0]
+    plus a truncated normal, so serial fusion starts near pass-through; and
+    ``experts`` draws a block's w1 and w2 together: w1[0], w2[0], w1[1], ..."""
+    d, p, q = cfg.d_model, cfg.patch_len, cfg.n_quantiles
+    table = {}
+    for name, fan_in in (("skip", 2 * p), ("mlp_in", 2 * p), ("mlp_out", d)):
+        table[f"embedder.{name}.w"] = ParamSpec((fan_in, d), "normal")
+        table[f"embedder.{name}.b"] = ParamSpec((d,), "zeros")
+    for layer in range(cfg.n_main_blocks):
+        table.update(_block_table(f"block{layer}.", cfg))
+    for j in range(1, cfg.n_serial_blocks + 1):
+        table[f"serial{j}.norm_prev.g"] = ParamSpec((d,), "ones")
+        table[f"serial{j}.norm_h0.g"] = ParamSpec((d,), "ones")
+        table[f"serial{j}.fusion.w"] = ParamSpec((2 * d, d), "fusion")
+        table.update(_block_table(f"serial{j}.block.", cfg))
+    table["head.w"] = ParamSpec((d, q * p), "normal")
+    table["head.b"] = ParamSpec((q * p,), "zeros")
+    return table
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
     return np.clip(rng.normal(0.0, std, size=shape), -2 * std, 2 * std)
 
 
-def _inv_softplus(y: float) -> float:
-    return float(np.log(np.expm1(y)))
-
-
-def _init_block(params: Params, prefix: str, cfg: ModelConfig, rng, dtype):
-    d, dff, e = cfg.d_model, cfg.d_ff, cfg.n_experts
-
-    def mat(shape):
-        return Tensor(_trunc_normal(rng, shape).astype(dtype), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    params[prefix + "attn_norm.g"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-    for w in ("wq", "wk", "wv", "wo"):
-        params[prefix + f"attn.{w}"] = mat((d, d))
-    tau0 = _inv_softplus(np.sqrt(cfg.d_head))
-    params[prefix + "attn.tau_raw"] = Tensor(np.full(cfg.n_heads, tau0, dtype=dtype), requires_grad=True)
-    params[prefix + "moe_norm.g"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-    params[prefix + "moe.router.w"] = mat((d, e))
-    # one (E, ...) tensor per expert family, drawn expert by expert
-    w1, w2 = zip(*[(_trunc_normal(rng, (d, dff)), _trunc_normal(rng, (dff, d))) for _ in range(e)])
-    params[prefix + "moe.w1"] = Tensor(np.stack(w1).astype(dtype), requires_grad=True)
-    params[prefix + "moe.b1"] = zeros((e, dff))
-    params[prefix + "moe.w2"] = Tensor(np.stack(w2).astype(dtype), requires_grad=True)
-    params[prefix + "moe.b2"] = zeros((e, d))
-
-
 def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float64) -> Params:
-    """Fresh parameter dict; serial fusion starts near pass-through."""
+    """Fresh parameter dict, drawn from one rng in ``param_table`` order."""
     rng = np.random.default_rng(seed)
-    d, p, q = cfg.d_model, cfg.patch_len, cfg.n_quantiles
+    fill = {"zeros": 0.0, "ones": 1.0, "tau": float(np.log(np.expm1(np.sqrt(cfg.d_head))))}
     params: Params = {}
-
-    def mat(shape):
-        return Tensor(_trunc_normal(rng, shape).astype(dtype), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    params["embedder.skip.w"] = mat((2 * p, d))
-    params["embedder.skip.b"] = zeros(d)
-    params["embedder.mlp_in.w"] = mat((2 * p, d))
-    params["embedder.mlp_in.b"] = zeros(d)
-    params["embedder.mlp_out.w"] = mat((d, d))
-    params["embedder.mlp_out.b"] = zeros(d)
-    for layer in range(cfg.n_main_blocks):
-        _init_block(params, f"block{layer}.", cfg, rng, dtype)
-    for j in range(1, cfg.n_serial_blocks + 1):
-        params[f"serial{j}.norm_prev.g"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        params[f"serial{j}.norm_h0.g"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
-        fusion = np.concatenate([np.eye(d), np.zeros((d, d))], axis=0)
-        fusion = fusion + _trunc_normal(rng, (2 * d, d))
-        params[f"serial{j}.fusion.w"] = Tensor(fusion.astype(dtype), requires_grad=True)
-        _init_block(params, f"serial{j}.block.", cfg, rng, dtype)
-    params["head.w"] = mat((d, q * p))
-    params["head.b"] = zeros(q * p)
+    w2_draws = None  # drawn together with the block's w1
+    for name, (shape, init, _) in param_table(cfg).items():
+        if init == "normal":
+            arr = _trunc_normal(rng, shape)
+        elif init == "fusion":
+            arr = np.eye(*shape) + _trunc_normal(rng, shape)
+        elif init == "experts" and w2_draws is None:  # row j: w1[j], then w2[j]
+            arr, w2_draws = np.split(_trunc_normal(rng, (shape[0], 2 * shape[1] * shape[2])), 2, 1)
+        elif init == "experts":
+            arr, w2_draws = w2_draws, None
+        else:
+            arr = np.full(shape, fill[init])
+        params[name] = Tensor(arr.reshape(shape).astype(dtype), requires_grad=True)
     return params
 
 
@@ -296,7 +299,7 @@ def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: in
     dtype = params["head.w"].dtype
     values = (batch.input_patches * batch.input_masks).astype(dtype)  # pads forced to 0
     masks = batch.input_masks.astype(dtype)
-    h0 = embed_patches(values, masks, EmbedderParams.from_params(params))
+    h0 = embed_patches(values, masks, params)
 
     trace = ForwardTrace(n_main=cfg.n_main_blocks)
     trace.embeddings.append(h0)

@@ -19,11 +19,12 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .backbone import ModelConfig
-from .datagen import SignalSpec, adf_statistic, dataset_complexity, forecastability, gen_signal
+from .backbone import ModelConfig, init_params
+from .datagen import (SignalSpec, adf_statistic, dataset_complexity, derive_seed, forecastability,
+                      gen_signal)
 from .dataloader import (DEFAULT_SHARD_BYTES, MANIFEST_NAME, ShardManifest, build_shards,
-                         default_data_dir, read_csv_series, write_csv_series)
-from .errors import CheckpointError, ConfigError, DataError, InputError, SerialcastError
+                         default_data_dir, read_all_series, read_csv_series, write_csv_series)
+from .errors import ConfigError, InputError, SerialcastError
 from .inference import (bench_inference, evaluate, expected_block_count, expected_passes, forecast,
                         forecast_rolling_ntp)
 from .objectives import default_grid
@@ -117,6 +118,14 @@ def _load_manifest(path: str) -> ShardManifest:
     return ShardManifest.load(path)
 
 
+def _number_list(text: str, flag: str, typ) -> list:
+    """A comma-separated flag value such as ``--horizons 40,80``."""
+    try:
+        return [typ(w) for w in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag}: expected comma-separated {typ.__name__}s: {text!r}") from None
+
+
 def _gather_series(inputs: list[str]) -> list[np.ndarray]:
     paths = []
     for pattern in inputs:
@@ -144,22 +153,20 @@ def cmd_synth(args) -> int:
         return 0
     # shard corpus: --count series with derived seeds; sinusoids additionally
     # get rotated phases so a noise-free family still has distinct members
-    from .datagen import derive_seed
-
     series = []
     for i in range(args.count):
         s = _signal_spec_from_args(args, derive_seed(args.seed, i))
         if s.kind == "sinusoidal":
             s.phase += 2.0 * np.pi * i / max(args.count, 1)
         series.append(gen_signal(s).values)
-    manifest = build_shards(series, args.shard_bytes, args.out)
-    print(f"wrote {len(manifest.entries)} shard(s), {manifest.total_points} points to {args.out}",
-          file=sys.stderr)
-    return 0
+    return _write_shards(series, args)
 
 
 def cmd_shard(args) -> int:
-    series = _gather_series(args.input)
+    return _write_shards(_gather_series(args.input), args)
+
+
+def _write_shards(series, args) -> int:
     manifest = build_shards(series, args.shard_bytes, args.out)
     print(f"wrote {len(manifest.entries)} shard(s), {manifest.total_points} points to {args.out}",
           file=sys.stderr)
@@ -168,8 +175,6 @@ def cmd_shard(args) -> int:
 
 def cmd_stats(args) -> int:
     if args.manifest:
-        from .dataloader import read_all_series
-
         variates = [v for _sid, v in read_all_series(_load_manifest(args.manifest))]
     else:
         variates = _gather_series(args.input)
@@ -206,7 +211,7 @@ def cmd_posttrain(args) -> int:
     merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
     echo_config("posttrain", merged, args.seed)
     cfg = _model_cfg(merged)
-    weights = tuple(float(w) for w in args.mixture_weights.split(","))
+    weights = _number_list(args.mixture_weights, "--mixture-weights", float)
     tcfg = _train_cfg(merged, "posttrain", args.seed, args.out_dir)
     sources = [(_load_manifest(args.data), weights[0])]
     if args.revisit:
@@ -280,15 +285,12 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
     echo_config("bench", merged, args.seed)
-    cfg = _model_cfg(merged)
     if args.checkpoint:
-        params, _ = load_checkpoint(args.checkpoint)
-        validate_params(params, cfg)
+        cfg, params = _load_model(args, merged)
     else:
-        from .backbone import init_params
-
+        cfg = _model_cfg(merged)
         params = init_params(cfg, seed=args.seed, dtype=np.float32)
-    horizons = [int(h) for h in args.horizons.split(",")]
+    horizons = _number_list(args.horizons, "--horizons", int)
     for point in bench_inference(params, cfg, horizons, repetitions=args.reps, seed=args.seed):
         exp_s = expected_block_count("serial", point.horizon, cfg)
         exp_r = expected_block_count("rolling", point.horizon, cfg)
@@ -404,7 +406,7 @@ def run(argv=None) -> int:
     except (InputError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DataError, CheckpointError, SerialcastError, OSError) as e:
+    except (SerialcastError, OSError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
 

@@ -187,10 +187,12 @@ def forecastability(series) -> float:
     """1 - spectral entropy / log(M) over the M = floor(T/2) positive bins.
 
     1 for a pure tone on an exact bin, 0 for a flat spectrum or zero power.
+    Scale-free, so ``x / max|x|`` is used: squared magnitudes cannot overflow.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.size < 4:
         raise InputError("forecastability needs at least 4 points")
+    x = x / (np.abs(x).max() or 1.0)  # an all-zero series stays zero
     m = x.size // 2
     power = np.abs(np.fft.rfft(x)[1 : m + 1]) ** 2
     total = power.sum()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -34,6 +35,10 @@ SEGMENT_BITS = 16  # low bits of the series id index split segments
 
 DATA_DIR_ENV = "SF_DATA_DIR"
 
+# manifest text: three header lines of a key and a count, then one line per shard
+_HEAD_LINES = [re.compile(rf"{key} ([0-9]+)") for key in (MANIFEST_MAGIC, "root_seed", "shard_count")]
+_SHARD_LINE = re.compile(r"shard (\S+) ([0-9]+) ([0-9]+) ([0-9]+) ([0-9]+) ((?:[0-9]+(?:,[0-9]+)*)?)")
+
 
 @dataclass
 class ShardEntry:
@@ -49,7 +54,6 @@ class ShardEntry:
 @dataclass
 class ShardManifest:
     entries: list[ShardEntry]
-    version: int = MANIFEST_VERSION
     root_seed: int = 0
     root_dir: str = "."
 
@@ -61,7 +65,7 @@ class ShardManifest:
         return os.path.join(self.root_dir, self.entries[i].path)
 
     def save(self, path: str):
-        lines = [f"{MANIFEST_MAGIC} {self.version}", f"root_seed {self.root_seed}",
+        lines = [f"{MANIFEST_MAGIC} {MANIFEST_VERSION}", f"root_seed {self.root_seed}",
                  f"shard_count {len(self.entries)}"]
         for e in self.entries:
             lens = ",".join(str(n) for n in e.series_lengths)
@@ -74,31 +78,40 @@ class ShardManifest:
 
     @classmethod
     def load(cls, path: str) -> "ShardManifest":
+        """Parse a manifest; a malformed line is a ``DataError`` naming the
+        file and the 1-based line."""
         with open(path, "rb") as f:
             blob = f.read()
         marker = b"FOOTER\n"
         cut = blob.find(marker)
         if cut < 0:
             raise DataError(f"{path}: missing manifest footer")
-        lines = blob[:cut].decode().splitlines()
+        lines = blob[:cut].decode(errors="replace").splitlines()
         footer = blob[cut + len(marker):]
-        head = lines[0].split()
-        if head[0] != MANIFEST_MAGIC:
-            raise DataError(f"{path}: not a shard manifest")
-        version = int(head[1])
-        root_seed = int(lines[1].split()[1])
-        count = int(lines[2].split()[1])
+
+        def fields(i: int, pattern: re.Pattern) -> tuple[str, ...]:
+            text = lines[i] if i < len(lines) else ""
+            if not (found := pattern.fullmatch(text)):
+                raise DataError(f"{path}: line {i + 1}: malformed manifest line {text!r}")
+            return found.groups()
+
+        version, root_seed, count = (int(fields(i, p)[0]) for i, p in enumerate(_HEAD_LINES))
+        if version != MANIFEST_VERSION:
+            raise DataError(f"{path}: line 1: unsupported manifest version {version}, "
+                            f"this build reads version {MANIFEST_VERSION}")
+        if len(lines) != 3 + count:
+            raise DataError(f"{path}: line 3: shard_count {count}, "
+                            f"but {len(lines) - 3} shard lines follow")
         entries = []
-        for line in lines[3 : 3 + count]:
-            _, rel, byte_len, series_count, points, splits, lens = line.split(" ", 6)
-            series_lengths = [int(x) for x in lens.split(",") if x]
-            entries.append(ShardEntry(rel, int(byte_len), int(series_count), int(points),
-                                      int(splits), 0, series_lengths))
+        for i in range(3, 3 + count):
+            rel, *numbers, lens = fields(i, _SHARD_LINE)
+            entries.append(ShardEntry(rel, *map(int, numbers), 0,
+                                      [int(n) for n in lens.split(",") if n]))
         if len(footer) < 4 * count:
             raise DataError(f"{path}: truncated checksum footer")
         for i, e in enumerate(entries):
             e.crc32 = struct.unpack_from("<I", footer, 4 * i)[0]
-        return cls(entries, version, root_seed, os.path.dirname(path) or ".")
+        return cls(entries, root_seed, os.path.dirname(path) or ".")
 
 
 def _series_record(series_id: int, values: np.ndarray) -> bytes:
@@ -159,7 +172,7 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES, out_dir: s
         if not any_series:
             raise InputError("build_shards: empty input")
         flush()
-        manifest = ShardManifest(entries, MANIFEST_VERSION, root_seed, out_dir)
+        manifest = ShardManifest(entries, root_seed, out_dir)
         manifest.save(os.path.join(out_dir, MANIFEST_NAME))
         return manifest
     except BaseException:
@@ -273,8 +286,8 @@ class MixtureSampler:
         if not sources:
             raise InputError("mixture needs at least one source")
         weights = np.array([w for _, w in sources], dtype=np.float64)
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise InputError("mixture weights must be >= 0 and not all zero")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0) or weights.sum() <= 0:
+            raise InputError("mixture weights must be finite, >= 0 and not all zero")
         self.samplers = [s for s, _ in sources]
         self.probs = weights / weights.sum()
 

@@ -187,7 +187,6 @@ class EvalReport:
     passes_serial: int = 0
     passes_rolling: int = 0
     wall_ms_p50: float = 0.0
-    degenerate_count: int = 0
 
     def lines(self) -> list[str]:
         return [
@@ -218,7 +217,6 @@ def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int,
         dist = fn(context, horizon, params, cfg, grid)
         times.append(1000.0 * (time.perf_counter() - t0))
         if is_degenerate_scale(context, season):
-            report.degenerate_count += 1
             report.mase_per_series.append(0.0 if np.allclose(dist.median, actual) else float("inf"))
         else:
             report.mase_per_series.append(mase(dist.median, actual, context, season))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError, NumericError
+from .errors import ConfigError, InputError, NumericError
 
 Params = dict[str, Tensor]
 
@@ -57,8 +57,6 @@ def rope_angle_table(positions: np.ndarray, d: int, theta_base: float = 10000.0)
     Pair m rotates by angle position * theta_base^(-2m/d).
     """
     if d % 2 != 0:
-        from .errors import ConfigError
-
         raise ConfigError(f"rotary dimension must be even, got {d}")
     positions = np.asarray(positions, dtype=np.float64)
     freqs = theta_base ** (-2.0 * np.arange(d // 2) / d)

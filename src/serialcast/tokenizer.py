@@ -128,28 +128,9 @@ def make_supervised_batch(windows, n_input: int, patch_len: int) -> PatchBatch:
     )
 
 
-@dataclass
-class EmbedderParams:
-    """Residual patch embedder R^{2P} -> R^D: linear skip + one-hidden MLP."""
-
-    skip_w: Tensor
-    skip_b: Tensor
-    mlp_in_w: Tensor
-    mlp_in_b: Tensor
-    mlp_out_w: Tensor
-    mlp_out_b: Tensor
-
-    @classmethod
-    def from_params(cls, params: Params, prefix: str = "embedder.") -> "EmbedderParams":
-        return cls(
-            params[prefix + "skip.w"], params[prefix + "skip.b"],
-            params[prefix + "mlp_in.w"], params[prefix + "mlp_in.b"],
-            params[prefix + "mlp_out.w"], params[prefix + "mlp_out.b"],
-        )
-
-
-def embed_patches(patches, masks, emb: EmbedderParams) -> Tensor:
-    """h0 = skip(z) + mlp_out(silu(mlp_in(z))) with z = concat(patch, mask).
+def embed_patches(patches, masks, params: Params) -> Tensor:
+    """Residual patch embedder R^{2P} -> R^D: h0 = skip(z) + mlp_out(silu(mlp_in(z)))
+    with z = concat(patch, mask), read from the ``embedder.*`` parameters.
 
     Masked positions must already hold value 0 so pad content cannot leak.
     """
@@ -157,9 +138,14 @@ def embed_patches(patches, masks, emb: EmbedderParams) -> Tensor:
     m = np.asarray(masks.data if isinstance(masks, Tensor) else masks, dtype=p.dtype)
     if p.shape != m.shape:
         raise ConfigError(f"patches {p.shape} vs masks {m.shape}")
-    if p.shape[-1] * 2 != emb.skip_w.shape[0]:
-        raise ConfigError(f"embedder expects 2P={emb.skip_w.shape[0]}, got P={p.shape[-1]}")
+    skip_w = params["embedder.skip.w"]
+    if p.shape[-1] * 2 != skip_w.shape[0]:
+        raise ConfigError(f"embedder expects 2P={skip_w.shape[0]}, got P={p.shape[-1]}")
     z = ad.concat([p, Tensor(m)], axis=-1)
-    skip = ad.add(ad.matmul(z, emb.skip_w), emb.skip_b)
-    hidden = ad.silu(ad.add(ad.matmul(z, emb.mlp_in_w), emb.mlp_in_b))
-    return ad.add(skip, ad.add(ad.matmul(hidden, emb.mlp_out_w), emb.mlp_out_b))
+
+    def linear(x: Tensor, name: str) -> Tensor:
+        return ad.add(ad.matmul(x, params[f"embedder.{name}.w"]), params[f"embedder.{name}.b"])
+
+    skip = linear(z, "skip")
+    hidden = ad.silu(linear(z, "mlp_in"))
+    return ad.add(skip, linear(hidden, "mlp_out"))

@@ -1,10 +1,10 @@
 """Training loop, two-stage pipeline, checkpointing, gradient-check harness.
 
-Optimization is adaptive-moment estimation with decoupled weight decay
-(norm gains, biases and temperatures excluded), linear warmup and cosine
-decay. Every step's batch is drawn with an rng derived statelessly from
-(seed, step), so resuming from a checkpoint reproduces the interrupted
-trajectory exactly.
+Optimization is adaptive-moment estimation with linear warmup, cosine decay
+and decoupled weight decay on exactly the tensors drawn at random at init
+(``param_table``), never on norm gains, biases or temperatures. Every step's
+batch is drawn with an rng derived statelessly from (seed, step), so resuming
+from a checkpoint reproduces the interrupted trajectory exactly.
 
 Checkpoint format "SFCK" version 2 (little-endian): magic, u32 version,
 u64 optimizer step, u32 parameter count, then one stream of tensor records
@@ -21,6 +21,7 @@ Save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import struct
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .backbone import EXPERT_FAMILIES, ModelConfig, init_params, model_forward
+from .backbone import RANDOM_INITS, ModelConfig, init_params, model_forward, param_table
 from .datagen import RESAMPLE_FACTORS, derive_seed, resample, value_flip
 from .dataloader import MixtureSampler, ShardManifest, WindowSampler
 from .errors import CheckpointError, InputError, SamplerError
@@ -94,9 +95,9 @@ class OptState:
                    {k: np.zeros_like(p.data) for k, p in params.items()}, 0)
 
 
-def decay_applies(name: str) -> bool:
-    """Decoupled decay hits matrices only, never norms/biases/temperatures."""
-    return not (name.endswith((".b", ".b1", ".b2")) or "norm" in name or "tau" in name)
+def decayed_names(cfg: ModelConfig) -> frozenset[str]:
+    """The tensors decoupled decay applies to: those drawn at random at init."""
+    return frozenset(k for k, spec in param_table(cfg).items() if spec.init in RANDOM_INITS)
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -124,7 +125,8 @@ def clip_gradients(params: Params, max_norm: float) -> float:
     return norm
 
 
-def adamw_update(params: Params, opt: OptState, lr: float, cfg: TrainConfig):
+def adamw_update(params: Params, opt: OptState, lr: float, cfg: TrainConfig,
+                 decayed: frozenset[str]):
     opt.step += 1
     t = opt.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -137,7 +139,7 @@ def adamw_update(params: Params, opt: OptState, lr: float, cfg: TrainConfig):
         m_hat = opt.m[name] / (1 - b1**t)
         v_hat = opt.v[name] / (1 - b2**t)
         update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if cfg.weight_decay > 0 and decay_applies(name):
+        if cfg.weight_decay > 0 and name in decayed:
             update = update + cfg.weight_decay * p.data
         p.data = p.data - lr * update
 
@@ -162,7 +164,7 @@ def train_step(params: Params, batch: PatchBatch, model_cfg: ModelConfig,
         return StepResult(parts["total"], parts, 0.0, lr, skipped=True)
     total.backward()
     norm = clip_gradients(params, train_cfg.clip_norm)
-    adamw_update(params, opt, lr, train_cfg)
+    adamw_update(params, opt, lr, train_cfg, decayed_names(model_cfg))
     return StepResult(parts["total"], parts, norm, lr, skipped=False)
 
 
@@ -289,18 +291,18 @@ def load_checkpoint(path: str) -> tuple[Params, OptState | None]:
 
 
 def validate_params(params: Params, cfg: ModelConfig):
-    """Check the loaded tensor set against what the config implies."""
-    expected = init_params(cfg, seed=0, dtype=np.float32)
+    """Check the loaded tensor names and shapes against ``param_table(cfg)``."""
+    expected = param_table(cfg)
     missing = [k for k in expected if k not in params]
     extra = [k for k in params if k not in expected]
     if missing or extra:
         first = (missing or extra)[0]
         raise CheckpointError(f"parameter set mismatch, first offender: {first} "
                               f"({len(missing)} missing, {len(extra)} unexpected)")
-    for k, p in expected.items():
-        if params[k].shape != p.shape:
+    for k, spec in expected.items():
+        if params[k].shape != spec.shape:
             raise CheckpointError(f"shape mismatch for {k}: checkpoint {params[k].shape}, "
-                                  f"config wants {p.shape}")
+                                  f"config wants {spec.shape}")
 
 
 # -- stage runners ----------------------------------------------------------
@@ -312,7 +314,6 @@ class TrainResult:
     opt: OptState
     history: list[StepResult] = field(default_factory=list)
     checkpoint_path: str = ""
-    model_cfg: ModelConfig | None = None
 
 
 def _as_sampler(data) -> WindowSampler:
@@ -337,7 +338,7 @@ def _run_loop(params: Params, opt: OptState, sampler, model_cfg: ModelConfig,
             save_checkpoint(params, opt,
                             os.path.join(train_cfg.out_dir, f"{train_cfg.stage}_step{step + 1:06d}.sfck"))
     save_checkpoint(params, opt, ckpt_path)
-    return TrainResult(params, opt, history, ckpt_path, model_cfg)
+    return TrainResult(params, opt, history, ckpt_path)
 
 
 def run_pretrain(model_cfg: ModelConfig, train_cfg: TrainConfig, data,
@@ -401,36 +402,34 @@ def gradient_check_suite(cfg: ModelConfig | None = None, seed: int = 0,
     batch = make_supervised_batch(windows, cfg.n_max, cfg.patch_len)
     grid = default_grid(cfg.n_quantiles)
 
-    def loss_fn(_entries: Params) -> float:  # the entries are views into params
+    def loss() -> Tensor:
         trace = model_forward(batch, params, cfg, depth=cfg.n_serial_blocks)
-        total, _ = stage_loss("pretrain", trace, batch, params, cfg, grid)
-        return float(total.data)
+        return stage_loss("pretrain", trace, batch, params, cfg, grid)[0]
 
     zero_grads(params)
-    trace = model_forward(batch, params, cfg, depth=cfg.n_serial_blocks)
-    total, _ = stage_loss("pretrain", trace, batch, params, cfg, grid)
-    total.backward()
-    entries = _expert_slices(params)
-    numeric = finite_diff_gradient(loss_fn, entries, epsilon,
+    loss().backward()
+    entries = _expert_slices(params, cfg)
+    # the entries are views into params, so loss() sees every perturbation
+    numeric = finite_diff_gradient(lambda _entries: float(loss().data), entries, epsilon,
                                    coords_per_tensor=coords_per_tensor,
                                    rng=np.random.default_rng(derive_seed(seed, 2)))
     analytic = {k: p.grad for k, p in entries.items()}
     return compare_gradients(analytic, numeric, rel_tol=rel_tol, abs_floor=abs_floor)
 
 
-def _expert_slices(params: Params) -> Params:
-    """Every parameter, with each stacked expert family split into entries
-    ``<block>.moe.w1[j]`` that share values and gradients with the stacked
-    tensor, ordered expert by expert within a block."""
+def _expert_slices(params: Params, cfg: ModelConfig) -> Params:
+    """Every parameter, with each block's stacked expert families split into
+    entries ``<block>.moe.w1[j]`` that share values and gradients with the
+    stacked tensor, ordered expert by expert within a block."""
     out: Params = {}
-    for name, p in params.items():
-        prefix, _, fam = name.rpartition(".")
-        if not (prefix.endswith("moe") and fam in EXPERT_FAMILIES):
-            out[name] = p
-        elif fam == EXPERT_FAMILIES[0]:
-            for j in range(p.shape[0]):
-                for f in EXPERT_FAMILIES:
-                    stacked = params[f"{prefix}.{f}"]
-                    out[f"{prefix}.{f}[{j}]"] = view = Tensor(stacked.data[j])
-                    view.grad = stacked.grad[j]
+    runs = itertools.groupby(param_table(cfg).items(), key=lambda kv: kv[1].per_expert)
+    for stacked, run in runs:
+        names = [name for name, _ in run]
+        if not stacked:
+            out.update((name, params[name]) for name in names)
+            continue
+        for j in range(cfg.n_experts):
+            for name in names:
+                out[f"{name}[{j}]"] = view = Tensor(params[name].data[j])
+                view.grad = params[name].grad[j]
     return out

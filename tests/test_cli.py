@@ -111,6 +111,25 @@ def test_removed_flags_exit_one(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", *MODEL_FLAGS, "--horizons", "abc"], "--horizons"),
+    (["posttrain", *MODEL_FLAGS, "--checkpoint", "none.sfck", "--data", "none",
+      "--mixture-weights", "a,b"], "--mixture-weights"),
+])
+def test_bad_number_list_exits_one(argv, flag, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"error: {flag}: ")
+    assert sum(line.startswith("error:") for line in err) == 1
+    assert "Traceback" not in "".join(err)
+
+
+def test_malformed_manifest_exits_two(tmp_path, capsys):
+    (tmp_path / "bad.sfm").write_bytes(b"SFMANIFEST 1\nroot_seed x\nshard_count 0\nFOOTER\n")
+    assert run(["stats", "--manifest", str(tmp_path / "bad.sfm")]) == 2
+    assert "bad.sfm: line 2: malformed manifest line 'root_seed x'" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text("d_model=32\npatch_len=4\n")

@@ -1,5 +1,7 @@
 """Signal generation, Fourier resampling, complexity statistic oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,14 @@ class TestForecastability:
 
     def test_constant_is_zero(self):
         assert forecastability(np.full(64, 2.5)) == 0.0
+
+    def test_huge_spike_is_flat_without_overflow(self):
+        x = np.zeros(40)
+        x[17] = 4.7e153  # squared rfft magnitudes summed would overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert forecastability(x) == pytest.approx(0.0, abs=1e-9)
+            assert forecastability(np.zeros(40)) == 0.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

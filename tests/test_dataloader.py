@@ -85,6 +85,28 @@ class TestManifest:
                     a.series_lengths) == (b.path, b.byte_len, b.series_count,
                                           b.points, b.crc32, b.series_lengths)
 
+    @pytest.mark.parametrize("edit, line, message", [
+        (("root_seed 0", "root_seed x"), 2, "malformed manifest line 'root_seed x'"),
+        (("SFMANIFEST 1", "SFMANIFEST"), 1, "malformed manifest line 'SFMANIFEST'"),
+        (("SFMANIFEST 1", "SFMANIFEST one"), 1, "malformed manifest line"),
+        (("SFMANIFEST 1", "SFMANIFEST 7"), 1, "unsupported manifest version 7"),
+        (("shard_count 1", "shard_count -1"), 3, "malformed manifest line"),
+        (("shard_count 1", "shard_count 2"), 3, "shard_count 2, but 1 shard lines"),
+        (("shard_count 1", "count 1"), 3, "malformed manifest line 'count 1'"),
+        ((" 100\n", " 1x0\n"), 4, "malformed manifest line"),
+        ((" 100\n", " 100,\n"), 4, "malformed manifest line"),
+        ((" 100\n", "\n"), 4, "malformed manifest line"),
+    ])
+    def test_malformed_manifest_names_line(self, tmp_path, edit, line, message):
+        make_manifest(tmp_path, [np.ones(100, dtype=np.float32)])
+        path = tmp_path / "data" / MANIFEST_NAME
+        blob = path.read_bytes()
+        old, new = (x.encode() for x in edit)
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(DataError, match=f"{MANIFEST_NAME}: line {line}: {message}"):
+            ShardManifest.load(str(path))
+
     def test_checksum_mismatch_rejected(self, tmp_path):
         manifest = make_manifest(tmp_path, [np.ones(100, dtype=np.float32)])
         shard_file = manifest.shard_path(0)
@@ -234,6 +256,9 @@ class TestMixtureSampler:
             MixtureSampler([(s1, 0.0), (s2, 0.0)])
         with pytest.raises(InputError):
             MixtureSampler([(s1, -1.0), (s2, 1.0)])
+        for bad in (float("nan"), float("inf")):  # would make the draw probabilities nan
+            with pytest.raises(InputError, match="finite"):
+                MixtureSampler([(s1, bad), (s2, 1.0)])
         with pytest.raises(InputError):
             MixtureSampler([])
 

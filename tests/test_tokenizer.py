@@ -9,7 +9,7 @@ from serialcast.autodiff import Tensor
 from serialcast.backbone import init_params, model_forward
 from serialcast.errors import InputError
 from serialcast.numerics import compare_gradients, finite_diff_gradient
-from serialcast.tokenizer import (SIGMA_FLOOR, EmbedderParams, denormalize, embed_patches,
+from serialcast.tokenizer import (SIGMA_FLOOR, denormalize, embed_patches,
                                   make_batch, make_supervised_batch, patchify, renormalize)
 
 
@@ -91,8 +91,10 @@ class TestEmbedPatches:
             data = np.zeros(shape) if zero else rng.normal(size=shape) * 0.1
             return Tensor(data, requires_grad=True)
 
-        return EmbedderParams(t((2 * cfg_p, d)), t(d, zero_bias), t((2 * cfg_p, d)),
-                              t(d, zero_bias), t((d, d)), t(d, zero_bias))
+        shapes = {"skip.w": (2 * cfg_p, d), "skip.b": d, "mlp_in.w": (2 * cfg_p, d),
+                  "mlp_in.b": d, "mlp_out.w": (d, d), "mlp_out.b": d}
+        return {f"embedder.{k}": t(shape, k.endswith(".b") and zero_bias)
+                for k, shape in shapes.items()}
 
     def test_zero_in_zero_out(self):
         emb = self._emb()

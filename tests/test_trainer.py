@@ -19,7 +19,7 @@ from serialcast.dataloader import build_shards
 from serialcast.errors import CheckpointError, InputError
 from serialcast.tokenizer import make_batch
 from serialcast.trainer import (REFERENCE_TINY, OptState, TrainConfig, adamw_update,
-                                clip_gradients, decay_applies, draw_batch,
+                                clip_gradients, decayed_names, draw_batch,
                                 gradient_check_suite, load_checkpoint, lr_at, run_pretrain,
                                 save_checkpoint, train_step, validate_params)
 
@@ -37,13 +37,23 @@ SMALL = ModelConfig(d_model=16, patch_len=4, n_max=6, n_main_blocks=1, n_serial_
 
 class TestDecayPolicy:
     def test_exclusions(self):
-        assert decay_applies("block0.attn.wq")
-        assert decay_applies("serial1.fusion.w")
-        assert not decay_applies("block0.attn_norm.g")
-        assert not decay_applies("block0.moe.b1")
-        assert decay_applies("block0.moe.w1")
-        assert not decay_applies("embedder.skip.b")
-        assert not decay_applies("block0.attn.tau_raw")
+        decayed = decayed_names(SMALL)
+        assert "block0.attn.wq" in decayed
+        assert "serial1.fusion.w" in decayed
+        assert "block0.attn_norm.g" not in decayed
+        assert "block0.moe.b1" not in decayed
+        assert "block0.moe.w1" in decayed
+        assert "embedder.skip.b" not in decayed
+        assert "block0.attn.tau_raw" not in decayed
+
+    def test_only_listed_names_decay(self):
+        cfg = TrainConfig(stage="pretrain", steps=1, weight_decay=0.5)
+        params = {k: Tensor(np.array([1.0]), requires_grad=True) for k in ("w", "g")}
+        for p in params.values():
+            p.grad = np.zeros(1)
+        adamw_update(params, OptState.fresh(params), 0.1, cfg, frozenset({"w"}))
+        np.testing.assert_allclose(params["w"].data, [0.95], rtol=1e-12)
+        np.testing.assert_array_equal(params["g"].data, [1.0])
 
 
 class TestAdamW:
@@ -52,7 +62,7 @@ class TestAdamW:
         params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
         params["w"].grad = np.zeros(2)
         opt = OptState.fresh(params)
-        adamw_update(params, opt, 0.1, cfg)
+        adamw_update(params, opt, 0.1, cfg, frozenset({"w"}))
         np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
 
     def test_lr_zero_is_noop(self):
@@ -60,7 +70,7 @@ class TestAdamW:
         params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
         params["w"].grad = np.array([0.5])
         opt = OptState.fresh(params)
-        adamw_update(params, opt, 0.0, cfg)
+        adamw_update(params, opt, 0.0, cfg, frozenset({"w"}))
         np.testing.assert_array_equal(params["w"].data, [1.0])
 
     def test_descends_quadratic(self):
@@ -69,7 +79,7 @@ class TestAdamW:
         opt = OptState.fresh(params)
         for _ in range(200):
             params["w"].grad = 2 * params["w"].data
-            adamw_update(params, opt, 0.05, cfg)
+            adamw_update(params, opt, 0.05, cfg, frozenset({"w"}))
         assert abs(float(params["w"].data[0])) < 0.2
 
 
