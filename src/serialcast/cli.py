@@ -27,7 +27,6 @@ from .dataloader import (DEFAULT_SHARD_BYTES, MANIFEST_NAME, ShardManifest, buil
 from .errors import ConfigError, InputError, SerialcastError
 from .inference import (bench_inference, evaluate, expected_block_count, expected_passes, forecast,
                         forecast_rolling_ntp)
-from .objectives import default_grid
 from .trainer import (TrainConfig, gradient_check_suite, load_checkpoint, run_posttrain,
                       run_pretrain, validate_params)
 
@@ -175,7 +174,7 @@ def _write_shards(series, args) -> int:
 
 def cmd_stats(args) -> int:
     if args.manifest:
-        variates = [v for _sid, v in read_all_series(_load_manifest(args.manifest))]
+        variates = read_all_series(_load_manifest(args.manifest))
     else:
         variates = _gather_series(args.input)
     for i, v in enumerate(variates):
@@ -251,10 +250,9 @@ def cmd_forecast(args) -> int:
     echo_config("forecast", merged)
     cfg, params = _load_model(args, merged)
     series = read_csv_series(args.input)
-    grid = default_grid(cfg.n_quantiles)
     fn = forecast_rolling_ntp if args.mode == "rolling" else forecast
-    dist = fn(series, args.horizon, params, cfg, grid)
-    header = ",".join(f"q{q:g}" for q in grid.levels)
+    dist = fn(series, args.horizon, params, cfg)
+    header = ",".join(f"q{q:g}" for q in dist.levels.levels)
     lines = [header] + [",".join(f"{v}" for v in dist.values[:, t]) for t in range(dist.horizon)]
     text = "\n".join(lines) + "\n"
     if args.out == "-":

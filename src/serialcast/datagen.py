@@ -164,23 +164,27 @@ def dickey_fuller_design(series, lag_order: int) -> tuple[np.ndarray, np.ndarray
 def adf_statistic(series, lag_order: int | None = None) -> float:
     """t-statistic of the unit-root coefficient (constant, no trend).
 
-    More negative means more stationary. Singular designs (e.g. constant
-    series) return -inf as the degenerate sentinel.
+    More negative means more stationary. Designs singular to working
+    precision (e.g. constant series) and exact fits return -inf as the
+    degenerate sentinel; every other design gives a finite value.
     """
     x = np.asarray(series, dtype=np.float64)
     lag = schwert_lag(x.size) if lag_order is None else lag_order
     design, y = dickey_fuller_design(x, lag)
     n, p = design.shape
-    if n <= p or np.linalg.matrix_rank(design) < p:
+    if n <= p:
         return float("-inf")
-    beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    if sv[-1] <= sv[0] * n * np.finfo(np.float64).eps:  # numpy's matrix_rank tolerance
+        return float("-inf")
+    beta = vt.T @ ((u.T @ y) / sv)
     resid = y - design @ beta
     s2 = float(resid @ resid) / (n - p)
     # an (almost) exact fit leaves only rounding noise in the t-statistic
     if s2 <= 1e-24 * max(float((y * y).mean()), 1e-300):
         return float("-inf")
-    cov = s2 * np.linalg.inv(design.T @ design)
-    return float(beta[1] / np.sqrt(cov[1, 1]))
+    # inv(X'X)[1, 1] = sum_j (V[1, j] / s_j)^2, a sum of squares: never negative
+    return float(beta[1] / np.sqrt(s2 * np.sum((vt[:, 1] / sv) ** 2)))
 
 
 def forecastability(series) -> float:

@@ -1,80 +1,74 @@
 """Shard-based series storage and the hybrid memory-disk window sampler.
 
-Shard format (little-endian throughout): a shard file is a sequence of
-records, each ``series_id: u64, length: u64`` followed by ``length`` float32
-values. A series never crosses a shard boundary; series too large for one
-shard are split into independent segments (the low 16 bits of the id carry
-the segment index, the manifest records how many splits happened).
+Data format version 2. A shard file holds only the little-endian float32
+values of its series segments, back to back. A series never crosses a shard
+boundary: one longer than a shard is cut into segments, stored and sampled
+as independent series.
 
-The manifest is a text index (one line per shard with path, byte size,
-series count, point total, split count, and the per-series lengths) followed
-by a binary footer holding one CRC32 per shard. Checksums are verified every
-time a shard is loaded.
+The manifest ``manifest.sfm`` is plain text and the only place series
+lengths are stored::
+
+    SFMANIFEST 2
+    <shard path> <shard CRC32, 8 hex digits> <length>,<length>,...
+    ...
+    crc32 <CRC32 of every byte before this line, 8 hex digits>
+
+Loading the manifest checks its version, then its CRC; loading a shard checks
+that its size is 4 x the sum of its lengths, then its CRC. Any mismatch is a
+``DataError`` that names the file. A version-1 corpus must be rebuilt.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import re
-import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, InputError, SamplerError
 
 MANIFEST_MAGIC = "SFMANIFEST"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.sfm"
-RECORD_HEADER = struct.Struct("<QQ")
 MIN_SHARD_BYTES = 1 << 20
 DEFAULT_SHARD_BYTES = 4 << 20
-SEGMENT_BITS = 16  # low bits of the series id index split segments
+VALUE_DTYPE = np.dtype("<f4")
 
 DATA_DIR_ENV = "SF_DATA_DIR"
 
-# manifest text: three header lines of a key and a count, then one line per shard
-_HEAD_LINES = [re.compile(rf"{key} ([0-9]+)") for key in (MANIFEST_MAGIC, "root_seed", "shard_count")]
-_SHARD_LINE = re.compile(r"shard (\S+) ([0-9]+) ([0-9]+) ([0-9]+) ([0-9]+) ((?:[0-9]+(?:,[0-9]+)*)?)")
+_VERSION_LINE = re.compile(rf"{MANIFEST_MAGIC} ([0-9]+)")
+_SHARD_LINE = re.compile(r"(\S+) ([0-9a-f]{8}) ([0-9]+(?:,[0-9]+)*)")
+_CRC_LINE = re.compile(r"crc32 ([0-9a-f]{8})")
 
 
 @dataclass
 class ShardEntry:
     path: str  # relative to the manifest directory
-    byte_len: int
-    series_count: int
-    points: int
-    split_segments: int
     crc32: int
-    series_lengths: list[int] = field(default_factory=list)
+    series_lengths: list[int]
 
 
 @dataclass
 class ShardManifest:
     entries: list[ShardEntry]
-    root_seed: int = 0
     root_dir: str = "."
 
     @property
     def total_points(self) -> int:
-        return sum(e.points for e in self.entries)
+        return sum(sum(e.series_lengths) for e in self.entries)
 
     def shard_path(self, i: int) -> str:
         return os.path.join(self.root_dir, self.entries[i].path)
 
     def save(self, path: str):
-        lines = [f"{MANIFEST_MAGIC} {MANIFEST_VERSION}", f"root_seed {self.root_seed}",
-                 f"shard_count {len(self.entries)}"]
-        for e in self.entries:
-            lens = ",".join(str(n) for n in e.series_lengths)
-            lines.append(f"shard {e.path} {e.byte_len} {e.series_count} {e.points} {e.split_segments} {lens}")
-        lines.append("FOOTER")
+        lines = [f"{MANIFEST_MAGIC} {MANIFEST_VERSION}"]
+        lines += [f"{e.path} {e.crc32:08x} {','.join(map(str, e.series_lengths))}"
+                  for e in self.entries]
+        body = "".join(line + "\n" for line in lines).encode()
         with open(path, "wb") as f:
-            f.write(("\n".join(lines) + "\n").encode())
-            for e in self.entries:
-                f.write(struct.pack("<I", e.crc32))
+            f.write(body + f"crc32 {zlib.crc32(body):08x}\n".encode())
 
     @classmethod
     def load(cls, path: str) -> "ShardManifest":
@@ -82,45 +76,32 @@ class ShardManifest:
         file and the 1-based line."""
         with open(path, "rb") as f:
             blob = f.read()
-        marker = b"FOOTER\n"
-        cut = blob.find(marker)
-        if cut < 0:
-            raise DataError(f"{path}: missing manifest footer")
-        lines = blob[:cut].decode(errors="replace").splitlines()
-        footer = blob[cut + len(marker):]
+        lines = blob.decode(errors="replace").split("\n")
 
         def fields(i: int, pattern: re.Pattern) -> tuple[str, ...]:
-            text = lines[i] if i < len(lines) else ""
-            if not (found := pattern.fullmatch(text)):
-                raise DataError(f"{path}: line {i + 1}: malformed manifest line {text!r}")
+            if not (found := pattern.fullmatch(lines[i])):
+                raise DataError(f"{path}: line {i + 1}: malformed manifest line {lines[i]!r}")
             return found.groups()
 
-        version, root_seed, count = (int(fields(i, p)[0]) for i, p in enumerate(_HEAD_LINES))
+        version = int(fields(0, _VERSION_LINE)[0])
         if version != MANIFEST_VERSION:
-            raise DataError(f"{path}: line 1: unsupported manifest version {version}, "
-                            f"this build reads version {MANIFEST_VERSION}")
-        if len(lines) != 3 + count:
-            raise DataError(f"{path}: line 3: shard_count {count}, "
-                            f"but {len(lines) - 3} shard lines follow")
+            raise DataError(f"{path}: line 1: unsupported manifest version {version}, this build "
+                            f"reads version {MANIFEST_VERSION}; rebuild the corpus with "
+                            "`serialcast shard` or `serialcast synth --format shard`")
+        if len(lines) < 3 or lines[-1]:
+            raise DataError(f"{path}: truncated manifest, it does not end with a crc32 line")
+        (crc,) = fields(len(lines) - 2, _CRC_LINE)
+        if zlib.crc32(blob[: blob.rfind(b"\n", 0, -1) + 1]) != int(crc, 16):
+            raise DataError(f"{path}: checksum mismatch, corrupt or edited manifest")
         entries = []
-        for i in range(3, 3 + count):
-            rel, *numbers, lens = fields(i, _SHARD_LINE)
-            entries.append(ShardEntry(rel, *map(int, numbers), 0,
-                                      [int(n) for n in lens.split(",") if n]))
-        if len(footer) < 4 * count:
-            raise DataError(f"{path}: truncated checksum footer")
-        for i, e in enumerate(entries):
-            e.crc32 = struct.unpack_from("<I", footer, 4 * i)[0]
-        return cls(entries, root_seed, os.path.dirname(path) or ".")
+        for i in range(1, len(lines) - 2):
+            rel, shard_crc, lens = fields(i, _SHARD_LINE)
+            entries.append(ShardEntry(rel, int(shard_crc, 16), [int(n) for n in lens.split(",")]))
+        return cls(entries, os.path.dirname(path) or ".")
 
 
-def _series_record(series_id: int, values: np.ndarray) -> bytes:
-    v = np.ascontiguousarray(values, dtype="<f4")
-    return RECORD_HEADER.pack(series_id, v.size) + v.tobytes()
-
-
-def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES, out_dir: str = ".",
-                 root_seed: int = 0) -> ShardManifest:
+def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES,
+                 out_dir: str = ".") -> ShardManifest:
     """Serialize series into shards of at most ``shard_bytes`` each.
 
     Values are stored as float32. On any I/O failure, files written so far
@@ -129,50 +110,40 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES, out_dir: s
     if shard_bytes < MIN_SHARD_BYTES:
         raise InputError(f"shard_bytes must be >= {MIN_SHARD_BYTES}")
     os.makedirs(out_dir, exist_ok=True)
-    max_seg_points = (shard_bytes - RECORD_HEADER.size) // 4
+    capacity = shard_bytes // VALUE_DTYPE.itemsize  # values per shard
+    shard = np.empty(capacity, VALUE_DTYPE)  # the shard being filled
+    lengths: list[int] = []  # of the segments in it
     written: list[str] = []
     entries: list[ShardEntry] = []
-    buf = io.BytesIO()
-    buf_series: list[int] = []
-    buf_splits = 0
 
-    def flush():
-        nonlocal buf, buf_series, buf_splits
-        if not buf_series:
-            return
-        data = buf.getvalue()
+    def flush(filled: int):
+        data = shard[:filled]
         rel = f"shard_{len(entries):05d}.sfd"
         full = os.path.join(out_dir, rel)
         with open(full, "wb") as f:
+            written.append(full)
             f.write(data)
-        written.append(full)
-        entries.append(ShardEntry(rel, len(data), len(buf_series), sum(buf_series),
-                                  buf_splits, zlib.crc32(data), list(buf_series)))
-        buf, buf_series, buf_splits = io.BytesIO(), [], 0
+        entries.append(ShardEntry(rel, zlib.crc32(data), lengths.copy()))
+        lengths.clear()
 
     try:
-        any_series = False
+        filled = 0
         for idx, series in enumerate(series_iter):
             values = np.asarray(series.values if hasattr(series, "values") else series)
             if values.size == 0:
                 raise InputError(f"series {idx} is empty")
-            any_series = True
-            n_segments = -(-values.size // max_seg_points)
-            if n_segments >= 1 << SEGMENT_BITS:
-                raise InputError(f"series {idx} too large even for splitting")
-            for seg in range(n_segments):
-                chunk = values[seg * max_seg_points : (seg + 1) * max_seg_points]
-                record = _series_record((idx << SEGMENT_BITS) | seg, chunk)
-                if buf.tell() + len(record) > shard_bytes and buf_series:
-                    flush()
-                buf.write(record)
-                buf_series.append(chunk.size)
-                if n_segments > 1:
-                    buf_splits += 1
-        if not any_series:
+            for start in range(0, values.size, capacity):
+                chunk = values[start : start + capacity]
+                if filled + chunk.size > capacity:
+                    flush(filled)
+                    filled = 0
+                shard[filled : filled + chunk.size] = chunk  # rounds to float32
+                filled += chunk.size
+                lengths.append(chunk.size)
+        if not lengths:
             raise InputError("build_shards: empty input")
-        flush()
-        manifest = ShardManifest(entries, root_seed, out_dir)
+        flush(filled)
+        manifest = ShardManifest(entries, out_dir)
         manifest.save(os.path.join(out_dir, MANIFEST_NAME))
         return manifest
     except BaseException:
@@ -184,33 +155,23 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES, out_dir: s
         raise
 
 
-def load_shard(path: str, expected_crc: int | None = None) -> list[tuple[int, np.ndarray]]:
-    """Decode one shard into (series_id, float32 values) pairs, verifying CRC."""
+def load_shard(path: str, crc32: int, lengths: list[int]) -> list[np.ndarray]:
+    """The float32 segments of one shard, checked against its manifest entry."""
     with open(path, "rb") as f:
         blob = f.read()
-    if expected_crc is not None and zlib.crc32(blob) != expected_crc:
+    expected = VALUE_DTYPE.itemsize * sum(lengths)
+    if len(blob) != expected:
+        raise DataError(f"{path}: {len(blob)} bytes, but the manifest's lengths need {expected}: "
+                        "truncated shard or mismatched manifest")
+    if zlib.crc32(blob) != crc32:
         raise DataError(f"{path}: checksum mismatch, shard rejected")
-    out = []
-    off = 0
-    while off < len(blob):
-        if off + RECORD_HEADER.size > len(blob):
-            raise DataError(f"{path}: truncated record header at byte {off}")
-        sid, length = RECORD_HEADER.unpack_from(blob, off)
-        off += RECORD_HEADER.size
-        end = off + 4 * length
-        if end > len(blob):
-            raise DataError(f"{path}: truncated record payload at byte {off}")
-        out.append((sid, np.frombuffer(blob[off:end], dtype="<f4").copy()))
-        off = end
-    return out
+    return np.split(np.frombuffer(blob, VALUE_DTYPE), np.cumsum(lengths[:-1]))
 
 
-def read_all_series(manifest: ShardManifest) -> list[tuple[int, np.ndarray]]:
+def read_all_series(manifest: ShardManifest) -> list[np.ndarray]:
     """Sequential read of every series in shard order (round-trip check path)."""
-    out = []
-    for i, e in enumerate(manifest.entries):
-        out.extend(load_shard(manifest.shard_path(i), e.crc32))
-    return out
+    return [values for i, e in enumerate(manifest.entries)
+            for values in load_shard(manifest.shard_path(i), e.crc32, e.series_lengths)]
 
 
 class ShardQueue:
@@ -221,11 +182,11 @@ class ShardQueue:
             raise InputError("queue capacity must be >= 1")
         self.manifest = manifest
         self.capacity = capacity
-        self._resident: dict[int, list[tuple[int, np.ndarray]]] = {}
+        self._resident: dict[int, list[np.ndarray]] = {}
         self._order: list[int] = []  # least recent first
         self.load_count = 0
 
-    def get(self, shard_index: int) -> list[tuple[int, np.ndarray]]:
+    def get(self, shard_index: int) -> list[np.ndarray]:
         if shard_index in self._resident:
             self._order.remove(shard_index)
             self._order.append(shard_index)
@@ -234,7 +195,7 @@ class ShardQueue:
             victim = self._order.pop(0)
             del self._resident[victim]
         entry = self.manifest.entries[shard_index]
-        data = load_shard(self.manifest.shard_path(shard_index), entry.crc32)
+        data = load_shard(self.manifest.shard_path(shard_index), entry.crc32, entry.series_lengths)
         self._resident[shard_index] = data
         self._order.append(shard_index)
         self.load_count += 1
@@ -246,35 +207,37 @@ class WindowSampler:
 
     A window of ``length`` points is eligible wherever it fits inside a
     single series (or split segment); long series therefore contribute
-    proportionally more windows. Deterministic under a fixed rng.
+    proportionally more windows. The counts come from the manifest's
+    lengths, so a shard is loaded only once it is drawn. Deterministic under
+    a fixed rng.
     """
 
     def __init__(self, manifest: ShardManifest, queue_capacity: int = 4):
         self.manifest = manifest
         self.queue = ShardQueue(manifest, queue_capacity)
-        self._eligible: dict[int, np.ndarray] = {}
+        self._windows: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
 
-    def eligible_counts(self, length: int) -> np.ndarray:
-        """Windows of ``length`` points per shard; cached, the manifest is fixed."""
-        if length not in self._eligible:
-            counts = np.array(
-                [sum(max(0, n - length + 1) for n in e.series_lengths) for e in self.manifest.entries],
-                dtype=np.float64,
-            )
-            counts.flags.writeable = False  # shared by every later call
-            self._eligible[length] = counts
-        return self._eligible[length]
+    def window_counts(self, length: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Windows of ``length`` points per shard and per series in each shard;
+        cached, the manifest is fixed."""
+        if length not in self._windows:
+            per_series = [np.maximum(np.array(e.series_lengths, np.float64) - (length - 1), 0.0)
+                          for e in self.manifest.entries]
+            per_shard = np.array([w.sum() for w in per_series], dtype=np.float64)
+            for counts in (per_shard, *per_series):
+                counts.flags.writeable = False  # shared by every later call
+            self._windows[length] = per_shard, per_series
+        return self._windows[length]
 
     def sample_raw(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        counts = self.eligible_counts(length)
-        total = counts.sum()
+        per_shard, per_series = self.window_counts(length)
+        total = per_shard.sum()
         if total <= 0:
             raise SamplerError(f"no series can host a {length}-point window")
-        shard_i = int(rng.choice(counts.size, p=counts / total))
+        shard_i = int(rng.choice(per_shard.size, p=per_shard / total))
         series = self.queue.get(shard_i)
-        per_series = np.array([max(0, v.size - length + 1) for _, v in series], dtype=np.float64)
-        series_i = int(rng.choice(per_series.size, p=per_series / per_series.sum()))
-        values = series[series_i][1]
+        counts = per_series[shard_i]
+        values = series[int(rng.choice(counts.size, p=counts / counts.sum()))]
         start = int(rng.integers(0, values.size - length + 1))
         return np.asarray(values[start : start + length], dtype=np.float64)
 

@@ -88,16 +88,14 @@ def _depth(chunk: int, cfg: ModelConfig) -> int:
     return math.ceil(chunk / cfg.patch_len) - 1
 
 
-def _forecast_loop(series, horizon: int, params: Params, cfg: ModelConfig, chunk_len: int,
-                   grid: QuantileGrid | None, sort_quantiles: bool) -> ForecastDistribution:
+def _forecast_loop(series, horizon: int, params: Params, cfg: ModelConfig,
+                   chunk_len: int) -> ForecastDistribution:
     """One pass per chunk of at most ``chunk_len`` steps, at the depth the chunk
     needs; between passes the median is appended to the context, which is then
-    re-normalized."""
+    re-normalized. Quantiles come out sorted along the level axis."""
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    grid = grid or default_grid(cfg.n_quantiles)
-    if grid.q != cfg.n_quantiles:
-        raise InputError(f"grid has {grid.q} levels, model expects {cfg.n_quantiles}")
+    grid = default_grid(cfg.n_quantiles)
     context = _truncate(_observed(series), cfg)
     chunks: list[np.ndarray] = []
     blocks = 0
@@ -107,30 +105,24 @@ def _forecast_loop(series, horizon: int, params: Params, cfg: ModelConfig, chunk
         pred, ran = _single_pass(context, _depth(chunk, cfg), params, cfg)
         chunks.append(pred[:, :chunk])
         blocks += ran
-    values = np.concatenate(chunks, axis=1)
-    if sort_quantiles:
-        values = np.sort(values, axis=0)
+    values = np.sort(np.concatenate(chunks, axis=1), axis=0)
     return ForecastDistribution(values, grid, len(chunks), blocks)
 
 
-def forecast(series, horizon: int, params: Params, cfg: ModelConfig,
-             grid: QuantileGrid | None = None, sort_quantiles: bool = True) -> ForecastDistribution:
+def forecast(series, horizon: int, params: Params, cfg: ModelConfig) -> ForecastDistribution:
     """Quantile forecast for ``horizon`` future steps.
 
     Depth adapts to the horizon; beyond (H+1)*P steps the median forecast is
     appended to the context and the pass repeats on the extended, freshly
     re-normalized window.
     """
-    return _forecast_loop(series, horizon, params, cfg, _chunk_len("serial", cfg), grid,
-                          sort_quantiles)
+    return _forecast_loop(series, horizon, params, cfg, _chunk_len("serial", cfg))
 
 
-def forecast_rolling_ntp(series, horizon: int, params: Params, cfg: ModelConfig,
-                         grid: QuantileGrid | None = None,
-                         sort_quantiles: bool = True) -> ForecastDistribution:
+def forecast_rolling_ntp(series, horizon: int, params: Params,
+                         cfg: ModelConfig) -> ForecastDistribution:
     """Autoregressive baseline: main blocks only, one patch per full recompute."""
-    return _forecast_loop(series, horizon, params, cfg, _chunk_len("rolling", cfg), grid,
-                          sort_quantiles)
+    return _forecast_loop(series, horizon, params, cfg, _chunk_len("rolling", cfg))
 
 
 def expected_passes(mode: str, horizon: int, cfg: ModelConfig) -> int:
@@ -198,8 +190,7 @@ class EvalReport:
         ]
 
 
-def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int,
-             grid: QuantileGrid | None = None, season: int = 1,
+def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int, season: int = 1,
              mode: str = "serial") -> EvalReport:
     """Hold out the last ``horizon`` points of each series and score forecasts."""
     if mode not in ("serial", "rolling"):
@@ -214,7 +205,7 @@ def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int,
             raise InputError("series too short to hold out the horizon")
         context, actual = x[:-horizon], x[-horizon:]
         t0 = time.perf_counter()
-        dist = fn(context, horizon, params, cfg, grid)
+        dist = fn(context, horizon, params, cfg)
         times.append(1000.0 * (time.perf_counter() - t0))
         if is_degenerate_scale(context, season):
             report.mase_per_series.append(0.0 if np.allclose(dist.median, actual) else float("inf"))

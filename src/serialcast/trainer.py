@@ -154,9 +154,10 @@ class StepResult:
 
 
 def train_step(params: Params, batch: PatchBatch, model_cfg: ModelConfig,
-               train_cfg: TrainConfig, opt: OptState, lr: float,
+               train_cfg: TrainConfig, opt: OptState, lr: float, decayed: frozenset[str],
                grid: QuantileGrid | None = None) -> StepResult:
-    """One optimization step; a non-finite loss aborts without touching params."""
+    """One optimization step; a non-finite loss aborts without touching params.
+    ``decayed`` is ``decayed_names(model_cfg)``, computed once per run."""
     zero_grads(params)
     trace = model_forward(batch, params, model_cfg, depth=model_cfg.n_serial_blocks)
     total, parts = stage_loss(train_cfg.stage, trace, batch, params, model_cfg, grid)
@@ -164,7 +165,7 @@ def train_step(params: Params, batch: PatchBatch, model_cfg: ModelConfig,
         return StepResult(parts["total"], parts, 0.0, lr, skipped=True)
     total.backward()
     norm = clip_gradients(params, train_cfg.clip_norm)
-    adamw_update(params, opt, lr, train_cfg, decayed_names(model_cfg))
+    adamw_update(params, opt, lr, train_cfg, decayed)
     return StepResult(parts["total"], parts, norm, lr, skipped=False)
 
 
@@ -197,10 +198,9 @@ def draw_window(sampler, total_points: int, rng: np.random.Generator,
     return raw
 
 
-def draw_batch(sampler, model_cfg: ModelConfig, train_cfg: TrainConfig, step: int,
-               n_patches: int | None = None) -> PatchBatch:
+def draw_batch(sampler, model_cfg: ModelConfig, train_cfg: TrainConfig, step: int) -> PatchBatch:
     """Deterministic batch for a step: rng derived from (seed, step)."""
-    n = model_cfg.n_max if n_patches is None else n_patches
+    n = model_cfg.n_max
     total = (n + model_cfg.n_serial_blocks + 1) * model_cfg.patch_len
     rng = np.random.default_rng(derive_seed(train_cfg.seed, step))
     windows = np.stack([
@@ -324,11 +324,13 @@ def _run_loop(params: Params, opt: OptState, sampler, model_cfg: ModelConfig,
               train_cfg: TrainConfig, start_step: int = 0,
               log_every: int = 0) -> TrainResult:
     grid = default_grid(model_cfg.n_quantiles)
+    decayed = decayed_names(model_cfg)
     history: list[StepResult] = []
     ckpt_path = os.path.join(train_cfg.out_dir, f"{train_cfg.stage}.sfck")
     for step in range(start_step, train_cfg.steps):
         batch = draw_batch(sampler, model_cfg, train_cfg, step)
-        res = train_step(params, batch, model_cfg, train_cfg, opt, lr_at(step, train_cfg), grid)
+        res = train_step(params, batch, model_cfg, train_cfg, opt, lr_at(step, train_cfg),
+                         decayed, grid)
         history.append(res)
         if log_every and (step % log_every == 0 or step == train_cfg.steps - 1):
             print(f"step {step:6d} loss {res.loss:10.4f} ntp {res.parts['ntp']:8.4f} "

@@ -233,7 +233,7 @@ def test_criterion_9_data_pipeline(tmp_path):
     rng = np.random.default_rng(31)
     series = [rng.normal(size=n).astype(np.float32) for n in (513, 2048, 97)]
     manifest = build_shards(series, 1 << 20, str(tmp_path / "rt"))
-    for (sid, got), want in zip(read_all_series(manifest), series):
+    for got, want in zip(read_all_series(manifest), series):
         assert np.array_equal(got, want), "round trip not bit-exact"
 
     w = 64

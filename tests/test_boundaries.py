@@ -1,8 +1,10 @@
-"""Boundary fuzzing: damaged checkpoints and arbitrary CSV text must fail as
-structured errors with the CLI's exit codes, never as a traceback."""
+"""Boundary fuzzing: damaged checkpoints, damaged shard corpora and arbitrary
+CSV text must fail as structured errors with the CLI's exit codes, never as a
+traceback."""
 
 import contextlib
 import io
+import shutil
 from dataclasses import asdict
 
 import numpy as np
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from serialcast.backbone import ModelConfig, init_params
 from serialcast.cli import run, save_config
-from serialcast.errors import CheckpointError
+from serialcast.dataloader import MANIFEST_NAME, ShardManifest, build_shards, load_shard
+from serialcast.errors import CheckpointError, DataError
 from serialcast.trainer import OptState, load_checkpoint, save_checkpoint
 
 TINY = ModelConfig(d_model=8, patch_len=2, n_max=2, n_main_blocks=1, n_serial_blocks=1,
@@ -103,3 +106,70 @@ def test_random_csv_stats_exits_zero_or_one(tmp_path_factory, header, lines, jun
     assert code in (0, 1), err
     if code == 1:
         assert err.startswith("error: "), err
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """A one-shard corpus of three noisy series, and the intact bytes of its
+    manifest and its shard."""
+    d = tmp_path_factory.mktemp("corpus")
+    rng = np.random.default_rng(2)
+    build_shards([rng.normal(size=n).cumsum() for n in (60, 90, 45)], 1 << 20, str(d))
+    return d, (d / MANIFEST_NAME).read_bytes(), (d / "shard_00000.sfd").read_bytes()
+
+
+def _assert_corpus_rejected(d, manifest: bytes, shard: bytes):
+    """Both blobs go into a fresh copy of the corpus, which must fail to load."""
+    damaged = d.parent / f"{d.name}_damaged"
+    shutil.rmtree(damaged, ignore_errors=True)
+    damaged.mkdir()
+    (damaged / MANIFEST_NAME).write_bytes(manifest)
+    (damaged / "shard_00000.sfd").write_bytes(shard)
+    with pytest.raises(DataError):
+        loaded = ShardManifest.load(str(damaged / MANIFEST_NAME))
+        entry = loaded.entries[0]
+        load_shard(loaded.shard_path(0), entry.crc32, entry.series_lengths)
+    code, err = _cli(["stats", "--manifest", str(damaged)])
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"runtime failure: {damaged}"), err
+
+
+def test_intact_corpus_stats(tiny_corpus):
+    d, _, _ = tiny_corpus
+    code, err = _cli(["stats", "--manifest", str(d)])
+    assert code == 0, err
+
+
+@given(st.data())
+@FUZZ
+def test_flipped_manifest_byte_rejected(tiny_corpus, data):
+    d, manifest, shard = tiny_corpus
+    damaged = bytearray(manifest)
+    damaged[data.draw(st.integers(0, len(manifest) - 1), label="pos")] ^= data.draw(
+        st.integers(1, 255), label="xor")
+    _assert_corpus_rejected(d, bytes(damaged), shard)
+
+
+@given(st.data())
+@FUZZ
+def test_truncated_manifest_rejected(tiny_corpus, data):
+    d, manifest, shard = tiny_corpus
+    _assert_corpus_rejected(d, manifest[: data.draw(st.integers(0, len(manifest) - 1))], shard)
+
+
+@given(st.data())
+@FUZZ
+def test_flipped_shard_byte_rejected(tiny_corpus, data):
+    d, manifest, shard = tiny_corpus
+    damaged = bytearray(shard)
+    damaged[data.draw(st.integers(0, len(shard) - 1), label="pos")] ^= data.draw(
+        st.integers(1, 255), label="xor")
+    _assert_corpus_rejected(d, manifest, bytes(damaged))
+
+
+@given(st.data())
+@FUZZ
+def test_truncated_shard_rejected(tiny_corpus, data):
+    d, manifest, shard = tiny_corpus
+    _assert_corpus_rejected(d, manifest, shard[: data.draw(st.integers(0, len(shard) - 1))])

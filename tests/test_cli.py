@@ -1,6 +1,7 @@
 """CLI contracts: exit codes, config precedence, determinism, pipeline."""
 
 import os
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from serialcast import cli
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig
 from serialcast.cli import run
-from serialcast.dataloader import read_csv_series
+from serialcast.dataloader import build_shards, read_csv_series
 from serialcast.inference import expected_passes, forecast
 from serialcast.trainer import load_checkpoint, save_checkpoint
 
@@ -60,6 +61,16 @@ def test_stats_on_csv(tmp_path, capsys):
     assert "aggregate forecastability" in out
     value = float([l for l in out.splitlines() if l.startswith("aggregate forecastability")][0].split()[-1])
     assert value > 0.9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stats_on_float32_sinusoid_corpus(tmp_path, capsys):
+    corpus = str(tmp_path / "corp")
+    assert run(["synth", "--format", "shard", "--count", "4", "--length", "400",
+                "--period", "31.4", "--out", corpus]) == 0
+    assert run(["stats", "--manifest", corpus]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and "aggregate adf" in out
 
 
 def test_stats_non_numeric_line_exits_one(tmp_path, capsys):
@@ -124,10 +135,39 @@ def test_bad_number_list_exits_one(argv, flag, capsys):
     assert "Traceback" not in "".join(err)
 
 
+def _seal(body: bytes) -> bytes:
+    """A manifest body followed by its closing crc32 line."""
+    return body + b"crc32 %08x\n" % zlib.crc32(body)
+
+
 def test_malformed_manifest_exits_two(tmp_path, capsys):
-    (tmp_path / "bad.sfm").write_bytes(b"SFMANIFEST 1\nroot_seed x\nshard_count 0\nFOOTER\n")
+    (tmp_path / "bad.sfm").write_bytes(_seal(b"SFMANIFEST 2\nshard x\n"))
     assert run(["stats", "--manifest", str(tmp_path / "bad.sfm")]) == 2
-    assert "bad.sfm: line 2: malformed manifest line 'root_seed x'" in capsys.readouterr().err
+    assert "bad.sfm: line 2: malformed manifest line 'shard x'" in capsys.readouterr().err
+
+
+def test_version_1_manifest_exits_two(tmp_path, capsys):
+    (tmp_path / "old.sfm").write_bytes(b"SFMANIFEST 1\nroot_seed 0\nshard_count 0\nFOOTER\n")
+    assert run(["stats", "--manifest", str(tmp_path / "old.sfm")]) == 2
+    err = capsys.readouterr().err
+    assert "old.sfm: line 1: unsupported manifest version 1" in err
+    assert "synth --format shard" in err
+
+
+@pytest.mark.parametrize("resealed", [False, True])
+def test_train_on_edited_manifest_exits_two(tmp_path, capsys, resealed):
+    # one shard of two series, 100 and 150 points; the manifest then claims 900
+    data = tmp_path / "data"
+    build_shards([np.sin(np.arange(100.0)), np.sin(np.arange(150.0))], 1 << 20, str(data))
+    path = data / "manifest.sfm"
+    blob = path.read_bytes().replace(b" 100,150\n", b" 900,150\n")
+    path.write_bytes(_seal(blob[: blob.rfind(b"\n", 0, -1) + 1]) if resealed else blob)
+    code = run(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"), *MODEL_FLAGS,
+                "--n-max", "40", "--resample-prob", "0", "--steps", "1", "--batch-size", "1"])
+    assert code == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("[train]")]
+    assert len(lines) == 1 and lines[0].startswith(f"runtime failure: {data}"), lines
+    assert ("shard_00000.sfd" if resealed else "checksum mismatch") in lines[0]
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

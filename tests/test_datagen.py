@@ -170,6 +170,19 @@ class TestAdf:
             _, oracle = ols_normal_equations(*dickey_fuller_design(x, lag))
             assert np.isclose(stat, oracle, atol=1e-8)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("length", [64, 100, 157, 256, 400])
+    def test_float32_sinusoid_never_nan(self, length):
+        # a noise-free tone stored as float32, as a shard holds it: in float64
+        # the fit is exact, but after rounding X'X is too ill-conditioned to invert
+        t = np.arange(length)
+        for period in (7.3, 16.0, 31.4, 100.0):
+            for phase in (0.0, 1.0, 2.5):
+                x = np.sin(2 * np.pi * t / period + phase).astype(np.float32)
+                for lag in (None, 0, 2):
+                    stat = adf_statistic(x, lag_order=lag)
+                    assert stat == float("-inf") or np.isfinite(stat), (period, phase, lag)
+
     def test_constant_series_degenerate(self):
         assert adf_statistic(np.full(100, 3.0), lag_order=0) == float("-inf")
 

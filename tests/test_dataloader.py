@@ -1,6 +1,8 @@
 """Shard round trips, sampler statistics, queue residency, CSV interface."""
 
 import os
+import re
+import zlib
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ def resident_count(q: ShardQueue) -> int:
 
 
 def resident_bytes(q: ShardQueue) -> int:
-    return sum(q.manifest.entries[i].byte_len for i in q._resident)
+    return sum(v.nbytes for i in q._resident for v in q._resident[i])
 
 
 def make_manifest(tmp_path, series, shard_bytes=MIB, sub="data"):
@@ -31,7 +33,7 @@ class TestBuildShards:
         manifest = make_manifest(tmp_path, [x])
         assert len(manifest.entries) == 1
         assert manifest.total_points == 1000
-        assert manifest.entries[0].series_count == 1
+        assert manifest.entries[0].series_lengths == [1000]
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -39,15 +41,16 @@ class TestBuildShards:
         manifest = make_manifest(tmp_path, series)
         out = read_all_series(manifest)
         assert len(out) == 3
-        for (sid, got), want in zip(out, series):
+        for got, want in zip(out, series):
             np.testing.assert_array_equal(got, want)
 
     def test_shard_count_arithmetic(self, tmp_path):
-        # record = 16 + 4*100000 bytes; exactly two fit in a 1 MiB shard
+        # a series is 4*100000 bytes; exactly two fit in a 1 MiB shard
         series = [np.zeros(100_000, dtype=np.float32) for _ in range(10)]
         manifest = make_manifest(tmp_path, series)
         assert len(manifest.entries) == 5
-        assert all(e.series_count == 2 for e in manifest.entries)
+        assert all(e.series_lengths == [100_000, 100_000] for e in manifest.entries)
+        assert all(os.path.getsize(manifest.shard_path(i)) == 800_000 for i in range(5))
 
     def test_empty_input_no_manifest(self, tmp_path):
         with pytest.raises(InputError):
@@ -66,46 +69,97 @@ class TestBuildShards:
             build_shards([np.ones(10)], 1024, str(tmp_path / "d"))
 
     def test_oversized_series_split(self, tmp_path):
-        # one series larger than a shard: split into segments, flag recorded
+        # one series larger than a shard: split into shard-sized segments
         big = np.arange(600_000, dtype=np.float32)
         manifest = make_manifest(tmp_path, [big])
-        assert sum(e.split_segments for e in manifest.entries) >= 2
-        parts = [v for _sid, v in read_all_series(manifest)]
+        assert [e.series_lengths for e in manifest.entries] == [[MIB // 4], [MIB // 4],
+                                                                  [600_000 - MIB // 2]]
+        parts = read_all_series(manifest)
         np.testing.assert_array_equal(np.concatenate(parts), big)
 
 
+def reseal(path):
+    """Rewrite a manifest's closing crc32 line to cover its edited body."""
+    blob = path.read_bytes()
+    body = blob[: blob.rfind(b"\n", 0, -1) + 1]
+    path.write_bytes(body + b"crc32 %08x\n" % zlib.crc32(body))
+
+
 class TestManifest:
+    def test_v2_layout(self, tmp_path):
+        series = [np.arange(100, dtype=np.float32), np.linspace(-1, 1, 150)]
+        manifest = make_manifest(tmp_path, series)
+        shard = open(manifest.shard_path(0), "rb").read()
+        assert shard == np.concatenate(series).astype("<f4").tobytes()
+        body = f"SFMANIFEST 2\nshard_00000.sfd {zlib.crc32(shard):08x} 100,150\n".encode()
+        blob = (tmp_path / "data" / MANIFEST_NAME).read_bytes()
+        assert blob == body + b"crc32 %08x\n" % zlib.crc32(body)
+        assert manifest.total_points == 250
+
     def test_save_load_round_trip(self, tmp_path):
         series = [np.random.default_rng(2).normal(size=500).astype(np.float32)]
         manifest = make_manifest(tmp_path, series)
         loaded = ShardManifest.load(str(tmp_path / "data" / MANIFEST_NAME))
-        assert len(loaded.entries) == len(manifest.entries)
-        for a, b in zip(loaded.entries, manifest.entries):
-            assert (a.path, a.byte_len, a.series_count, a.points, a.crc32,
-                    a.series_lengths) == (b.path, b.byte_len, b.series_count,
-                                          b.points, b.crc32, b.series_lengths)
+        assert loaded.entries == manifest.entries
 
     @pytest.mark.parametrize("edit, line, message", [
-        (("root_seed 0", "root_seed x"), 2, "malformed manifest line 'root_seed x'"),
-        (("SFMANIFEST 1", "SFMANIFEST"), 1, "malformed manifest line 'SFMANIFEST'"),
-        (("SFMANIFEST 1", "SFMANIFEST one"), 1, "malformed manifest line"),
-        (("SFMANIFEST 1", "SFMANIFEST 7"), 1, "unsupported manifest version 7"),
-        (("shard_count 1", "shard_count -1"), 3, "malformed manifest line"),
-        (("shard_count 1", "shard_count 2"), 3, "shard_count 2, but 1 shard lines"),
-        (("shard_count 1", "count 1"), 3, "malformed manifest line 'count 1'"),
-        ((" 100\n", " 1x0\n"), 4, "malformed manifest line"),
-        ((" 100\n", " 100,\n"), 4, "malformed manifest line"),
-        ((" 100\n", "\n"), 4, "malformed manifest line"),
+        ((r" 200000$", " 2x0000"), 2, "malformed manifest line"),
+        ((r" 2$", ""), 1, "malformed manifest line 'SFMANIFEST'"),
+        ((r"2$", "one"), 1, "malformed manifest line"),
+        ((r"2$", "7"), 1, "unsupported manifest version 7"),
+        ((r" [0-9a-f]{8} ", " XYZ "), 3, "malformed manifest line"),
+        ((r"200000$", "200000,"), 3, "malformed manifest line"),
+        ((r" 200000$", " "), 3, "malformed manifest line"),
+        ((r"^crc32", "crc"), 4, "malformed manifest line 'crc "),
+        ((r"[0-9a-f]{8}$", "1234"), 4, "malformed manifest line 'crc32 1234'"),
+        ((r".*", ""), 4, "malformed manifest line ''"),
     ])
     def test_malformed_manifest_names_line(self, tmp_path, edit, line, message):
-        make_manifest(tmp_path, [np.ones(100, dtype=np.float32)])
+        # two shards: version line, two shard lines, the crc32 line
+        make_manifest(tmp_path, [np.ones(200_000, dtype=np.float32)] * 2)
         path = tmp_path / "data" / MANIFEST_NAME
-        blob = path.read_bytes()
-        old, new = (x.encode() for x in edit)
-        assert blob.count(old) == 1
-        path.write_bytes(blob.replace(old, new))
+        lines = path.read_text().split("\n")
+        assert len(lines) == 5
+        lines[line - 1] = re.sub(edit[0], edit[1], lines[line - 1], count=1)
+        path.write_text("\n".join(lines))
+        if line < 4:
+            reseal(path)  # so the line itself, not the checksum, is what fails
         with pytest.raises(DataError, match=f"{MANIFEST_NAME}: line {line}: {message}"):
             ShardManifest.load(str(path))
+
+    def test_version_1_refused_with_rebuild_hint(self, tmp_path):
+        path = tmp_path / MANIFEST_NAME
+        path.write_bytes(b"SFMANIFEST 1\nroot_seed 0\nshard_count 0\nFOOTER\n")
+        with pytest.raises(DataError, match="line 1: unsupported manifest version 1, .*"
+                                            "rebuild the corpus with `serialcast shard`"):
+            ShardManifest.load(str(path))
+
+    def test_edited_length_rejected(self, tmp_path):
+        # the lengths live only in the manifest, so an edit must not pass unseen
+        make_manifest(tmp_path, [np.ones(100, dtype=np.float32), np.ones(150, dtype=np.float32)])
+        path = tmp_path / "data" / MANIFEST_NAME
+        path.write_bytes(path.read_bytes().replace(b" 100,150\n", b" 900,150\n"))
+        with pytest.raises(DataError, match="checksum mismatch"):
+            ShardManifest.load(str(path))
+        reseal(path)  # a consistent manifest that does not match its shard
+        manifest = ShardManifest.load(str(path))
+        with pytest.raises(DataError, match="shard_00000.sfd: 1000 bytes, but the manifest's "
+                                            "lengths need 4200"):
+            read_all_series(manifest)
+        with pytest.raises(DataError, match="mismatched manifest"):
+            WindowSampler(manifest).sample_raw(40, np.random.default_rng(0))
+
+    def test_every_flipped_byte_rejected(self, tmp_path):
+        make_manifest(tmp_path, [np.ones(100, dtype=np.float32), np.ones(150, dtype=np.float32)])
+        path = tmp_path / "data" / MANIFEST_NAME
+        blob = path.read_bytes()
+        for pos in range(len(blob)):
+            for mask in (0x01, 0x20, 0xFF):
+                damaged = bytearray(blob)
+                damaged[pos] ^= mask
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(DataError):
+                    ShardManifest.load(str(path))
 
     def test_checksum_mismatch_rejected(self, tmp_path):
         manifest = make_manifest(tmp_path, [np.ones(100, dtype=np.float32)])
@@ -114,7 +168,7 @@ class TestManifest:
         blob[-1] ^= 0xFF
         open(shard_file, "wb").write(bytes(blob))
         with pytest.raises(DataError, match="checksum"):
-            load_shard(shard_file, manifest.entries[0].crc32)
+            load_shard(shard_file, manifest.entries[0].crc32, [100])
 
     def test_truncated_record_detected(self, tmp_path):
         manifest = make_manifest(tmp_path, [np.ones(100, dtype=np.float32)])
@@ -122,7 +176,7 @@ class TestManifest:
         blob = open(shard_file, "rb").read()[:-8]
         open(shard_file, "wb").write(blob)
         with pytest.raises(DataError, match="truncated"):
-            load_shard(shard_file)
+            load_shard(shard_file, manifest.entries[0].crc32, [100])
 
 
 class TestShardQueue:
@@ -212,6 +266,20 @@ class TestWindowSampler:
         manifest = make_manifest(tmp_path, [np.ones(30, dtype=np.float32)])
         with pytest.raises(SamplerError):
             WindowSampler(manifest).sample_raw(31, np.random.default_rng(0))
+
+    def test_window_counts_match_loop_reference(self, tmp_path):
+        # counts come from the manifest lengths, summed in float64; the integer
+        # loop they replaced is the reference and must agree exactly
+        sizes = np.random.default_rng(8).integers(1, 120_000, 12)
+        manifest = make_manifest(tmp_path, [np.zeros(n, dtype=np.float32) for n in sizes])
+        assert len(manifest.entries) > 1
+        sampler = WindowSampler(manifest)
+        for length in (1, 32, 5_000, 119_999):
+            per_shard, per_series = sampler.window_counts(length)
+            for i, e in enumerate(manifest.entries):
+                ref = [max(0, n - length + 1) for n in e.series_lengths]
+                assert per_series[i].tolist() == ref
+                assert per_shard[i] == sum(ref)
 
     def test_long_series_weighted_more(self, tmp_path):
         short = np.full(40, 1.0, dtype=np.float32)  # 9 windows of 32

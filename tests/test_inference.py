@@ -5,10 +5,10 @@ import pytest
 
 from serialcast.backbone import ModelConfig, init_params
 from serialcast.errors import InputError
-from serialcast.inference import (bench_inference, eval_crps_wql, evaluate,
+from serialcast.inference import (_single_pass, bench_inference, eval_crps_wql, evaluate,
                                   expected_block_count, expected_passes, forecast,
                                   forecast_rolling_ntp, mase, seasonal_naive_scale)
-from serialcast.objectives import QuantileGrid, default_grid, pinball
+from serialcast.objectives import QuantileGrid, pinball
 
 CFG = ModelConfig(d_model=16, patch_len=4, n_max=8, n_main_blocks=2, n_serial_blocks=3,
                   n_experts=2, top_k=1, n_heads=1, n_quantiles=5)
@@ -51,10 +51,12 @@ class TestForecast:
                                           full.values[:, : k * CFG.patch_len])
 
     def test_quantiles_sorted_and_multiset_preserved(self, params, series):
-        raw = forecast(series, 16, params, CFG, sort_quantiles=False)
-        srt = forecast(series, 16, params, CFG, sort_quantiles=True)
+        srt = forecast(series, CFG.native_horizon, params, CFG)
         assert np.all(np.diff(srt.values, axis=0) >= 0)
-        np.testing.assert_array_equal(np.sort(raw.values, axis=0), srt.values)
+        # the one pass's raw head output, before sorting
+        raw, _ = _single_pass(series[-CFG.n_max * CFG.patch_len:], CFG.n_serial_blocks,
+                              params, CFG)
+        np.testing.assert_array_equal(np.sort(raw, axis=0), srt.values)
 
     def test_affine_equivariance(self, params):
         rng = np.random.default_rng(0)
@@ -63,10 +65,6 @@ class TestForecast:
         f1 = forecast(x, 12, params, CFG).values
         f2 = forecast(a * x + b, 12, params, CFG).values
         np.testing.assert_allclose(f2, a * f1 + b, rtol=1e-6, atol=1e-8 * (1 + abs(b)))
-
-    def test_grid_size_must_match_model(self, params, series):
-        with pytest.raises(InputError):
-            forecast(series, 8, params, CFG, grid=QuantileGrid((0.2, 0.5)))
 
     def test_bad_horizon(self, params, series):
         with pytest.raises(InputError):
@@ -116,10 +114,6 @@ class TestRolling:
                 dist = fn(series, f, params, CFG)
                 assert dist.blocks == expected_block_count(mode, f, CFG)
                 assert dist.passes == expected_passes(mode, f, CFG)
-
-    def test_grid_size_must_match_model(self, params, series):
-        with pytest.raises(InputError):
-            forecast_rolling_ntp(series, 8, params, CFG, default_grid(3))
 
 
 class TestMase:

@@ -121,7 +121,8 @@ class TestTrainStep:
         before = {k: p.data.copy() for k, p in params.items()}
         tcfg = TrainConfig(stage="pretrain", steps=1, batch_size=2, precision="f64")
         batch = draw_batch(WindowSampler(toy_manifest), SMALL, tcfg, 0)
-        res = train_step(params, batch, SMALL, tcfg, OptState.fresh(params), lr=0.0)
+        res = train_step(params, batch, SMALL, tcfg, OptState.fresh(params), lr=0.0,
+                         decayed=decayed_names(SMALL))
         assert math.isfinite(res.loss)
         for k in params:
             np.testing.assert_array_equal(params[k].data, before[k])
@@ -134,7 +135,8 @@ class TestTrainStep:
         before = {k: p.data.copy() for k, p in params.items()}
         tcfg = TrainConfig(stage="pretrain", steps=1, batch_size=2, precision="f64")
         batch = draw_batch(WindowSampler(toy_manifest), SMALL, tcfg, 0)
-        res = train_step(params, batch, SMALL, tcfg, OptState.fresh(params), lr=1e-3)
+        res = train_step(params, batch, SMALL, tcfg, OptState.fresh(params), lr=1e-3,
+                         decayed=decayed_names(SMALL))
         assert res.skipped
         for k in params:
             np.testing.assert_array_equal(params[k].data, before[k])
