@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _GRAD_ENABLED = True
+FULL_TILE = 16  # output columns per full BLAS kernel tile, see grouped_linear
 
 
 @contextlib.contextmanager
@@ -329,12 +330,18 @@ def grouped_linear(a, w, b, counts) -> Tensor:
         raise ValueError(f"grouped_linear shapes: rows {a.shape}, weights {w.shape}, "
                          f"biases {b.shape}, counts summing to {bounds[-1]}")
     groups = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    y = np.empty((a.shape[0], w.shape[2]), dtype=np.result_type(a.data, w.data, b.data))
+    o = w.shape[2]
+    y = np.empty((a.shape[0], o), dtype=np.result_type(a.data, w.data, b.data))
+    # A row's result must not depend on the rows that share its product, or
+    # causality and batched inference lose bit-exactness. BLAS breaks that two
+    # ways: a single row takes a different path than the same row in a batch,
+    # and output columns past the last multiple of FULL_TILE are computed by
+    # edge kernels chosen by the row count. So a lone row runs twice and the
+    # weights get zero columns up to a multiple of FULL_TILE.
+    wide = w.data if o % FULL_TILE == 0 else np.pad(w.data, ((0, 0), (0, 0), (0, -o % FULL_TILE)))
     for j, lo, hi in groups:
-        # a single-row matmul takes a different BLAS path than the same row
-        # inside a batch; run a lone row twice so causality stays bit-exact
         rows = a.data[lo:hi] if hi - lo > 1 else a.data[[lo, lo]]
-        y[lo:hi] = (rows @ w.data[j])[: hi - lo] + b.data[j]
+        y[lo:hi] = (rows @ wide[j])[: hi - lo, :o] + b.data[j]
 
     def bw(out):
         g = out.grad

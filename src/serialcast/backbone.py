@@ -224,7 +224,10 @@ def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tup
     b, n, d = u.shape
     e, k = cfg.n_experts, cfg.top_k
     flat = ad.reshape(u, (b * n, d))
-    affinity = ad.softmax(ad.matmul(flat, params[prefix + "router.w"]), axis=-1)  # (BN, E)
+    # one (N, d) @ (d, E) product per row of the batch: with few experts the
+    # BLAS edge kernels make a flat (B*N, d) product's rows depend on B
+    logits = ad.reshape(ad.matmul(u, params[prefix + "router.w"]), (b * n, e))
+    affinity = ad.softmax(logits, axis=-1)  # (BN, E)
 
     # stable sort on descending affinity -> equal scores keep index order
     order = np.argsort(-affinity.data, axis=-1, kind="stable")

@@ -6,6 +6,10 @@ from every depth in a single pass. Horizons beyond the native window fall
 back to outer autoregression: the median quantile is fed back as context and
 the extended window is re-normalized per pass. The rolling baseline is the
 same loop with one-patch chunks, so every pass runs the main stack only.
+
+The loop forecasts many series at once. At each chunk, the rows whose
+contexts have the same patch count share one forward pass, so no row is
+padded and each row's forecast is bit-identical to its batch-1 forecast.
 """
 
 from __future__ import annotations
@@ -21,9 +25,17 @@ from .backbone import ModelConfig, model_forward
 from .errors import InputError
 from .numerics import Params
 from .objectives import QuantileGrid, default_grid, patch_project, wql
-from .tokenizer import PatchBatch, denormalize, patchify, renormalize
+from .tokenizer import denormalize, make_batch, patchify, renormalize  # noqa: F401
+
+# renormalize and patchify run inside make_batch; their names stay bound here
+# because perfbench/tracing.py wraps inference.renormalize and .patchify.
 
 MASE_EPS = 1e-8
+# Rows per forward pass, which bounds one pass's memory. Series/s of a no-grad
+# depth-4 toy-config pass stops rising at about 8 rows and stays flat to 48, so
+# a larger cap only saves passes (2 cores, one BLAS thread;
+# BENCH_batched_eval.json).
+MAX_BATCH_ROWS = 32
 
 
 @dataclass
@@ -32,6 +44,7 @@ class ForecastDistribution:
     levels: QuantileGrid
     passes: int = 1  # forward passes spent producing it
     blocks: int = 0  # backbone blocks run over all passes (a serial block counts once)
+    wall_ms: float = 0.0  # each pass's wall time divided by the rows that shared it, summed
 
     @property
     def horizon(self) -> int:
@@ -40,22 +53,6 @@ class ForecastDistribution:
     @property
     def median(self) -> np.ndarray:
         return self.values[self.levels.median_index()]
-
-
-def _single_pass(context: np.ndarray, depth: int, params: Params, cfg: ModelConfig):
-    """One forward pass; returns (Q, (depth+1)*P) data-scale quantile patches
-    and the number of blocks it ran."""
-    norm, stats = renormalize(context)
-    patches, masks, n = patchify(norm, cfg.patch_len)
-    batch = PatchBatch(patches[None], masks[None], np.array([stats.mu]),
-                       np.array([stats.sigma]), n)
-    with no_grad():
-        trace = model_forward(batch, params, cfg, depth)
-    blocks = []
-    for h in [trace.h_main] + trace.serial_outputs:
-        last = Tensor(h.data[:, -1:, :])  # only the last token feeds predictions
-        blocks.append(patch_project(last, params, cfg).data[0, 0])  # (Q, P)
-    return denormalize(np.concatenate(blocks, axis=1), stats), len(trace.aux)
 
 
 def _observed(series) -> np.ndarray:
@@ -88,25 +85,54 @@ def _depth(chunk: int, cfg: ModelConfig) -> int:
     return math.ceil(chunk / cfg.patch_len) - 1
 
 
-def _forecast_loop(series, horizon: int, params: Params, cfg: ModelConfig,
-                   chunk_len: int) -> ForecastDistribution:
-    """One pass per chunk of at most ``chunk_len`` steps, at the depth the chunk
-    needs; between passes the median is appended to the context, which is then
+def _group_pass(contexts, depth: int, params: Params, cfg: ModelConfig):
+    """One forward pass over contexts of equal patch count; returns each row's
+    unsorted (Q, (depth+1)*P) data-scale quantile patches and the number of
+    blocks the pass ran."""
+    batch = make_batch(contexts, cfg.patch_len)
+    with no_grad():
+        trace = model_forward(batch, params, cfg, depth)
+        # only the last token feeds predictions; each (B, 1, d) row projects alone
+        heads = [patch_project(Tensor(h.data[:, -1:, :]), params, cfg).data[:, 0]
+                 for h in [trace.h_main] + trace.serial_outputs]  # (B, Q, P) each
+    raw = np.concatenate(heads, axis=2)
+    return [denormalize(row, st) for row, st in zip(raw, batch.stats)], len(trace.aux)
+
+
+def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
+                   chunk_len: int) -> list[ForecastDistribution]:
+    """One forecast per series. All rows share one chunk plan: one pass per
+    chunk of at most ``chunk_len`` steps, at the depth the chunk needs. Within
+    a chunk, rows of equal patch count run as groups of up to MAX_BATCH_ROWS.
+    Between passes each row's median is appended to its context, which is then
     re-normalized. Quantiles come out sorted along the level axis."""
     if horizon < 1:
         raise InputError("horizon must be >= 1")
     grid = default_grid(cfg.n_quantiles)
-    context = _truncate(_observed(series), cfg)
-    chunks: list[np.ndarray] = []
-    blocks = 0
-    for chunk in _chunk_plan(horizon, chunk_len):
-        if chunks:
-            context = _truncate(np.concatenate([context, chunks[-1][grid.median_index()]]), cfg)
-        pred, ran = _single_pass(context, _depth(chunk, cfg), params, cfg)
-        chunks.append(pred[:, :chunk])
-        blocks += ran
-    values = np.sort(np.concatenate(chunks, axis=1), axis=0)
-    return ForecastDistribution(values, grid, len(chunks), blocks)
+    contexts = [_truncate(_observed(s), cfg) for s in series_list]
+    chunks: list[list[np.ndarray]] = [[] for _ in contexts]
+    blocks = [0] * len(contexts)
+    wall_ms = [0.0] * len(contexts)
+    for step, chunk in enumerate(_chunk_plan(horizon, chunk_len)):
+        if step:
+            contexts = [_truncate(np.concatenate([c, done[-1][grid.median_index()]]), cfg)
+                        for c, done in zip(contexts, chunks)]
+        groups: dict[int, list[int]] = {}
+        for i, c in enumerate(contexts):
+            groups.setdefault(-(-c.size // cfg.patch_len), []).append(i)
+        for rows in groups.values():
+            for lo in range(0, len(rows), MAX_BATCH_ROWS):
+                part = rows[lo:lo + MAX_BATCH_ROWS]
+                t0 = time.perf_counter()
+                preds, ran = _group_pass([contexts[i] for i in part], _depth(chunk, cfg),
+                                         params, cfg)
+                share = 1000.0 * (time.perf_counter() - t0) / len(part)
+                for i, pred in zip(part, preds):
+                    chunks[i].append(pred[:, :chunk])
+                    blocks[i] += ran
+                    wall_ms[i] += share
+    return [ForecastDistribution(np.sort(np.concatenate(c, axis=1), axis=0), grid, len(c), b, w)
+            for c, b, w in zip(chunks, blocks, wall_ms)]
 
 
 def forecast(series, horizon: int, params: Params, cfg: ModelConfig) -> ForecastDistribution:
@@ -116,13 +142,13 @@ def forecast(series, horizon: int, params: Params, cfg: ModelConfig) -> Forecast
     appended to the context and the pass repeats on the extended, freshly
     re-normalized window.
     """
-    return _forecast_loop(series, horizon, params, cfg, _chunk_len("serial", cfg))
+    return _forecast_loop([series], horizon, params, cfg, _chunk_len("serial", cfg))[0]
 
 
 def forecast_rolling_ntp(series, horizon: int, params: Params,
                          cfg: ModelConfig) -> ForecastDistribution:
     """Autoregressive baseline: main blocks only, one patch per full recompute."""
-    return _forecast_loop(series, horizon, params, cfg, _chunk_len("rolling", cfg))
+    return _forecast_loop([series], horizon, params, cfg, _chunk_len("rolling", cfg))[0]
 
 
 def expected_passes(mode: str, horizon: int, cfg: ModelConfig) -> int:
@@ -141,6 +167,8 @@ def expected_block_count(mode: str, horizon: int, cfg: ModelConfig) -> int:
 
 def seasonal_naive_scale(insample, season: int = 1) -> float:
     """In-sample mean absolute seasonal-naive error (the MASE denominator)."""
+    if season < 1:
+        raise InputError(f"season must be >= 1, got {season}")
     x = np.asarray(insample, dtype=np.float64)
     if x.size <= season:
         raise InputError(f"insample of {x.size} too short for season {season}")
@@ -192,34 +220,38 @@ class EvalReport:
 
 def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int, season: int = 1,
              mode: str = "serial") -> EvalReport:
-    """Hold out the last ``horizon`` points of each series and score forecasts."""
+    """Hold out the last ``horizon`` points of each series and score forecasts,
+    all series in one batched forecast. ``wall_ms_p50`` is the median over
+    series of each one's share of the passes it ran in."""
     if mode not in ("serial", "rolling"):
         raise InputError(f"unknown mode {mode!r}")
-    fn = forecast if mode == "serial" else forecast_rolling_ntp
-    report = EvalReport()
-    crps_vals = []
-    times = []
+    if season < 1:
+        raise InputError(f"season must be >= 1, got {season}")
+    held = []
     for series in series_list:
         x = _observed(series)  # the held-out part is checked too
         if x.size <= horizon + season:
             raise InputError("series too short to hold out the horizon")
-        context, actual = x[:-horizon], x[-horizon:]
-        t0 = time.perf_counter()
-        dist = fn(context, horizon, params, cfg)
-        times.append(1000.0 * (time.perf_counter() - t0))
+        held.append((x[:-horizon], x[-horizon:]))
+    dists = _forecast_loop([context for context, _ in held], horizon, params, cfg,
+                           _chunk_len(mode, cfg))
+    report = EvalReport()
+    crps_vals = []
+    for (context, actual), dist in zip(held, dists):
         if is_degenerate_scale(context, season):
             report.mase_per_series.append(0.0 if np.allclose(dist.median, actual) else float("inf"))
         else:
             report.mase_per_series.append(mase(dist.median, actual, context, season))
         crps_vals.append(eval_crps_wql(dist, actual))
-        if mode == "serial":
-            report.passes_serial += dist.passes
-        else:
-            report.passes_rolling += dist.passes
+    passes = sum(dist.passes for dist in dists)
+    if mode == "serial":
+        report.passes_serial = passes
+    else:
+        report.passes_rolling = passes
     finite = [v for v in report.mase_per_series if math.isfinite(v)]
     report.mase = float(np.mean(finite)) if finite else float("nan")
     report.crps_wql = float(np.mean(crps_vals))
-    report.wall_ms_p50 = float(np.median(times))
+    report.wall_ms_p50 = float(np.median([dist.wall_ms for dist in dists]))
     return report
 
 

@@ -85,7 +85,9 @@ class PatchBatch:
 
 
 def make_batch(series_list, patch_len: int) -> PatchBatch:
-    """Batch of pure input windows (no targets); rows must patchify to equal N."""
+    """Batch of pure input windows (no targets), each row normalized by its own
+    stats; rows must patchify to equal N. Batched inference builds every pass
+    with it, grouping series by patch count so that no row is padded."""
     rows, masks, mus, sigmas = [], [], [], []
     n_ref = None
     for s in series_list:

@@ -279,20 +279,40 @@ class TestModelForward:
                     assert not np.array_equal(ha.data[0, i:], hb.data[0, i:])
 
     def test_causality_exact_float32(self):
-        # the criterion-3 probe on an f32 model, standard and extended context
-        cfg = ModelConfig(d_model=32, patch_len=4, n_max=8, n_main_blocks=2, n_serial_blocks=2,
-                          n_experts=4, top_k=2, n_heads=1, n_quantiles=3)
-        params = init_params(cfg, seed=5, dtype=np.float32)
-        for run_cfg, n_patches in ((cfg, cfg.n_max), (replace(cfg, n_max=16), 16)):
-            series = np.sin(np.arange(n_patches * cfg.patch_len) / 3.0)
-            trace_a = model_forward(make_batch([series], cfg.patch_len), params, run_cfg,
-                                    cfg.n_serial_blocks)
-            for i in range(n_patches):
-                batch = make_batch([series], cfg.patch_len)
-                batch.patches[0, i, :] += 0.25
-                trace_b = model_forward(batch, params, run_cfg, cfg.n_serial_blocks)
-                for ha, hb in zip(trace_a.embeddings[1:], trace_b.embeddings[1:]):
-                    assert np.array_equal(ha.data[0, :i], hb.data[0, :i])
+        # the criterion-3 probe on an f32 model, standard and extended context;
+        # d=34 leaves expert output columns past a full BLAS kernel tile
+        for d_model in (32, 34):
+            cfg = ModelConfig(d_model=d_model, patch_len=4, n_max=8, n_main_blocks=2,
+                              n_serial_blocks=2, n_experts=4, top_k=2, n_heads=1, n_quantiles=3)
+            params = init_params(cfg, seed=5, dtype=np.float32)
+            for run_cfg, n_patches in ((cfg, cfg.n_max), (replace(cfg, n_max=16), 16)):
+                series = np.sin(np.arange(n_patches * cfg.patch_len) / 3.0)
+                trace_a = model_forward(make_batch([series], cfg.patch_len), params, run_cfg,
+                                        cfg.n_serial_blocks)
+                for i in range(n_patches):
+                    batch = make_batch([series], cfg.patch_len)
+                    batch.patches[0, i, :] += 0.25
+                    trace_b = model_forward(batch, params, run_cfg, cfg.n_serial_blocks)
+                    for ha, hb in zip(trace_a.embeddings[1:], trace_b.embeddings[1:]):
+                        assert np.array_equal(ha.data[0, :i], hb.data[0, :i])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d_model,n_experts", [(16, 3), (18, 2), (36, 3)])
+    def test_rows_independent_of_batch(self, dtype, d_model, n_experts):
+        # batched inference relies on this; few experts leave router columns,
+        # and d=18 leaves expert columns, outside a full BLAS kernel tile
+        cfg = ModelConfig(d_model=d_model, patch_len=4, n_max=6, n_main_blocks=2,
+                          n_serial_blocks=1, n_experts=n_experts, top_k=2, n_heads=1,
+                          n_quantiles=3)
+        params = init_params(cfg, seed=1, dtype=dtype)
+        rng = np.random.default_rng(5)
+        for b in (2, 3, 5):
+            rows = [rng.normal(size=cfg.n_max * cfg.patch_len).cumsum() for _ in range(b)]
+            batched = model_forward(make_batch(rows, cfg.patch_len), params, cfg, 1)
+            for r, x in enumerate(rows):
+                alone = model_forward(make_batch([x], cfg.patch_len), params, cfg, 1)
+                for hb, ha in zip(batched.embeddings, alone.embeddings):
+                    np.testing.assert_array_equal(hb.data[r], ha.data[0])
 
     def test_shift_variant_uses_future_embeddings(self, tiny_batch):
         cfg = ModelConfig(d_model=16, patch_len=4, n_max=4, n_main_blocks=2, n_serial_blocks=2,

@@ -320,6 +320,14 @@ def test_eval_report_keys(pipeline, capsys):
         assert any(line.startswith(key + " ") for line in out.splitlines()), key
 
 
+@pytest.mark.parametrize("season", ["0", "-3"])
+def test_eval_season_below_one_exits_one(pipeline, capsys, season):
+    code = run(["eval", "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
+                "--input", pipeline["csv"], "--horizon", "4", "--season", season])
+    assert code == 1
+    assert f"season must be >= 1, got {season}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["serial", "rolling"])
 def test_eval_single_evaluation_closed_form_passes(pipeline, capsys, monkeypatch, mode):
     calls = []

@@ -1,13 +1,18 @@
-"""Forecast semantics, pass counting, metrics, and the benchmark harness."""
+"""Forecast semantics, batching, pass counting, metrics, and the benchmark harness."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from serialcast.backbone import ModelConfig, init_params
+from serialcast import inference
+from serialcast.backbone import VARIANT_SERIAL, VARIANT_SHIFT, ModelConfig, init_params
 from serialcast.errors import InputError
-from serialcast.inference import (_single_pass, bench_inference, eval_crps_wql, evaluate,
-                                  expected_block_count, expected_passes, forecast,
-                                  forecast_rolling_ntp, mase, seasonal_naive_scale)
+from serialcast.inference import (_chunk_len, _forecast_loop, _group_pass, bench_inference,
+                                  eval_crps_wql, evaluate, expected_block_count, expected_passes,
+                                  forecast, forecast_rolling_ntp, mase, seasonal_naive_scale)
 from serialcast.objectives import QuantileGrid, pinball
 
 CFG = ModelConfig(d_model=16, patch_len=4, n_max=8, n_main_blocks=2, n_serial_blocks=3,
@@ -54,8 +59,8 @@ class TestForecast:
         srt = forecast(series, CFG.native_horizon, params, CFG)
         assert np.all(np.diff(srt.values, axis=0) >= 0)
         # the one pass's raw head output, before sorting
-        raw, _ = _single_pass(series[-CFG.n_max * CFG.patch_len:], CFG.n_serial_blocks,
-                              params, CFG)
+        (raw,), _ = _group_pass([series[-CFG.n_max * CFG.patch_len:]], CFG.n_serial_blocks,
+                                params, CFG)
         np.testing.assert_array_equal(np.sort(raw, axis=0), srt.values)
 
     def test_affine_equivariance(self, params):
@@ -116,6 +121,66 @@ class TestRolling:
                 assert dist.passes == expected_passes(mode, f, CFG)
 
 
+@st.composite
+def _batched_case(draw):
+    """A tiny config, dtype, ragged lengths (with the patch-boundary cases),
+    a horizon up to past two serial chunks, a mode and a group-size cap."""
+    p = draw(st.integers(2, 5))
+    n_max = draw(st.integers(2, 5))
+    n_serial = draw(st.integers(0, 2))
+    d = draw(st.sampled_from([8, 12, 16, 18]))  # 18: expert output columns past a full tile
+    e = draw(st.integers(1, 4))
+    cfg = ModelConfig(d_model=d, patch_len=p, n_max=n_max, n_main_blocks=draw(st.integers(1, 2)),
+                      n_serial_blocks=n_serial, n_experts=e, top_k=draw(st.integers(1, e)),
+                      n_heads=draw(st.sampled_from([h for h in (1, 2) if d % (2 * h) == 0])),
+                      n_quantiles=draw(st.sampled_from([1, 3])),
+                      variant=draw(st.sampled_from([VARIANT_SERIAL, VARIANT_SHIFT])))
+    edges = [1, p - 1, p, n_max * p, n_max * p + 1]
+    lengths = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(1, (n_max + 2) * p)),
+                            min_size=1, max_size=6))
+    return dict(cfg=cfg, dtype=draw(st.sampled_from([np.float32, np.float64])),
+                lengths=lengths, duplicate=draw(st.integers(0, len(lengths) - 1)),
+                horizon=draw(st.integers(1, 2 * cfg.native_horizon + p)),
+                mode=draw(st.sampled_from(["serial", "rolling"])),
+                cap=draw(st.sampled_from([1, 2, inference.MAX_BATCH_ROWS])),
+                seed=draw(st.integers(0, 2**16)))
+
+
+@given(_batched_case())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_batched_rows_equal_batch_one(case):
+    cfg, mode, horizon = case["cfg"], case["mode"], case["horizon"]
+    params = init_params(cfg, seed=case["seed"], dtype=case["dtype"])
+    rng = np.random.default_rng(case["seed"])
+    series = [rng.normal(size=n).cumsum() for n in case["lengths"]]
+    series.append(series[case["duplicate"]].copy())
+    with mock.patch.object(inference, "MAX_BATCH_ROWS", case["cap"]):
+        rows = _forecast_loop(series, horizon, params, cfg, _chunk_len(mode, cfg))
+    single = forecast if mode == "serial" else forecast_rolling_ntp
+    for x, row in zip(series, rows):
+        np.testing.assert_array_equal(row.values, single(x, horizon, params, cfg).values)
+        assert row.passes == expected_passes(mode, horizon, cfg)
+        assert row.blocks == expected_block_count(mode, horizon, cfg)
+    np.testing.assert_array_equal(rows[-1].values, rows[case["duplicate"]].values)
+
+
+class TestBatching:
+    def test_rows_sharing_a_pass_split_its_time(self, params):
+        x = np.sin(np.arange(30) / 4.0)
+        rows = _forecast_loop([x, x, np.ones(9)], 8, params, CFG, _chunk_len("serial", CFG))
+        assert rows[0].wall_ms == rows[1].wall_ms > 0  # one pass, charged half each
+        assert rows[2].wall_ms > 0
+
+    def test_empty_list(self, params):
+        assert _forecast_loop([], 8, params, CFG, _chunk_len("serial", CFG)) == []
+
+    def test_one_bad_series_rejects_the_batch(self, params):
+        bad = np.ones(20)
+        bad[4] = np.nan
+        with pytest.raises(InputError, match="index 4$"):
+            _forecast_loop([np.ones(20), bad], 8, params, CFG, _chunk_len("serial", CFG))
+
+
 class TestMase:
     def test_perfect_forecast_zero(self):
         x = np.arange(10.0)
@@ -143,6 +208,11 @@ class TestMase:
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             mase(np.ones(3), np.ones(4), np.ones(10))
+
+    @pytest.mark.parametrize("season", [0, -3])
+    def test_season_below_one_rejected(self, season):
+        with pytest.raises(InputError, match="season must be >= 1"):
+            seasonal_naive_scale(np.arange(20.0), season)
 
 
 class TestCrpsWql:
@@ -189,6 +259,12 @@ class TestEvaluateAndBench:
         assert len(report.mase_per_series) == 3
         keys = [line.split()[0] for line in report.lines()]
         assert keys == ["mase", "crps_wql", "passes_serial", "passes_rolling", "wall_ms_p50"]
+
+    @pytest.mark.parametrize("season", [0, -3])
+    def test_evaluate_season_below_one_rejected(self, params, season):
+        series = [np.sin(np.arange(80) / 4.0)]
+        with pytest.raises(InputError, match="season must be >= 1"):
+            evaluate(params, CFG, series, horizon=8, season=season)
 
     def test_bench_counts_and_ratio(self, params):
         points = bench_inference(params, CFG, [CFG.native_horizon], repetitions=2, seed=1)
