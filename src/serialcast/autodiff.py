@@ -154,18 +154,6 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, (a, b), bw)
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise max; ties route the gradient to the first argument."""
-    a, b = _operands(a, b)
-    take_a = a.data >= b.data
-
-    def bw(out):
-        a._accumulate(_unbroadcast(out.grad * take_a, a.shape))
-        b._accumulate(_unbroadcast(out.grad * ~take_a, b.shape))
-
-    return _make(np.where(take_a, a.data, b.data), (a, b), bw)
-
-
 def silu(a) -> Tensor:
     a = astensor(a)
     s = 1.0 / (1.0 + np.exp(-np.clip(a.data, -60.0, 60.0)))

@@ -96,13 +96,10 @@ class ForwardTrace:
     n_main: int = 0
 
     @property
-    def h_main(self) -> Tensor:
-        """Output of the last main block."""
-        return self.embeddings[self.n_main]
-
-    @property
-    def serial_outputs(self) -> list[Tensor]:
-        return self.embeddings[self.n_main + 1 :]
+    def depth_outputs(self) -> list[Tensor]:
+        """The outputs that predict patches: entry d, the last main block's at
+        d = 0 and serial block d's after it, predicts the patch d+1 ahead."""
+        return self.embeddings[self.n_main :]
 
     @property
     def depth(self) -> int:
@@ -207,7 +204,7 @@ def attention_forward(h_in: Tensor, params: Params, prefix: str, cfg: ModelConfi
 
     scores = ad.matmul(q, ad.swapaxes(k, -1, -2))  # (B, nh, N, N)
     tau = ad.reshape(ad.softplus(params[prefix + "attn.tau_raw"]), (nh, 1, 1))
-    probs = scaled_masked_softmax(scores, tau, causal=True)
+    probs = scaled_masked_softmax(scores, tau)
     out = ad.matmul(probs, v)  # (B, nh, N, dh)
     out = ad.reshape(ad.swapaxes(out, 1, 2), (b, n, d))
     return ad.matmul(out, params[prefix + "attn.wo"])
@@ -255,9 +252,10 @@ def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tup
 
 
 def aux_loss(aux: MoEAux) -> Tensor:
-    """Load-balance penalty E * sum_j f_j * P_j; 1.0 at perfect uniformity."""
-    e = aux.assign_frac.size
-    return ad.mul(ad.tsum(ad.mul(aux.mean_affinity, aux.assign_frac)), float(e))
+    """Load-balance penalty E * sum_j f_j * P_j over the last (expert) axis;
+    1.0 at perfect uniformity. Accumulators stacked to (L, E) give (L,)."""
+    e = aux.assign_frac.shape[-1]
+    return ad.mul(ad.tsum(ad.mul(aux.mean_affinity, aux.assign_frac), axis=-1), float(e))
 
 
 def moe_block(h: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple[Tensor, MoEAux]:

@@ -129,6 +129,8 @@ def _gather_series(inputs: list[str]) -> list[np.ndarray]:
     paths = []
     for pattern in inputs:
         hits = sorted(glob.glob(pattern)) if any(c in pattern for c in "*?[") else [pattern]
+        if not hits:
+            raise InputError(f"no input file matches {pattern!r}")
         paths.extend(hits)
     if not paths:
         raise InputError("no input files")

@@ -148,6 +148,8 @@ def dickey_fuller_design(series, lag_order: int) -> tuple[np.ndarray, np.ndarray
 
     Column order: [const, x_{t-1}, dx_{t-1}, ..., dx_{t-lag}].
     """
+    if lag_order < 0:
+        raise InputError(f"lag order must be >= 0, got {lag_order}")
     x = np.asarray(series, dtype=np.float64)
     t = x.size
     if t < lag_order + 10:

@@ -129,7 +129,7 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES,
     try:
         filled = 0
         for idx, series in enumerate(series_iter):
-            values = np.asarray(series.values if hasattr(series, "values") else series)
+            values = np.asarray(series)
             if values.size == 0:
                 raise InputError(f"series {idx} is empty")
             for start in range(0, values.size, capacity):
@@ -212,9 +212,9 @@ class WindowSampler:
     a fixed rng.
     """
 
-    def __init__(self, manifest: ShardManifest, queue_capacity: int = 4):
+    def __init__(self, manifest: ShardManifest):
         self.manifest = manifest
-        self.queue = ShardQueue(manifest, queue_capacity)
+        self.queue = ShardQueue(manifest)
         self._windows: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
 
     def window_counts(self, length: int) -> tuple[np.ndarray, list[np.ndarray]]:

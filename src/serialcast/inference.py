@@ -1,8 +1,9 @@
 """Forecast generation, the rolling baseline, evaluation metrics, benchmark.
 
 A serial forecast runs the main stack once and as many serial blocks as the
-horizon requires (depth = ceil(F/P) - 1), collecting last-token projections
-from every depth in a single pass. Horizons beyond the native window fall
+horizon requires (depth = ceil(F/P) - 1). Depth 0, the main stack, predicts
+the next patch and serial block j the patch j+1 ahead, and one head pass
+projects every depth's last token. Horizons beyond the native window fall
 back to outer autoregression: the median quantile is fed back as context and
 the extended window is re-normalized per pass. The rolling baseline is the
 same loop with one-patch chunks, so every pass runs the main stack only.
@@ -92,10 +93,11 @@ def _group_pass(contexts, depth: int, params: Params, cfg: ModelConfig):
     batch = make_batch(contexts, cfg.patch_len)
     with no_grad():
         trace = model_forward(batch, params, cfg, depth)
-        # only the last token feeds predictions; each (B, 1, d) row projects alone
-        heads = [patch_project(Tensor(h.data[:, -1:, :]), params, cfg).data[:, 0]
-                 for h in [trace.h_main] + trace.serial_outputs]  # (B, Q, P) each
-    raw = np.concatenate(heads, axis=2)
+        # only the last token feeds predictions: every depth's (B, 1, d) rows,
+        # stacked depth-major, go through the head once, each row as its own product
+        last = np.concatenate([h.data[:, -1:, :] for h in trace.depth_outputs])
+        heads = patch_project(Tensor(last), params, cfg).data[:, 0]  # ((depth+1)*B, Q, P)
+    raw = np.concatenate(heads.reshape(depth + 1, len(contexts), *heads.shape[1:]), axis=2)
     return [denormalize(row, st) for row, st in zip(raw, batch.stats)], len(trace.aux)
 
 

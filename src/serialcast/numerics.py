@@ -82,7 +82,7 @@ def causal_mask(n: int) -> np.ndarray:
     return mask
 
 
-def scaled_masked_softmax(scores, tau, causal: bool = True) -> Tensor:
+def scaled_masked_softmax(scores, tau) -> Tensor:
     """softmax(tau * scores) with entries j > i forced to exactly 0.
 
     tau scales finite scores only; the -inf substitution happens afterwards,
@@ -93,8 +93,7 @@ def scaled_masked_softmax(scores, tau, causal: bool = True) -> Tensor:
     tau_data = tau.data if isinstance(tau, Tensor) else np.asarray(tau)
     if np.any(tau_data <= 0):
         raise InputError("tau must be > 0")
-    mask = causal_mask(scores.shape[-1]) if causal else None
-    return ad.softmax(scores, axis=-1, mask=mask, scale=tau)
+    return ad.softmax(scores, axis=-1, mask=causal_mask(scores.shape[-1]), scale=tau)
 
 
 # -- finite-difference oracle -------------------------------------------
@@ -117,12 +116,14 @@ def finite_diff_gradient(loss_fn, params: Params, epsilon: float = 1e-5,
                          rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
     """Central-difference gradient (f(t+e) - f(t-e)) / 2e per coordinate.
 
-    With ``coords_per_tensor`` set, only that many randomly chosen
-    coordinates are evaluated per tensor; unsampled entries are NaN.
+    With ``coords_per_tensor`` set (at least 1), only that many randomly
+    chosen coordinates are evaluated per tensor; unsampled entries are NaN.
     ``loss_fn`` must be deterministic (checked by a repeated base evaluation).
     """
     if not (1e-6 <= epsilon <= 1e-4):
         raise InputError(f"epsilon {epsilon} outside [1e-6, 1e-4]")
+    if coords_per_tensor is not None and coords_per_tensor < 1:
+        raise InputError(f"coords per tensor must be >= 1, got {coords_per_tensor}")
     for name, p in params.items():
         if p.data.dtype != np.float64:
             raise InputError(f"finite differences require 64-bit params ({name} is {p.data.dtype})")

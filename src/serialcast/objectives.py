@@ -1,5 +1,9 @@
-"""Quantile forecasting head and the training losses.
+"""Quantile forecasting head and the training loss.
 
+The main stack's outputs predict the patch one step ahead and serial block
+j's outputs the patch j+1 ahead, so next-patch training is depth 0 of one
+loss over every depth: ``depth_losses`` runs the head and the pinball loss
+once over all depths, and ``stage_loss`` weighs its entries per stage.
 Losses are computed in normalized space (the head's native space);
 de-normalization happens only at inference. Padded target positions are
 excluded from both the numerator and the denominator of the weighted
@@ -80,77 +84,38 @@ def patch_project(h, params: Params, cfg: ModelConfig) -> Tensor:
     return ad.reshape(y, h.shape[:-1] + (cfg.n_quantiles, cfg.patch_len))
 
 
-# -- vectorized training losses ------------------------------------------
+# -- training loss -------------------------------------------------------
 
 
-def _per_token_loss(preds: Tensor, targets: np.ndarray, mask: np.ndarray,
-                    levels: tuple[float, ...]) -> Tensor:
-    """(B, N) tensor of per-token prediction losses.
+def depth_losses(trace: ForwardTrace, batch: PatchBatch, params: Params, cfg: ModelConfig,
+                 grid: QuantileGrid) -> Tensor:
+    """(D+1,) losses of a depth-D trace. Entry d scores depth d's outputs (the
+    main stack at d = 0, serial block d after it) against the patches d+1
+    ahead: the batch mean of each row's summed per-token losses, a token's
+    loss being the mean over levels of its patch's weighted quantile loss.
 
-    preds: (B, N, Q, P); targets/mask: (B, N, P) constants.
+    The shift-token variant masks depth d's last d tokens, which fuse clamped
+    future embeddings. The depths are stacked along the batch axis, so the
+    head and the loss run once for all of them.
     """
+    depths, n = trace.depth + 1, batch.n_input
+    if batch.patches.shape[1] < n + depths:
+        raise InputError(f"targets require {n + depths} patches, batch has {batch.patches.shape[1]}")
+    targets = np.concatenate([batch.patches[:, d + 1 : n + d + 1] for d in range(depths)])
+    masks = [batch.masks[:, d + 1 : n + d + 1] for d in range(depths)]
+    if cfg.variant == VARIANT_SHIFT:
+        masks = [m * (np.arange(n) < n - d)[:, None] for d, m in enumerate(masks)]
+    mask = np.concatenate(masks)  # ((D+1)*B, N, P), as are targets
+
+    preds = patch_project(ad.concat(trace.depth_outputs, axis=0), params, cfg)  # (.., N, Q, P)
     dt = preds.dtype
-    q = np.asarray(levels, dtype=dt).reshape(1, 1, -1, 1)
-    x = targets.astype(dt)[:, :, None, :]
-    m = mask.astype(dt)[:, :, None, :]
-    err = ad.add(ad.mul(preds, -1.0), x)  # x - xhat
-    rho = ad.mul(ad.maximum(ad.mul(err, q), ad.mul(err, q - 1.0)), m)
-    num = ad.tsum(rho, axis=-1)  # (B, N, Q)
+    q = np.asarray(grid.levels, dtype=dt).reshape(1, 1, -1, 1)
+    err = ad.add(ad.mul(preds, -1.0), targets.astype(dt)[:, :, None, :])  # x - xhat
+    # pinball max(q*e, (q-1)*e) is e times a constant weight, in value and gradient
+    rho = ad.mul(err, (q - (err.data < 0)) * mask.astype(dt)[:, :, None, :])
     den = np.maximum((np.abs(targets) * mask).sum(axis=-1), WQL_EPS)[:, :, None].astype(dt)
-    return ad.tmean(ad.mul(num, 2.0 / den), axis=-1)  # (B, N)
-
-
-def _depth_loss(h: Tensor, batch: PatchBatch, offset: int, params: Params,
-                cfg: ModelConfig, grid: QuantileGrid, drop_tail: int = 0) -> Tensor:
-    """Dense loss of one depth's outputs against patches shifted by ``offset``.
-
-    Token i predicts patch i+offset. Returns the batch mean of the per-row
-    token sums. ``drop_tail`` masks the last tokens out of the loss (used by
-    the shift-token variant, whose tail fuses clamped future embeddings).
-    """
-    n = batch.n_input
-    if batch.patches.shape[1] < n + offset:
-        raise InputError(f"targets require {n + offset} patches, batch has {batch.patches.shape[1]}")
-    preds = patch_project(h, params, cfg)  # (B, N, Q, P)
-    targets = batch.patches[:, offset : n + offset, :]
-    mask = batch.masks[:, offset : n + offset, :].copy()
-    if drop_tail > 0:
-        mask[:, n - drop_tail :, :] = 0.0
-    token_loss = _per_token_loss(preds, targets, mask, grid.levels)
-    return ad.tmean(ad.tsum(token_loss, axis=1))
-
-
-def ntp_loss(trace: ForwardTrace, batch: PatchBatch, params: Params, cfg: ModelConfig,
-             grid: QuantileGrid | None = None) -> Tensor:
-    """Next-patch loss summed over all token positions of the main stack."""
-    grid = grid or default_grid(cfg.n_quantiles)
-    return _depth_loss(trace.h_main, batch, 1, params, cfg, grid)
-
-
-def serial_loss(trace: ForwardTrace, batch: PatchBatch, params: Params, cfg: ModelConfig,
-                weights, grid: QuantileGrid | None = None) -> Tensor:
-    """(1/H) * sum_j w_j * (dense loss of serial depth j at offset j+1).
-
-    Uniform weights give the pre-train objective; 1/sqrt(j) the post-train one.
-    """
-    grid = grid or default_grid(cfg.n_quantiles)
-    weights = list(weights)
-    h_depths = len(weights)
-    if trace.depth < h_depths:
-        raise InputError(f"trace depth {trace.depth} < required {h_depths}")
-    if h_depths == 0:
-        return Tensor(np.zeros((), dtype=trace.h_main.dtype))
-    total = None
-    for j in range(1, h_depths + 1):
-        drop = j if cfg.variant == VARIANT_SHIFT else 0
-        term = _depth_loss(trace.serial_outputs[j - 1], batch, j + 1, params, cfg, grid, drop_tail=drop)
-        term = ad.mul(term, float(weights[j - 1]))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, 1.0 / h_depths)
-
-
-def uniform_weights(h_depths: int) -> list[float]:
-    return [1.0] * h_depths
+    token_loss = ad.tmean(ad.mul(ad.tsum(rho, axis=-1), 2.0 / den), axis=-1)  # (.., N)
+    return ad.tmean(ad.reshape(ad.tsum(token_loss, axis=1), (depths, -1)), axis=1)
 
 
 def horizon_decay_weights(h_depths: int) -> list[float]:
@@ -159,32 +124,35 @@ def horizon_decay_weights(h_depths: int) -> list[float]:
 
 
 def mean_aux_loss(aux_list: list[MoEAux]) -> Tensor:
-    """Load-balance loss averaged over every MoE instance in the forward."""
+    """Load-balance loss averaged over every MoE layer in the forward, as one
+    ``aux_loss`` over the layers' accumulators stacked to (L, E)."""
     if not aux_list:
         raise InputError("no MoE accumulators")
-    total = None
-    for aux in aux_list:
-        term = aux_loss(aux)
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, 1.0 / len(aux_list))
+    affinity = ad.concat([aux.mean_affinity for aux in aux_list], axis=0)
+    stacked = MoEAux(np.stack([aux.assign_frac for aux in aux_list]),
+                     ad.reshape(affinity, (len(aux_list), -1)))
+    return ad.tmean(aux_loss(stacked))
 
 
 def stage_loss(stage: str, trace: ForwardTrace, batch: PatchBatch, params: Params,
                cfg: ModelConfig,
                grid: QuantileGrid | None = None) -> tuple[Tensor, dict[str, float]]:
-    """Composite objective for a training stage.
+    """Composite objective for a training stage, from the depth losses l_0..l_H.
 
-    pretrain:  next-token + serial (uniform weights)  + cfg.alpha * balance
-    posttrain: next-token + serial (1/sqrt(j) weights) + cfg.alpha * balance
+    pretrain:  l_0 + (1/H) sum_j l_j           + cfg.alpha * balance
+    posttrain: l_0 + (1/H) sum_j l_j / sqrt(j) + cfg.alpha * balance
+    l_0 is the next-token part and the weighted sum the serial part.
     Returns the scalar loss tensor and a float breakdown for logging.
     """
     if stage not in ("pretrain", "posttrain"):
         raise InputError(f"unknown stage {stage!r}")
     grid = grid or default_grid(cfg.n_quantiles)
+    losses = depth_losses(trace, batch, params, cfg, grid)
     h_depths = trace.depth
-    w = uniform_weights(h_depths) if stage == "pretrain" else horizon_decay_weights(h_depths)
-    ntp = ntp_loss(trace, batch, params, cfg, grid)
-    ser = serial_loss(trace, batch, params, cfg, w, grid)
+    w = np.ones(h_depths) if stage == "pretrain" else horizon_decay_weights(h_depths)
+    ntp = ad.getitem(losses, 0)
+    weighted = ad.mul(ad.getitem(losses, slice(1, None)), np.asarray(w, dtype=losses.dtype))
+    ser = ad.mul(ad.tsum(weighted), 1.0 / max(h_depths, 1))
     aux = mean_aux_loss(trace.aux)
     total = ad.add(ad.add(ntp, ser), ad.mul(aux, float(cfg.alpha)))
     parts = {"ntp": float(ntp.data), "serial": float(ser.data),

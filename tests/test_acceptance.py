@@ -21,7 +21,7 @@ from serialcast.dataloader import (MixtureSampler, WindowSampler, build_shards,
                                    read_all_series)
 from serialcast.inference import (bench_inference, eval_crps_wql, forecast,
                                   forecast_rolling_ntp, mase)
-from serialcast.objectives import (default_grid, pinball, serial_loss, wql, horizon_decay_weights)
+from serialcast.objectives import (default_grid, depth_losses, pinball, wql, horizon_decay_weights)
 from serialcast.tokenizer import make_batch, make_supervised_batch
 from serialcast.trainer import TrainConfig, gradient_check_suite, run_posttrain, run_pretrain
 
@@ -84,7 +84,7 @@ def first_block_val_loss(params):
     batch = validation_batch()
     grid = default_grid(TOY_CFG.n_quantiles)
     trace = model_forward(batch, params, TOY_CFG, depth=1)
-    return float(serial_loss(trace, batch, params, TOY_CFG, [1.0], grid).data)
+    return float(depth_losses(trace, batch, params, TOY_CFG, grid).data[1])
 
 
 # -- criteria ----------------------------------------------------------------

@@ -255,8 +255,8 @@ class TestModelForward:
     def test_prefix_property_bit_exact(self, tiny_cfg, tiny_params, tiny_batch):
         t1 = model_forward(tiny_batch, tiny_params, tiny_cfg, 1)
         t2 = model_forward(tiny_batch, tiny_params, tiny_cfg, 2)
-        np.testing.assert_array_equal(t1.serial_outputs[0].data, t2.serial_outputs[0].data)
-        np.testing.assert_array_equal(t1.h_main.data, t2.h_main.data)
+        np.testing.assert_array_equal(t1.depth_outputs[1].data, t2.depth_outputs[1].data)
+        np.testing.assert_array_equal(t1.depth_outputs[0].data, t2.depth_outputs[0].data)
 
     def test_block_invocation_count(self, tiny_cfg, tiny_params, tiny_batch):
         for depth in range(tiny_cfg.n_serial_blocks + 1):
@@ -320,13 +320,13 @@ class TestModelForward:
         params = init_params(cfg, seed=1, dtype=np.float64)
         trace = model_forward(tiny_batch, params, cfg, cfg.n_serial_blocks)
         assert trace.depth == cfg.n_serial_blocks
-        assert np.isfinite(trace.serial_outputs[-1].data).all()
+        assert np.isfinite(trace.depth_outputs[-1].data).all()
         # shifting matters: serial variant on same params differs at depth >= 1
         cfg_serial = ModelConfig(d_model=16, patch_len=4, n_max=4, n_main_blocks=2,
                                  n_serial_blocks=2, n_experts=4, top_k=2, n_heads=1, n_quantiles=3)
         trace_s = model_forward(tiny_batch, params, cfg_serial, cfg.n_serial_blocks)
-        assert not np.allclose(trace.serial_outputs[0].data, trace_s.serial_outputs[0].data)
-        np.testing.assert_array_equal(trace.h_main.data, trace_s.h_main.data)
+        assert not np.allclose(trace.depth_outputs[1].data, trace_s.depth_outputs[1].data)
+        np.testing.assert_array_equal(trace.depth_outputs[0].data, trace_s.depth_outputs[0].data)
 
 
 class TestConfigValidation:

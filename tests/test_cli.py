@@ -73,6 +73,24 @@ def test_stats_on_float32_sinusoid_corpus(tmp_path, capsys):
     assert "nan" not in out and "aggregate adf" in out
 
 
+def test_stats_negative_lag_exits_one(tmp_path, capsys):
+    path = str(tmp_path / "s.csv")
+    run(["synth", "--kind", "sinusoidal", "--length", "256", "--out", path])
+    capsys.readouterr()
+    assert run(["stats", "--input", path, "--lag", "-1"]) == 1
+    assert "lag order must be >= 0" in capsys.readouterr().err
+
+
+def test_stats_unmatched_pattern_exits_one(tmp_path, capsys):
+    # a pattern matching nothing is an error even when another input is given
+    path = str(tmp_path / "s.csv")
+    run(["synth", "--kind", "sinusoidal", "--length", "256", "--out", path])
+    capsys.readouterr()
+    pattern = str(tmp_path / "nomatch*.csv")
+    assert run(["stats", "--input", path, pattern]) == 1
+    assert f"no input file matches {pattern!r}" in capsys.readouterr().err
+
+
 def test_stats_non_numeric_line_exits_one(tmp_path, capsys):
     path = tmp_path / "abc.csv"
     path.write_text("value\n1.0\n2.0\nabc\n4.0\n")
@@ -405,3 +423,10 @@ def test_n_max_override_rejected(pipeline, tmp_path, capsys):
 def test_gradcheck_exit_zero(capsys):
     assert run(["gradcheck", "--coords", "2"]) == 0
     assert "passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("coords", ["0", "-1"])
+def test_gradcheck_coords_below_one_exits_one(capsys, coords):
+    assert run(["gradcheck", "--coords", coords]) == 1
+    err = capsys.readouterr().err
+    assert "coords per tensor must be >= 1" in err and "Traceback" not in err

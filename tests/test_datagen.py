@@ -162,6 +162,14 @@ class TestAdf:
         assert np.isfinite(stat) and np.isclose(stat, oracle, atol=1e-8)
         assert abs(beta[1]) < 1e-3  # gamma-hat near 0 under the no-trend spec
 
+    def test_negative_lag_rejected(self):
+        # a lag of -1 would index dx[-1], the last difference, as x_{t+1}'s
+        x = np.random.default_rng(3).normal(size=100).cumsum()
+        with pytest.raises(InputError, match="lag order"):
+            dickey_fuller_design(x, -1)
+        with pytest.raises(InputError):
+            adf_statistic(x, lag_order=-1)
+
     def test_oracle_agreement_with_lags(self):
         rng = np.random.default_rng(6)
         for lag in (1, 3, 5):

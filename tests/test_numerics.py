@@ -120,22 +120,22 @@ class TestScaledMaskedSoftmax:
 
     def test_symmetric_row(self):
         scores = Tensor(np.array([[0.0, 0.0], [0.3, 0.3]]))
-        out = scaled_masked_softmax(scores, 1.5, causal=False)
+        out = ad.softmax(scores, scale=1.5)
         np.testing.assert_allclose(out.data, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_closed_form_row(self):
         scores = Tensor(np.array([[0.0, np.log(3.0)], [0.0, np.log(3.0)]]))
-        out = scaled_masked_softmax(scores, 1.0, causal=False)
+        out = ad.softmax(scores, scale=1.0)
         np.testing.assert_allclose(out.data[0], [0.25, 0.75], atol=1e-12)
 
     def test_causal_zeros_and_row_sums(self):
         rng = np.random.default_rng(3)
-        out = scaled_masked_softmax(Tensor(rng.normal(size=(6, 6))), 3.0, causal=True).data
+        out = scaled_masked_softmax(Tensor(rng.normal(size=(6, 6))), 3.0).data
         assert (out[np.triu_indices(6, k=1)] == 0.0).all()
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_large_tau_never_unmasks(self):
-        out = scaled_masked_softmax(Tensor(np.full((3, 3), 50.0)), 1e6, causal=True).data
+        out = scaled_masked_softmax(Tensor(np.full((3, 3), 50.0)), 1e6).data
         assert (out[np.triu_indices(3, k=1)] == 0.0).all()
 
     def test_nonpositive_tau_rejected(self):
@@ -176,6 +176,13 @@ class TestFiniteDiff:
 
         with pytest.raises(InputError):
             finite_diff_gradient(noisy, {"theta": theta}, 1e-5)
+
+    @pytest.mark.parametrize("coords", [0, -1])
+    def test_coords_below_one_rejected(self, coords):
+        # zero coordinates would compare nothing and pass every family
+        theta = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(InputError, match="coords per tensor"):
+            finite_diff_gradient(lambda p: 0.0, {"theta": theta}, 1e-5, coords_per_tensor=coords)
 
     def test_coordinate_sampling_marks_nan(self):
         theta = Tensor(np.arange(10.0), requires_grad=True)

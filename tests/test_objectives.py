@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serialcast.backbone import init_params, model_forward
+from serialcast.backbone import ModelConfig, aux_loss, init_params, model_forward
 from serialcast.errors import InputError
-from serialcast.objectives import (QuantileGrid, mean_aux_loss, ntp_loss, patch_project,
-                                   pinball, stage_loss, serial_loss,
-                                   uniform_weights, wql, horizon_decay_weights)
+from serialcast.objectives import (QuantileGrid, default_grid, depth_losses, mean_aux_loss,
+                                   patch_project, pinball, stage_loss, wql,
+                                   horizon_decay_weights)
+from serialcast.tokenizer import make_supervised_batch
 
 level = st.floats(0.01, 0.99)
 
@@ -133,46 +134,120 @@ class TestHead:
         assert out.shape == (2, 4, tiny_cfg.n_quantiles, tiny_cfg.patch_len)
 
 
+def _graph(roots) -> set[int]:
+    """Ids of every tensor reachable from ``roots``."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return seen
+
+
 class TestTrainingLosses:
     def test_ntp_zero_when_head_reproduces_targets(self, tiny_cfg, tiny_params, tiny_grid, tiny_batch):
         # constant-series batch: normalized targets are all zero, so a zero
         # head output reproduces them exactly on every quantile
         windows = np.full((1, (tiny_cfg.n_max + tiny_cfg.n_serial_blocks + 1) * tiny_cfg.patch_len), 5.0)
-        from serialcast.tokenizer import make_supervised_batch
-
         batch = make_supervised_batch(windows, tiny_cfg.n_max, tiny_cfg.patch_len)
         tiny_params["head.w"].data[:] = 0.0
         tiny_params["head.b"].data[:] = 0.0
         trace = model_forward(batch, tiny_params, tiny_cfg, 0)
-        assert float(ntp_loss(trace, batch, tiny_params, tiny_cfg, tiny_grid).data) == 0.0
+        assert depth_losses(trace, batch, tiny_params, tiny_cfg, tiny_grid).data[0] == 0.0
 
     def test_ntp_finite_positive_on_random_init(self, tiny_cfg, tiny_params, tiny_grid, tiny_batch):
         trace = model_forward(tiny_batch, tiny_params, tiny_cfg, 0)
-        val = float(ntp_loss(trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid).data)
-        assert np.isfinite(val) and val > 0
+        losses = depth_losses(trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid).data
+        assert losses.shape == (1,) and np.isfinite(losses[0]) and losses[0] > 0
 
     def test_serial_uniform_additive_over_depths(self, tiny_cfg, tiny_params, tiny_grid, tiny_batch):
         trace = model_forward(tiny_batch, tiny_params, tiny_cfg, 2)
-        h = 2
-        total = float(serial_loss(trace, tiny_batch, tiny_params, tiny_cfg,
-                               uniform_weights(h), tiny_grid).data)
-        singles = []
-        for j in range(1, h + 1):
-            w = [0.0] * h
-            w[j - 1] = 1.0
-            singles.append(float(serial_loss(trace, tiny_batch, tiny_params, tiny_cfg, w, tiny_grid).data))
-        assert np.isclose(total, sum(singles))
-        assert all(s >= 0 for s in singles)
+        losses = depth_losses(trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid).data
+        _, parts = stage_loss("pretrain", trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid)
+        assert parts["ntp"] == losses[0]
+        assert np.isclose(parts["serial"], (losses[1] + losses[2]) / 2)
+        assert all(v >= 0 for v in losses)
 
     def test_serial_single_depth(self, tiny_cfg, tiny_params, tiny_grid, tiny_batch):
         trace = model_forward(tiny_batch, tiny_params, tiny_cfg, 1)
-        v = float(serial_loss(trace, tiny_batch, tiny_params, tiny_cfg, [1.0], tiny_grid).data)
-        assert np.isfinite(v) and v > 0
+        losses = depth_losses(trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid).data
+        assert losses.shape == (2,) and np.isfinite(losses[1]) and losses[1] > 0
 
-    def test_serial_requires_depth(self, tiny_cfg, tiny_params, tiny_grid, tiny_batch):
-        trace = model_forward(tiny_batch, tiny_params, tiny_cfg, 1)
+    def test_prefix_stable_across_trace_depths(self, tiny_cfg, tiny_params, tiny_grid, tiny_batch):
+        # a depth's loss does not depend on how many depths run beside it
+        full = depth_losses(model_forward(tiny_batch, tiny_params, tiny_cfg, 2), tiny_batch,
+                            tiny_params, tiny_cfg, tiny_grid).data
+        for depth in (0, 1):
+            trace = model_forward(tiny_batch, tiny_params, tiny_cfg, depth)
+            got = depth_losses(trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid).data
+            np.testing.assert_array_equal(got, full[: depth + 1])
+
+    @pytest.mark.parametrize("variant", ["serial", "shift_token"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_depth_losses_match_brute_force(self, tiny_cfg, tiny_grid, variant, dtype):
+        # every depth against per-token pred_loss; rows 1-2 carry padded steps
+        cfg = replace(tiny_cfg, variant=variant)
+        params = init_params(cfg, seed=2, dtype=dtype)
+        rng = np.random.default_rng(11)
+        n, p = cfg.n_max, cfg.patch_len
+        windows = rng.normal(size=(3, (n + cfg.n_serial_blocks + 1) * p)).cumsum(axis=1)
+        batch = make_supervised_batch(windows, n, p)
+        batch.masks[1, :2] = 0.0
+        batch.masks[2, -3:, 1:] = 0.0
+        trace = model_forward(batch, params, cfg, cfg.n_serial_blocks)
+        got = depth_losses(trace, batch, params, cfg, tiny_grid).data
+        assert got.dtype == dtype
+        for d, h in enumerate(trace.depth_outputs):
+            preds = patch_project(h, params, cfg).data
+            rows = []
+            for b in range(batch.patches.shape[0]):
+                total = 0.0
+                for i in range(n):
+                    if variant == "shift_token" and i >= n - d:
+                        continue  # fuses clamped future embeddings
+                    total += pred_loss(batch.patches[b, i + d + 1], preds[b, i], tiny_grid,
+                                       batch.masks[b, i + d + 1])
+                rows.append(total)
+            rtol = 1e-5 if dtype == np.float32 else 1e-12
+            np.testing.assert_allclose(got[d], np.mean(rows), rtol=rtol)
+
+    def test_too_few_target_patches_rejected(self, tiny_cfg, tiny_params, tiny_grid, tiny_batch):
+        short = make_supervised_batch(np.ones((1, (tiny_cfg.n_max + 2) * tiny_cfg.patch_len)),
+                                      tiny_cfg.n_max, tiny_cfg.patch_len)
+        trace = model_forward(short, tiny_params, tiny_cfg, 2)
         with pytest.raises(InputError):
-            serial_loss(trace, tiny_batch, tiny_params, tiny_cfg, [1.0, 1.0], tiny_grid)
+            depth_losses(trace, short, tiny_params, tiny_cfg, tiny_grid)
+
+    def test_loss_graph_does_not_grow_with_blocks(self):
+        # the nodes the loss adds on top of the forward graph: one head pass,
+        # one pinball and one aux fold whatever the number of blocks
+        added = set()
+        for n_main, n_serial in ((1, 1), (2, 1), (1, 3), (3, 4)):
+            cfg = ModelConfig(d_model=16, patch_len=4, n_max=4, n_main_blocks=n_main,
+                              n_serial_blocks=n_serial, n_experts=4, top_k=2, n_heads=1,
+                              n_quantiles=3)
+            params = init_params(cfg, seed=0, dtype=np.float64)
+            windows = np.random.default_rng(0).normal(
+                size=(2, (cfg.n_max + n_serial + 1) * cfg.patch_len)).cumsum(axis=1)
+            batch = make_supervised_batch(windows, cfg.n_max, cfg.patch_len)
+            trace = model_forward(batch, params, cfg, n_serial)
+            forward = _graph(trace.embeddings + [aux.mean_affinity for aux in trace.aux])
+            total, _ = stage_loss("pretrain", trace, batch, params, cfg)
+            added.add(len(_graph([total]) - forward))
+        assert len(added) == 1, added
+
+    def test_toy_training_graph_size(self):
+        # the toy configuration's depth-4 f32 training graph, every tensor counted
+        cfg = ModelConfig(d_model=64, patch_len=8, n_max=32, n_main_blocks=4, n_serial_blocks=4,
+                          n_experts=8, top_k=2, n_quantiles=9)
+        params = init_params(cfg, seed=0, dtype=np.float32)
+        windows = np.random.default_rng(0).normal(
+            size=(8, (cfg.n_max + cfg.n_serial_blocks + 1) * cfg.patch_len)).cumsum(axis=1)
+        batch = make_supervised_batch(windows, cfg.n_max, cfg.patch_len)
+        trace = model_forward(batch, params, cfg, cfg.n_serial_blocks)
+        total, _ = stage_loss("pretrain", trace, batch, params, cfg, default_grid(cfg.n_quantiles))
+        assert len(_graph([total])) <= 500
 
     def test_horizon_decay_weights_frozen_values(self):
         np.testing.assert_allclose(horizon_decay_weights(4), [1.0, 0.70710678, 0.57735027, 0.5])
@@ -196,8 +271,8 @@ class TestTrainingLosses:
         _, pre = stage_loss("pretrain", trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid)
         _, post = stage_loss("posttrain", trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid)
         assert pre["ntp"] == post["ntp"] and pre["aux"] == post["aux"]
-        manual = float(serial_loss(trace, tiny_batch, tiny_params, tiny_cfg,
-                                horizon_decay_weights(2), tiny_grid).data)
+        losses = depth_losses(trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid).data
+        manual = sum(w * v for w, v in zip(horizon_decay_weights(2), losses[1:])) / 2
         assert np.isclose(post["serial"], manual)
 
     def test_unknown_stage_rejected(self, tiny_cfg, tiny_params, tiny_grid, tiny_batch):
@@ -208,6 +283,12 @@ class TestTrainingLosses:
     def test_mean_aux_requires_accumulators(self):
         with pytest.raises(InputError):
             mean_aux_loss([])
+
+    def test_mean_aux_is_mean_over_layers(self, tiny_cfg, tiny_params, tiny_batch):
+        trace = model_forward(tiny_batch, tiny_params, tiny_cfg, 2)
+        per_layer = [float(aux_loss(aux).data) for aux in trace.aux]
+        assert len(per_layer) == 4
+        assert np.isclose(float(mean_aux_loss(trace.aux).data), np.mean(per_layer), rtol=1e-14)
 
 
 def test_float32_graph_is_float32_throughout(tiny_cfg, tiny_batch):

@@ -146,6 +146,6 @@ class TestBatches:
         batch_a = make_batch([series], tiny_cfg.patch_len)
         batch_b = make_batch([series], tiny_cfg.patch_len)
         batch_b.patches[0, 0, :3] = 99.0  # garbage where mask is 0
-        out_a = model_forward(batch_a, params, tiny_cfg, 0).h_main.data
-        out_b = model_forward(batch_b, params, tiny_cfg, 0).h_main.data
+        out_a = model_forward(batch_a, params, tiny_cfg, 0).depth_outputs[0].data
+        out_b = model_forward(batch_b, params, tiny_cfg, 0).depth_outputs[0].data
         np.testing.assert_array_equal(out_a, out_b)

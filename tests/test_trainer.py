@@ -335,13 +335,13 @@ class TestExtendContext:
         series = np.sin(np.arange(n_ext * ext.patch_len) / 3.0)
         batch = make_batch([series], ext.patch_len)
         trace = model_forward(batch, params, ext, 1)
-        assert trace.h_main.shape[1] == n_ext
+        assert trace.depth_outputs[0].shape[1] == n_ext
         # perturb the last patch: everything before stays bit-identical
         batch2 = make_batch([series], ext.patch_len)
         batch2.patches[0, -1, :] += 1.0
         trace2 = model_forward(batch2, params, ext, 1)
-        np.testing.assert_array_equal(trace.h_main.data[0, : n_ext - 1],
-                                      trace2.h_main.data[0, : n_ext - 1])
+        np.testing.assert_array_equal(trace.depth_outputs[0].data[0, : n_ext - 1],
+                                      trace2.depth_outputs[0].data[0, : n_ext - 1])
 
 
 class TestGradientCheckSuite:
