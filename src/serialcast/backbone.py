@@ -48,22 +48,27 @@ class ModelConfig:
     variant: str = VARIANT_SERIAL
 
     def __post_init__(self):
-        if self.n_heads == 0:
-            self.n_heads = max(1, self.d_model // 64)
+        for key, low in (("d_model", 1), ("patch_len", 1), ("n_max", 1), ("n_main_blocks", 1),
+                         ("n_serial_blocks", 0), ("n_heads", 0), ("n_quantiles", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if not 0 < self.theta_base < np.inf:  # also false for nan
+            raise ConfigError(f"theta_base must be finite and > 0, got {self.theta_base}")
+        if not 0 <= self.alpha < np.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        self.n_heads = self.n_heads or max(1, self.d_model // 64)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_head % 2 != 0:
             raise ConfigError(f"head dimension {self.d_head} must be even for rotary pairs")
         if not (1 <= self.top_k <= self.n_experts):
             raise ConfigError(f"need 1 <= K={self.top_k} <= E={self.n_experts}")
-        if self.n_serial_blocks < 0 or self.n_quantiles < 1:
-            raise ConfigError("n_serial_blocks >= 0 and n_quantiles >= 1 required")
         if self.variant not in (VARIANT_SERIAL, VARIANT_SHIFT):
             raise ConfigError(f"unknown variant {self.variant!r}")
 
     @property
     def d_head(self) -> int:
-        return self.d_model // max(self.n_heads, 1)
+        return self.d_model // self.n_heads
 
     @property
     def d_ff(self) -> int:
@@ -282,11 +287,10 @@ def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params,
     return moe_block(ad.matmul(fused, params[pre + "fusion.w"]), params, pre + "block.", cfg)
 
 
-def _shift_embeddings(h0: Tensor, j: int) -> Tensor:
-    """h0 advanced by j positions (future inputs), clamped at the last token."""
-    n = h0.shape[1]
-    idx = np.minimum(np.arange(n) + j, n - 1)
-    return ad.getitem(h0, (slice(None), idx))
+def _shift_embeddings(h0: Tensor, j: int, last: np.ndarray) -> Tensor:
+    """h0 advanced by j positions (future inputs), clamped at each row's ``last``."""
+    idx = np.minimum(np.arange(h0.shape[1]) + j, last[:, None])
+    return ad.getitem(h0, (np.arange(len(last))[:, None], idx))
 
 
 def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: int) -> ForwardTrace:
@@ -310,7 +314,7 @@ def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: in
         trace.embeddings.append(h)
         trace.aux.append(aux)
     for j in range(1, depth + 1):
-        ref = _shift_embeddings(h0, j) if cfg.variant == VARIANT_SHIFT else h0
+        ref = _shift_embeddings(h0, j, batch.last_token) if cfg.variant == VARIANT_SHIFT else h0
         h, aux = serial_block(h, ref, j, params, cfg)
         trace.embeddings.append(h)
         trace.aux.append(aux)

@@ -8,9 +8,10 @@ back to outer autoregression: the median quantile is fed back as context and
 the extended window is re-normalized per pass. The rolling baseline is the
 same loop with one-patch chunks, so every pass runs the main stack only.
 
-The loop forecasts many series at once. At each chunk, the rows whose
-contexts have the same patch count share one forward pass, so no row is
-padded and each row's forecast is bit-identical to its batch-1 forecast.
+The loop forecasts many series at once, up to MAX_BATCH_ROWS per forward
+pass. Every pass right-pads each context to ``n_max`` patches, the shape
+training runs at, so a row's forecast is bit-identical to its batch-1
+forecast whatever else shares its pass.
 """
 
 from __future__ import annotations
@@ -87,15 +88,16 @@ def _depth(chunk: int, cfg: ModelConfig) -> int:
 
 
 def _group_pass(contexts, depth: int, params: Params, cfg: ModelConfig):
-    """One forward pass over contexts of equal patch count; returns each row's
-    unsorted (Q, (depth+1)*P) data-scale quantile patches and the number of
-    blocks the pass ran."""
-    batch = make_batch(contexts, cfg.patch_len)
+    """One forward pass over contexts right-padded to ``n_max`` patches;
+    returns each row's unsorted (Q, (depth+1)*P) data-scale quantile patches
+    and the number of blocks the pass ran."""
+    batch = make_batch(contexts, cfg.patch_len, cfg.n_max)
+    rows = np.arange(len(contexts))
     with no_grad():
         trace = model_forward(batch, params, cfg, depth)
-        # only the last token feeds predictions: every depth's (B, 1, d) rows,
-        # stacked depth-major, go through the head once, each row as its own product
-        last = np.concatenate([h.data[:, -1:, :] for h in trace.depth_outputs])
+        # each row's last real token feeds predictions: every depth's (B, 1, d)
+        # rows, stacked depth-major, go through the head once, each its own product
+        last = np.concatenate([h.data[rows, batch.last_token, None] for h in trace.depth_outputs])
         heads = patch_project(Tensor(last), params, cfg).data[:, 0]  # ((depth+1)*B, Q, P)
     raw = np.concatenate(heads.reshape(depth + 1, len(contexts), *heads.shape[1:]), axis=2)
     return [denormalize(row, st) for row, st in zip(raw, batch.stats)], len(trace.aux)
@@ -104,10 +106,10 @@ def _group_pass(contexts, depth: int, params: Params, cfg: ModelConfig):
 def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
                    chunk_len: int) -> list[ForecastDistribution]:
     """One forecast per series. All rows share one chunk plan: one pass per
-    chunk of at most ``chunk_len`` steps, at the depth the chunk needs. Within
-    a chunk, rows of equal patch count run as groups of up to MAX_BATCH_ROWS.
-    Between passes each row's median is appended to its context, which is then
-    re-normalized. Quantiles come out sorted along the level axis."""
+    chunk of at most ``chunk_len`` steps, at the depth the chunk needs, over
+    up to MAX_BATCH_ROWS rows at a time. Between passes each row's median is
+    appended to its context, which is then re-normalized. Quantiles come out
+    sorted along the level axis."""
     if horizon < 1:
         raise InputError("horizon must be >= 1")
     grid = default_grid(cfg.n_quantiles)
@@ -119,31 +121,22 @@ def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
         if step:
             contexts = [_truncate(np.concatenate([c, done[-1][grid.median_index()]]), cfg)
                         for c, done in zip(contexts, chunks)]
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(contexts):
-            groups.setdefault(-(-c.size // cfg.patch_len), []).append(i)
-        for rows in groups.values():
-            for lo in range(0, len(rows), MAX_BATCH_ROWS):
-                part = rows[lo:lo + MAX_BATCH_ROWS]
-                t0 = time.perf_counter()
-                preds, ran = _group_pass([contexts[i] for i in part], _depth(chunk, cfg),
-                                         params, cfg)
-                share = 1000.0 * (time.perf_counter() - t0) / len(part)
-                for i, pred in zip(part, preds):
-                    chunks[i].append(pred[:, :chunk])
-                    blocks[i] += ran
-                    wall_ms[i] += share
+        for lo in range(0, len(contexts), MAX_BATCH_ROWS):
+            part = range(lo, min(lo + MAX_BATCH_ROWS, len(contexts)))
+            t0 = time.perf_counter()
+            preds, ran = _group_pass(contexts[lo:part.stop], _depth(chunk, cfg), params, cfg)
+            share = 1000.0 * (time.perf_counter() - t0) / len(part)
+            for i, pred in zip(part, preds):
+                chunks[i].append(pred[:, :chunk])
+                blocks[i] += ran
+                wall_ms[i] += share
     return [ForecastDistribution(np.sort(np.concatenate(c, axis=1), axis=0), grid, len(c), b, w)
             for c, b, w in zip(chunks, blocks, wall_ms)]
 
 
 def forecast(series, horizon: int, params: Params, cfg: ModelConfig) -> ForecastDistribution:
-    """Quantile forecast for ``horizon`` future steps.
-
-    Depth adapts to the horizon; beyond (H+1)*P steps the median forecast is
-    appended to the context and the pass repeats on the extended, freshly
-    re-normalized window.
-    """
+    """Quantile forecast for ``horizon`` future steps; depth adapts to the
+    horizon, and past (H+1)*P steps the median is fed back as context."""
     return _forecast_loop([series], horizon, params, cfg, _chunk_len("serial", cfg))[0]
 
 

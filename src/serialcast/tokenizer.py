@@ -2,8 +2,9 @@
 
 Normalization is per instance: mean and population standard deviation of the
 input window, reused to de-normalize forecasts. Patches are left-padded so
-only the first patch of a row can contain pad positions; pads carry value 0
-in normalized space (the input mean in data scale) and mask 0.
+only a series' first patch can hold pads; a batch then right-pads its rows
+with whole patches. Pads carry value 0 in normalized space (the input mean in
+data scale) and mask 0.
 """
 
 from __future__ import annotations
@@ -83,25 +84,27 @@ class PatchBatch:
     def input_masks(self) -> np.ndarray:
         return self.masks[:, : self.n_input, :]
 
+    @property
+    def last_token(self) -> np.ndarray:
+        """(B,) index of each row's last input patch with an observed step."""
+        return self.n_input - 1 - np.argmax(self.input_masks.any(axis=2)[:, ::-1], axis=1)
 
-def make_batch(series_list, patch_len: int) -> PatchBatch:
+
+def make_batch(series_list, patch_len: int, n_patches: int) -> PatchBatch:
     """Batch of pure input windows (no targets), each row normalized by its own
-    stats; rows must patchify to equal N. Batched inference builds every pass
-    with it, grouping series by patch count so that no row is padded."""
-    rows, masks, mus, sigmas = [], [], [], []
-    n_ref = None
-    for s in series_list:
+    stats and right-padded with whole patches of value 0 / mask 0 up to
+    ``n_patches``. Inference builds every pass at ``n_max`` patches, so a row
+    runs at the same shape whatever else shares its pass."""
+    values = np.zeros((2, len(series_list), n_patches, patch_len))  # patches, masks
+    stats = np.zeros((2, len(series_list)))  # mu, sigma
+    for row, s in enumerate(series_list):
         norm, st = renormalize(s)
         p, m, n = patchify(norm, patch_len)
-        if n_ref is None:
-            n_ref = n
-        elif n != n_ref:
-            raise InputError(f"batch rows disagree on patch count: {n} vs {n_ref}")
-        rows.append(p)
-        masks.append(m)
-        mus.append(st.mu)
-        sigmas.append(st.sigma)
-    return PatchBatch(np.stack(rows), np.stack(masks), np.array(mus), np.array(sigmas), n_ref)
+        if n > n_patches:
+            raise InputError(f"a row of {n} patches exceeds the batch's {n_patches}")
+        values[:, row, :n] = p, m
+        stats[:, row] = st.mu, st.sigma
+    return PatchBatch(*values, *stats, n_patches)
 
 
 def make_supervised_batch(windows, n_input: int, patch_len: int) -> PatchBatch:

@@ -132,10 +132,10 @@ def test_criterion_3_causality_standard_and_extended():
     for label, run_cfg, n_patches in (("standard", cfg, cfg.n_max),
                                       ("extended", replace(cfg, n_max=16), 16)):
         series = np.sin(np.arange(n_patches * cfg.patch_len) / 3.0)
-        base = make_batch([series], cfg.patch_len)
+        base = make_batch([series], cfg.patch_len, n_patches)
         trace_a = model_forward(base, params, run_cfg, cfg.n_serial_blocks)
         for i in range(n_patches):
-            batch = make_batch([series], cfg.patch_len)
+            batch = make_batch([series], cfg.patch_len, n_patches)
             batch.patches[0, i, :] += 0.25
             trace_b = model_forward(batch, params, run_cfg, cfg.n_serial_blocks)
             for ha, hb in zip(trace_a.embeddings[1:], trace_b.embeddings[1:]):

@@ -266,11 +266,11 @@ class TestModelForward:
     def test_causality_exact(self, tiny_cfg, tiny_params):
         rng = np.random.default_rng(10)
         series = rng.normal(size=tiny_cfg.n_max * tiny_cfg.patch_len).cumsum()
-        batch_a = make_batch([series], tiny_cfg.patch_len)
+        batch_a = make_batch([series], tiny_cfg.patch_len, tiny_cfg.n_max)
         depth = tiny_cfg.n_serial_blocks
         trace_a = model_forward(batch_a, tiny_params, tiny_cfg, depth)
         for i in range(tiny_cfg.n_max):
-            batch_b = make_batch([series], tiny_cfg.patch_len)
+            batch_b = make_batch([series], tiny_cfg.patch_len, tiny_cfg.n_max)
             batch_b.patches[0, i, :] += 0.5  # perturb normalized patch i
             trace_b = model_forward(batch_b, tiny_params, tiny_cfg, depth)
             for ha, hb in zip(trace_a.embeddings[1:], trace_b.embeddings[1:]):
@@ -287,10 +287,10 @@ class TestModelForward:
             params = init_params(cfg, seed=5, dtype=np.float32)
             for run_cfg, n_patches in ((cfg, cfg.n_max), (replace(cfg, n_max=16), 16)):
                 series = np.sin(np.arange(n_patches * cfg.patch_len) / 3.0)
-                trace_a = model_forward(make_batch([series], cfg.patch_len), params, run_cfg,
-                                        cfg.n_serial_blocks)
+                trace_a = model_forward(make_batch([series], cfg.patch_len, n_patches), params,
+                                        run_cfg, cfg.n_serial_blocks)
                 for i in range(n_patches):
-                    batch = make_batch([series], cfg.patch_len)
+                    batch = make_batch([series], cfg.patch_len, n_patches)
                     batch.patches[0, i, :] += 0.25
                     trace_b = model_forward(batch, params, run_cfg, cfg.n_serial_blocks)
                     for ha, hb in zip(trace_a.embeddings[1:], trace_b.embeddings[1:]):
@@ -308,9 +308,9 @@ class TestModelForward:
         rng = np.random.default_rng(5)
         for b in (2, 3, 5):
             rows = [rng.normal(size=cfg.n_max * cfg.patch_len).cumsum() for _ in range(b)]
-            batched = model_forward(make_batch(rows, cfg.patch_len), params, cfg, 1)
+            batched = model_forward(make_batch(rows, cfg.patch_len, cfg.n_max), params, cfg, 1)
             for r, x in enumerate(rows):
-                alone = model_forward(make_batch([x], cfg.patch_len), params, cfg, 1)
+                alone = model_forward(make_batch([x], cfg.patch_len, cfg.n_max), params, cfg, 1)
                 for hb, ha in zip(batched.embeddings, alone.embeddings):
                     np.testing.assert_array_equal(hb.data[r], ha.data[0])
 
@@ -341,6 +341,16 @@ class TestConfigValidation:
     def test_default_heads(self):
         assert ModelConfig(d_model=128).n_heads == 2
         assert ModelConfig(d_model=32).n_heads == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_main_blocks", 0), ("n_main_blocks", -1), ("n_heads", -2), ("patch_len", 0),
+        ("n_max", 0), ("d_model", 0), ("theta_base", 0.0), ("theta_base", -5.0),
+        ("theta_base", float("nan")), ("theta_base", float("inf")), ("alpha", -1.0),
+        ("alpha", float("nan")), ("alpha", float("inf")),
+    ])
+    def test_bad_key_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ModelConfig(**{key: value})
 
     def test_native_horizon_paper_scale(self):
         cfg = ModelConfig(d_model=64, patch_len=16, n_serial_blocks=16, n_max=180)

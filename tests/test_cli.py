@@ -420,6 +420,18 @@ def test_n_max_override_rejected(pipeline, tmp_path, capsys):
     assert not (tmp_path / "post").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n-main-blocks", "-1"), ("--n-heads", "-2"), ("--theta-base", "0"),
+    ("--theta-base", "nan"), ("--patch-len", "0"), ("--n-max", "0"), ("--d-model", "0"),
+    ("--alpha", "-1"),
+])
+def test_bench_bad_model_key_exits_one(flag, value, capsys):
+    argv = ["bench", *MODEL_FLAGS, flag, value, "--horizons", "8", "--reps", "1"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag[2:].replace('-', '_')} must be" in err and "Traceback" not in err
+
+
 def test_gradcheck_exit_zero(capsys):
     assert run(["gradcheck", "--coords", "2"]) == 0
     assert "passed" in capsys.readouterr().out

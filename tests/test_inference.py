@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serialcast import inference
-from serialcast.backbone import VARIANT_SERIAL, VARIANT_SHIFT, ModelConfig, init_params
+from serialcast.backbone import (VARIANT_SERIAL, VARIANT_SHIFT, ModelConfig, init_params,
+                                 model_forward)
 from serialcast.errors import InputError
 from serialcast.inference import (_chunk_len, _forecast_loop, _group_pass, bench_inference,
                                   eval_crps_wql, evaluate, expected_block_count, expected_passes,
                                   forecast, forecast_rolling_ntp, mase, seasonal_naive_scale)
 from serialcast.objectives import QuantileGrid, pinball
+from serialcast.tokenizer import make_batch
 
 CFG = ModelConfig(d_model=16, patch_len=4, n_max=8, n_main_blocks=2, n_serial_blocks=3,
                   n_experts=2, top_k=1, n_heads=1, n_quantiles=5)
@@ -164,12 +166,94 @@ def test_batched_rows_equal_batch_one(case):
     np.testing.assert_array_equal(rows[-1].values, rows[case["duplicate"]].values)
 
 
+@st.composite
+def _context_case(draw):
+    """A tiny config, dtype and variant, one context shorter than, equal to or
+    longer than ``n_max`` patches, and two horizons up to past two serial
+    chunks."""
+    p = draw(st.integers(2, 5))
+    n_max = draw(st.integers(2, 5))
+    d = draw(st.sampled_from([8, 12, 16, 18]))
+    e = draw(st.integers(1, 4))
+    cfg = ModelConfig(d_model=d, patch_len=p, n_max=n_max, n_main_blocks=draw(st.integers(1, 2)),
+                      n_serial_blocks=draw(st.integers(0, 2)), n_experts=e,
+                      top_k=draw(st.integers(1, e)), n_heads=1,
+                      n_quantiles=draw(st.sampled_from([1, 3])),
+                      variant=draw(st.sampled_from([VARIANT_SERIAL, VARIANT_SHIFT])))
+    full = n_max * p
+    length = draw(st.sampled_from([
+        st.integers(1, full - p),  # fewer than n_max patches
+        st.integers(full - p + 1, full),  # exactly n_max patches
+        st.integers(full + 1, full + 2 * p),  # truncated to n_max patches
+    ]).flatmap(lambda s: s))
+    long = draw(st.integers(1, 2 * cfg.native_horizon + p))
+    return dict(cfg=cfg, dtype=draw(st.sampled_from([np.float32, np.float64])), length=length,
+                long=long, short=draw(st.integers(1, long)),
+                mode=draw(st.sampled_from(["serial", "rolling"])),
+                seed=draw(st.integers(0, 2**16)))
+
+
+@given(_context_case())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_contract_over_context_lengths(case):
+    cfg, mode = case["cfg"], case["mode"]
+    params = init_params(cfg, seed=case["seed"], dtype=case["dtype"])
+    rng = np.random.default_rng(case["seed"])
+    x = rng.normal(size=case["length"]).cumsum()
+    fn = forecast if mode == "serial" else forecast_rolling_ntp
+    long = fn(x, case["long"], params, cfg).values
+    # a shorter horizon is an exact prefix of a longer one
+    np.testing.assert_array_equal(fn(x, case["short"], params, cfg).values,
+                                  long[:, : case["short"]])
+    # serial up to one patch is the rolling forecast
+    f = min(case["short"], cfg.patch_len)
+    np.testing.assert_array_equal(forecast(x, f, params, cfg).values,
+                                  forecast_rolling_ntp(x, f, params, cfg).values)
+    # affine equivariance, to the criterion-2 tolerance
+    a, b = float(rng.uniform(0.1, 20.0)), float(rng.uniform(-50.0, 50.0))
+    moved = fn(a * x + b, case["long"], params, cfg).values
+    expected = a * long + b
+    scale = np.maximum(np.abs(expected), np.abs(expected).max() * 1e-3 + 1e-9)
+    assert (np.abs(moved - expected) / scale).max() < 1e-6
+    # causality inside the padded pass: perturbing a real patch leaves every
+    # earlier position bit-identical; shift-token serial block j reads the
+    # input j patches ahead, so there the bound moves back by j
+    batch = make_batch([x[-cfg.n_max * cfg.patch_len:]], cfg.patch_len, cfg.n_max)
+    i = int(rng.integers(0, batch.last_token[0] + 1))
+    base = model_forward(batch, params, cfg, cfg.n_serial_blocks)
+    batch.patches[0, i] += 0.5
+    bumped = model_forward(batch, params, cfg, cfg.n_serial_blocks)
+    for k, (ha, hb) in enumerate(zip(base.embeddings, bumped.embeddings)):
+        ahead = max(k - cfg.n_main_blocks, 0) if cfg.variant == VARIANT_SHIFT else 0
+        np.testing.assert_array_equal(ha.data[0, : max(i - ahead, 0)],
+                                      hb.data[0, : max(i - ahead, 0)])
+
+
 class TestBatching:
     def test_rows_sharing_a_pass_split_its_time(self, params):
         x = np.sin(np.arange(30) / 4.0)
         rows = _forecast_loop([x, x, np.ones(9)], 8, params, CFG, _chunk_len("serial", CFG))
-        assert rows[0].wall_ms == rows[1].wall_ms > 0  # one pass, charged half each
+        assert rows[0].wall_ms == rows[1].wall_ms > 0  # one pass, charged a third each
         assert rows[2].wall_ms > 0
+
+    @pytest.mark.parametrize("cap", [2, inference.MAX_BATCH_ROWS])
+    def test_mixed_patch_counts_share_passes(self, params, cap):
+        # 7 rows of 1 to 8 patches; two serial chunks
+        series = [np.sin(np.arange(n) / 4.0) for n in (1, 5, 9, 14, 22, 30, 32)]
+        calls = []
+
+        def counting(batch, *args):
+            calls.append(batch.patches.shape[:2])
+            return model_forward(batch, *args)
+
+        with mock.patch.object(inference, "MAX_BATCH_ROWS", cap), \
+                mock.patch.object(inference, "model_forward", counting):
+            rows = _forecast_loop(series, CFG.native_horizon + 1, params, CFG,
+                                  _chunk_len("serial", CFG))
+        per_chunk = -(-len(series) // cap)
+        assert len(calls) == 2 * per_chunk
+        assert all(n == CFG.n_max for _, n in calls)
+        assert all(row.passes == 2 for row in rows)
 
     def test_empty_list(self, params):
         assert _forecast_loop([], 8, params, CFG, _chunk_len("serial", CFG)) == []

@@ -125,10 +125,24 @@ class TestEmbedPatches:
 
 class TestBatches:
     def test_make_batch_stacks(self):
-        batch = make_batch([np.arange(10.0), np.arange(10.0) * 2], 4)
+        batch = make_batch([np.arange(10.0), np.arange(10.0) * 2], 4, 3)
         assert batch.patches.shape == (2, 3, 4)
         assert batch.n_input == 3
         assert len(batch.stats) == 2
+
+    def test_make_batch_right_pads_to_n_patches(self):
+        batch = make_batch([np.arange(1.0, 6.0), np.arange(9.0), np.arange(12.0)], 4, 5)
+        assert batch.patches.shape == batch.masks.shape == (3, 5, 4)
+        for row, n in enumerate((2, 3, 3)):  # 5, 9 and 12 points at P=4
+            assert not batch.patches[row, n:].any() and not batch.masks[row, n:].any()
+            assert batch.masks[row, n - 1].all()
+        np.testing.assert_array_equal(batch.last_token, [1, 2, 2])
+        with pytest.raises(InputError, match="4 patches exceeds"):
+            make_batch([np.arange(3.0), np.arange(13.0)], 4, 3)
+
+    def test_last_token_of_full_windows(self):
+        batch = make_supervised_batch(np.arange(48.0).reshape(2, 24), 4, 4)
+        np.testing.assert_array_equal(batch.last_token, [3, 3])
 
     def test_supervised_batch_stats_from_input_prefix(self):
         w = np.arange(24.0)[None, :]  # 6 patches of 4; input = first 4 patches
@@ -143,8 +157,8 @@ class TestBatches:
     def test_padding_indifference_through_model(self, tiny_cfg):
         params = init_params(tiny_cfg, seed=0)
         series = np.sin(np.arange(13) / 2.0)  # 13 points, P=4 -> pad 3 slots
-        batch_a = make_batch([series], tiny_cfg.patch_len)
-        batch_b = make_batch([series], tiny_cfg.patch_len)
+        batch_a = make_batch([series], tiny_cfg.patch_len, 4)
+        batch_b = make_batch([series], tiny_cfg.patch_len, 4)
         batch_b.patches[0, 0, :3] = 99.0  # garbage where mask is 0
         out_a = model_forward(batch_a, params, tiny_cfg, 0).depth_outputs[0].data
         out_b = model_forward(batch_b, params, tiny_cfg, 0).depth_outputs[0].data

@@ -322,7 +322,7 @@ class TestExtendContext:
         params = init_params(SMALL, seed=1, dtype=np.float64)
         ext = replace(SMALL, n_max=SMALL.n_max * 2)
         series = np.sin(np.arange(SMALL.n_max * SMALL.patch_len) / 3.0)
-        batch = make_batch([series], SMALL.patch_len)
+        batch = make_batch([series], SMALL.patch_len, SMALL.n_max)
         out_a = model_forward(batch, params, SMALL, 1)
         out_b = model_forward(batch, params, ext, 1)
         for ha, hb in zip(out_a.embeddings, out_b.embeddings):
@@ -333,11 +333,11 @@ class TestExtendContext:
         ext = replace(SMALL, n_max=SMALL.n_max * 2)
         n_ext = ext.n_max
         series = np.sin(np.arange(n_ext * ext.patch_len) / 3.0)
-        batch = make_batch([series], ext.patch_len)
+        batch = make_batch([series], ext.patch_len, n_ext)
         trace = model_forward(batch, params, ext, 1)
         assert trace.depth_outputs[0].shape[1] == n_ext
         # perturb the last patch: everything before stays bit-identical
-        batch2 = make_batch([series], ext.patch_len)
+        batch2 = make_batch([series], ext.patch_len, n_ext)
         batch2.patches[0, -1, :] += 1.0
         trace2 = model_forward(batch2, params, ext, 1)
         np.testing.assert_array_equal(trace.depth_outputs[0].data[0, : n_ext - 1],
