@@ -10,7 +10,7 @@ rolling.
 from .backbone import ModelConfig, init_params, model_forward
 from .inference import ForecastDistribution, forecast, forecast_rolling_ntp
 from .objectives import QuantileGrid
-from .tokenizer import NormStats, PatchBatch, denormalize, patchify, renormalize
+from .tokenizer import PatchBatch, denormalize, patchify, renormalize
 from .trainer import TrainConfig, load_checkpoint, run_posttrain, run_pretrain, save_checkpoint
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ __all__ = [
     "TrainConfig",
     "QuantileGrid",
     "ForecastDistribution",
-    "NormStats",
     "PatchBatch",
     "init_params",
     "model_forward",

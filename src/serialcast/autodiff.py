@@ -48,10 +48,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype)
+        self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -106,8 +106,8 @@ class Tensor:
                 node._backward(node)
 
 
-def astensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+def astensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None] | None) -> Tensor:
@@ -263,30 +263,26 @@ def sum_slots(rows, slots: np.ndarray) -> Tensor:
 # -- reductions --------------------------------------------------------
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = astensor(a)
 
     def bw(out):
-        g = out.grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
+        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
         a._accumulate(np.broadcast_to(g, a.shape))
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+    return _make(a.data.sum(axis=axis), (a,), bw)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = astensor(a)
     # a Python int, so an f32 gradient is divided in f32
     n = a.data.size if axis is None else math.prod(a.shape[ax] for ax in np.atleast_1d(axis))
 
     def bw(out):
-        g = out.grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
+        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
         a._accumulate(np.broadcast_to(g, a.shape) / n)
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
+    return _make(a.data.mean(axis=axis), (a,), bw)
 
 
 # -- linear algebra ----------------------------------------------------
@@ -345,9 +341,9 @@ def grouped_linear(a, w, b, counts) -> Tensor:
     return _make(y, (a, w, b), bw)
 
 
-def softmax(a, axis: int = -1, mask: np.ndarray | None = None, scale=None) -> Tensor:
-    """Shift-invariant softmax of ``a * scale`` along one axis; entries where
-    ``mask`` is False come out exactly 0.
+def softmax(a, mask: np.ndarray | None = None, scale=None) -> Tensor:
+    """Shift-invariant softmax of ``a * scale`` along the last axis; entries
+    where ``mask`` is False come out exactly 0.
 
     ``scale`` (a tensor broadcasting against ``a``, or a number) multiplies
     the input before the -inf substitution, so no finite scale can weaken the
@@ -358,13 +354,13 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None, scale=None) -> Te
     x = a.data if s is None else a.data * s.data
     if mask is not None:
         x = np.where(np.asarray(mask, dtype=bool), x, -np.inf)
-    z = x - x.max(axis=axis, keepdims=True)
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bw(out):
         g = out.grad
-        gx = out.data * (g - (g * out.data).sum(axis=axis, keepdims=True))
+        gx = out.data * (g - (g * out.data).sum(axis=-1, keepdims=True))
         if s is None:
             a._accumulate(gx)
         else:

@@ -49,7 +49,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for key, low in (("d_model", 1), ("patch_len", 1), ("n_max", 1), ("n_main_blocks", 1),
-                         ("n_serial_blocks", 0), ("n_heads", 0), ("n_quantiles", 1)):
+                         ("n_serial_blocks", 0), ("n_experts", 1), ("n_heads", 0),
+                         ("n_quantiles", 1)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not 0 < self.theta_base < np.inf:  # also false for nan
@@ -60,11 +61,13 @@ class ModelConfig:
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_head % 2 != 0:
-            raise ConfigError(f"head dimension {self.d_head} must be even for rotary pairs")
-        if not (1 <= self.top_k <= self.n_experts):
-            raise ConfigError(f"need 1 <= K={self.top_k} <= E={self.n_experts}")
+            raise ConfigError(f"d_model / n_heads = {self.d_head} must be even for rotary pairs")
+        if not 1 <= self.top_k <= self.n_experts:
+            raise ConfigError(f"top_k must be in [1, n_experts = {self.n_experts}], "
+                              f"got {self.top_k}")
         if self.variant not in (VARIANT_SERIAL, VARIANT_SHIFT):
-            raise ConfigError(f"unknown variant {self.variant!r}")
+            raise ConfigError(f"variant must be {VARIANT_SERIAL} or {VARIANT_SHIFT}, "
+                              f"got {self.variant!r}")
 
     @property
     def d_head(self) -> int:
@@ -229,7 +232,7 @@ def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tup
     # one (N, d) @ (d, E) product per row of the batch: with few experts the
     # BLAS edge kernels make a flat (B*N, d) product's rows depend on B
     logits = ad.reshape(ad.matmul(u, params[prefix + "router.w"]), (b * n, e))
-    affinity = ad.softmax(logits, axis=-1)  # (BN, E)
+    affinity = ad.softmax(logits)  # (BN, E)
 
     # stable sort on descending affinity -> equal scores keep index order
     order = np.argsort(-affinity.data, axis=-1, kind="stable")

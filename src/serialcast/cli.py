@@ -25,7 +25,7 @@ from .datagen import (SignalSpec, adf_statistic, dataset_complexity, derive_seed
 from .dataloader import (DEFAULT_SHARD_BYTES, MANIFEST_NAME, ShardManifest, build_shards,
                          default_data_dir, read_all_series, read_csv_series, write_csv_series)
 from .errors import ConfigError, InputError, SerialcastError
-from .inference import (bench_inference, evaluate, expected_block_count, expected_passes, forecast,
+from .inference import (bench_inference, evaluate, expected_block_count, forecast,
                         forecast_rolling_ntp)
 from .trainer import (TrainConfig, gradient_check_suite, load_checkpoint, run_posttrain,
                       run_pretrain, validate_params)
@@ -143,14 +143,14 @@ def _gather_series(inputs: list[str]) -> list[np.ndarray]:
 def cmd_synth(args) -> int:
     spec = _signal_spec_from_args(args, args.seed)
     if args.format == "csv":
-        sample = gen_signal(spec)
+        values = gen_signal(spec)
         if args.out == "-":
             sys.stdout.write("value\n")
-            for v in sample.values:
+            for v in values:
                 sys.stdout.write(f"{v}\n")
         else:
-            write_csv_series(args.out, sample.values)
-            print(f"wrote {sample.values.size} points to {args.out}", file=sys.stderr)
+            write_csv_series(args.out, values)
+            print(f"wrote {values.size} points to {args.out}", file=sys.stderr)
         return 0
     # shard corpus: --count series with derived seeds; sinusoids additionally
     # get rotated phases so a noise-free family still has distinct members
@@ -159,7 +159,7 @@ def cmd_synth(args) -> int:
         s = _signal_spec_from_args(args, derive_seed(args.seed, i))
         if s.kind == "sinusoidal":
             s.phase += 2.0 * np.pi * i / max(args.count, 1)
-        series.append(gen_signal(s).values)
+        series.append(gen_signal(s))
     return _write_shards(series, args)
 
 
@@ -272,11 +272,6 @@ def cmd_eval(args) -> int:
     cfg, params = _load_model(args, merged)
     series = _gather_series(args.input)
     report = evaluate(params, cfg, series, args.horizon, season=args.season, mode=args.mode)
-    # the other mode's pass count depends only on the horizon: closed form
-    if args.mode == "serial":
-        report.passes_rolling = len(series) * expected_passes("rolling", args.horizon, cfg)
-    else:
-        report.passes_serial = len(series) * expected_passes("serial", args.horizon, cfg)
     for line in report.lines():
         print(line)
     return 0

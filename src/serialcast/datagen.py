@@ -20,13 +20,6 @@ SIGNAL_KINDS = ("linear", "sinusoidal", "exponential", "power", "impulse", "step
 
 
 @dataclass
-class TimeSeriesSample:
-    values: np.ndarray
-    timestamps: np.ndarray | None = None
-    series_id: int = 0
-
-
-@dataclass
 class SignalSpec:
     kind: str = "sinusoidal"
     amplitude: float = 1.0
@@ -79,13 +72,13 @@ def _clean_signal(spec: SignalSpec, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def gen_signal(spec: SignalSpec) -> TimeSeriesSample:
+def gen_signal(spec: SignalSpec) -> np.ndarray:
     """Deterministic signal for a spec; noise is additive Gaussian."""
     t = np.arange(spec.length, dtype=np.float64)
     x = _clean_signal(spec, t)
     if spec.noise_sigma > 0:
         x = x + np.random.default_rng(spec.seed).normal(0.0, spec.noise_sigma, spec.length)
-    return TimeSeriesSample(values=x, series_id=spec.seed)
+    return x
 
 
 # -- augmentation --------------------------------------------------------

@@ -89,7 +89,7 @@ def _depth(chunk: int, cfg: ModelConfig) -> int:
 
 def _group_pass(contexts, depth: int, params: Params, cfg: ModelConfig):
     """One forward pass over contexts right-padded to ``n_max`` patches;
-    returns each row's unsorted (Q, (depth+1)*P) data-scale quantile patches
+    returns the rows' unsorted (B, Q, (depth+1)*P) data-scale quantile patches
     and the number of blocks the pass ran."""
     batch = make_batch(contexts, cfg.patch_len, cfg.n_max)
     rows = np.arange(len(contexts))
@@ -100,7 +100,7 @@ def _group_pass(contexts, depth: int, params: Params, cfg: ModelConfig):
         last = np.concatenate([h.data[rows, batch.last_token, None] for h in trace.depth_outputs])
         heads = patch_project(Tensor(last), params, cfg).data[:, 0]  # ((depth+1)*B, Q, P)
     raw = np.concatenate(heads.reshape(depth + 1, len(contexts), *heads.shape[1:]), axis=2)
-    return [denormalize(row, st) for row, st in zip(raw, batch.stats)], len(trace.aux)
+    return denormalize(raw, batch.mu[:, None, None], batch.sigma[:, None, None]), len(trace.aux)
 
 
 def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
@@ -115,7 +115,7 @@ def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
     grid = default_grid(cfg.n_quantiles)
     contexts = [_truncate(_observed(s), cfg) for s in series_list]
     chunks: list[list[np.ndarray]] = [[] for _ in contexts]
-    blocks = [0] * len(contexts)
+    blocks = ran = 0  # one count for all rows: each row runs every chunk at its depth
     wall_ms = [0.0] * len(contexts)
     for step, chunk in enumerate(_chunk_plan(horizon, chunk_len)):
         if step:
@@ -128,10 +128,10 @@ def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
             share = 1000.0 * (time.perf_counter() - t0) / len(part)
             for i, pred in zip(part, preds):
                 chunks[i].append(pred[:, :chunk])
-                blocks[i] += ran
                 wall_ms[i] += share
-    return [ForecastDistribution(np.sort(np.concatenate(c, axis=1), axis=0), grid, len(c), b, w)
-            for c, b, w in zip(chunks, blocks, wall_ms)]
+        blocks += ran
+    return [ForecastDistribution(np.sort(np.concatenate(c, axis=1), axis=0), grid, len(c), blocks,
+                                 w) for c, w in zip(chunks, wall_ms)]
 
 
 def forecast(series, horizon: int, params: Params, cfg: ModelConfig) -> ForecastDistribution:
@@ -238,11 +238,12 @@ def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int, season
         else:
             report.mase_per_series.append(mase(dist.median, actual, context, season))
         crps_vals.append(eval_crps_wql(dist, actual))
-    passes = sum(dist.passes for dist in dists)
-    if mode == "serial":
-        report.passes_serial = passes
-    else:
-        report.passes_rolling = passes
+    # the evaluated mode's passes are counted; the other mode's depend only on
+    # the horizon, so they come from the closed form
+    other = "rolling" if mode == "serial" else "serial"
+    passes = {mode: sum(dist.passes for dist in dists),
+              other: len(dists) * expected_passes(other, horizon, cfg)}
+    report.passes_serial, report.passes_rolling = passes["serial"], passes["rolling"]
     finite = [v for v in report.mase_per_series if math.isfinite(v)]
     report.mase = float(np.mean(finite)) if finite else float("nan")
     report.crps_wql = float(np.mean(crps_vals))

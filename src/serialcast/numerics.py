@@ -23,6 +23,11 @@ from .errors import ConfigError, InputError, NumericError
 Params = dict[str, Tensor]
 
 L2_GUARD = 1e-12  # denominator floor for zero vectors
+# A gradient passes the finite-difference oracle when its largest relative
+# error is below GRAD_REL_TOL or its largest absolute error is below
+# GRAD_ABS_FLOOR, where finite-difference noise dominates.
+GRAD_REL_TOL = 1e-4
+GRAD_ABS_FLOOR = 1e-7
 
 
 def assert_finite(x, ctx: str = "value"):
@@ -93,7 +98,7 @@ def scaled_masked_softmax(scores, tau) -> Tensor:
     tau_data = tau.data if isinstance(tau, Tensor) else np.asarray(tau)
     if np.any(tau_data <= 0):
         raise InputError("tau must be > 0")
-    return ad.softmax(scores, axis=-1, mask=causal_mask(scores.shape[-1]), scale=tau)
+    return ad.softmax(scores, mask=causal_mask(scores.shape[-1]), scale=tau)
 
 
 # -- finite-difference oracle -------------------------------------------
@@ -152,12 +157,12 @@ def finite_diff_gradient(loss_fn, params: Params, epsilon: float = 1e-5,
     return out
 
 
-def compare_gradients(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray],
-                      rel_tol: float = 1e-4, abs_floor: float = 1e-7) -> list[GradCheckReport]:
+def compare_gradients(analytic: dict[str, np.ndarray],
+                      numeric: dict[str, np.ndarray]) -> list[GradCheckReport]:
     """One report per parameter; NaN entries of ``numeric`` are skipped.
 
     A coordinate counts toward max_rel_err only when its absolute error is at
-    least ``abs_floor``; below that, finite-difference noise dominates.
+    least GRAD_ABS_FLOOR; below that, finite-difference noise dominates.
     """
     reports = []
     for name in sorted(numeric):
@@ -167,9 +172,9 @@ def compare_gradients(analytic: dict[str, np.ndarray], numeric: dict[str, np.nda
         err = np.abs(a[keep] - f[keep])
         scale = np.maximum(np.abs(a[keep]), np.abs(f[keep]))
         max_abs = float(err.max()) if err.size else 0.0
-        sig = err >= abs_floor
+        sig = err >= GRAD_ABS_FLOOR
         max_rel = float((err[sig] / scale[sig]).max()) if sig.any() else 0.0
-        passed = (max_rel < rel_tol) or (max_abs < abs_floor)
+        passed = (max_rel < GRAD_REL_TOL) or (max_abs < GRAD_ABS_FLOOR)
         reports.append(GradCheckReport(name, max_rel, max_abs, passed))
     return reports
 

@@ -21,26 +21,28 @@ from .numerics import Params
 SIGMA_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class NormStats:
-    mu: float
-    sigma: float  # guarded >= SIGMA_FLOOR
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std over the last axis, the std floored at
+    SIGMA_FLOOR: the one normalization rule, for a series or a batch of rows."""
+    mu = x.mean(axis=-1)
+    sigma = np.maximum(np.sqrt(((x - mu[..., None]) ** 2).mean(axis=-1)), SIGMA_FLOOR)
+    return mu, sigma
 
 
-def renormalize(series) -> tuple[np.ndarray, NormStats]:
-    """Standardize by the window's mean and population std (floor-guarded)."""
+def renormalize(series) -> tuple[np.ndarray, float, float]:
+    """Standardize by the window's mean and population std (floor-guarded);
+    returns the normalized series, mu and sigma."""
     x = np.asarray(series, dtype=np.float64)
     if x.size < 1:
         raise InputError("renormalize: empty series")
-    mu = float(x.mean())
-    sigma = max(float(np.sqrt(((x - mu) ** 2).mean())), SIGMA_FLOOR)
-    return (x - mu) / sigma, NormStats(mu, sigma)
+    mu, sigma = _moments(x)
+    return (x - mu) / sigma, mu, sigma
 
 
-def denormalize(pred, stats: NormStats) -> np.ndarray:
-    """x_hat = sigma * x_tilde + mu, elementwise, in float64 whatever the
+def denormalize(pred, mu, sigma) -> np.ndarray:
+    """x_hat = sigma * x_tilde + mu, broadcast, in float64 whatever the
     model's dtype: data scale is never rounded to 32 bits."""
-    return np.asarray(pred, dtype=np.float64) * stats.sigma + stats.mu
+    return np.asarray(pred, dtype=np.float64) * sigma + mu
 
 
 def patchify(series, patch_len: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -73,10 +75,6 @@ class PatchBatch:
     n_input: int
 
     @property
-    def stats(self) -> list[NormStats]:
-        return [NormStats(float(m), float(s)) for m, s in zip(self.mu, self.sigma)]
-
-    @property
     def input_patches(self) -> np.ndarray:
         return self.patches[:, : self.n_input, :]
 
@@ -96,15 +94,14 @@ def make_batch(series_list, patch_len: int, n_patches: int) -> PatchBatch:
     ``n_patches``. Inference builds every pass at ``n_max`` patches, so a row
     runs at the same shape whatever else shares its pass."""
     values = np.zeros((2, len(series_list), n_patches, patch_len))  # patches, masks
-    stats = np.zeros((2, len(series_list)))  # mu, sigma
+    mu, sigma = np.zeros((2, len(series_list)))
     for row, s in enumerate(series_list):
-        norm, st = renormalize(s)
+        norm, mu[row], sigma[row] = renormalize(s)
         p, m, n = patchify(norm, patch_len)
         if n > n_patches:
             raise InputError(f"a row of {n} patches exceeds the batch's {n_patches}")
         values[:, row, :n] = p, m
-        stats[:, row] = st.mu, st.sigma
-    return PatchBatch(*values, *stats, n_patches)
+    return PatchBatch(*values, mu, sigma, n_patches)
 
 
 def make_supervised_batch(windows, n_input: int, patch_len: int) -> PatchBatch:
@@ -119,9 +116,7 @@ def make_supervised_batch(windows, n_input: int, patch_len: int) -> PatchBatch:
     n_total = w.shape[1] // patch_len
     if n_total < n_input:
         raise InputError("window shorter than the declared input length")
-    t_in = n_input * patch_len
-    mu = w[:, :t_in].mean(axis=1)
-    sigma = np.maximum(np.sqrt(((w[:, :t_in] - mu[:, None]) ** 2).mean(axis=1)), SIGMA_FLOOR)
+    mu, sigma = _moments(w[:, : n_input * patch_len])
     norm = (w - mu[:, None]) / sigma[:, None]
     b = w.shape[0]
     return PatchBatch(

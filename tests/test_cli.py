@@ -432,6 +432,23 @@ def test_bench_bad_model_key_exits_one(flag, value, capsys):
     assert f"error: {flag[2:].replace('-', '_')} must be" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--peak-lr", "nan"), ("--peak-lr", "inf"), ("--checkpoint-interval", "-1"),
+    ("--flip-prob", "2"), ("--warmup-frac", "-3"), ("--weight-decay", "-5"),
+    ("--clip-norm", "nan"), ("--resample-prob", "nan"), ("--lr-floor-frac", "1.5"),
+    ("--steps", "-1"), ("--batch-size", "0"), ("--seed", "-1"),
+])
+def test_train_bad_train_key_exits_one(tmp_path, flag, value, capsys):
+    # the key is checked before the corpus is read or the run directory made
+    out_dir = tmp_path / "run"
+    argv = ["train", "--data", str(tmp_path / "none"), "--out-dir", str(out_dir), *MODEL_FLAGS,
+            flag, value]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag[2:].replace('-', '_')} must be" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_gradcheck_exit_zero(capsys):
     assert run(["gradcheck", "--coords", "2"]) == 0
     assert "passed" in capsys.readouterr().out

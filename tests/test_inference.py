@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from serialcast import inference
 from serialcast.backbone import (VARIANT_SERIAL, VARIANT_SHIFT, ModelConfig, init_params,
                                  model_forward)
-from serialcast.errors import InputError
+from serialcast.errors import ConfigError, InputError
 from serialcast.inference import (_chunk_len, _forecast_loop, _group_pass, bench_inference,
                                   eval_crps_wql, evaluate, expected_block_count, expected_passes,
                                   forecast, forecast_rolling_ntp, mase, seasonal_naive_scale)
@@ -229,6 +229,55 @@ def test_contract_over_context_lengths(case):
                                       hb.data[0, : max(i - ahead, 0)])
 
 
+# per ModelConfig key: valid tiny values, then values that break the key alone
+# or together with another (an odd head size, top_k above n_experts)
+_CONFIG_VALUES = {
+    "d_model": ([4, 8, 12, 16], [-2, 0, 1, 2, 3, 6, 10]),
+    "patch_len": ([1, 2, 3, 4], [-1, 0]),
+    "n_max": ([1, 2, 3, 4], [-1, 0]),
+    "n_main_blocks": ([1, 2], [-1, 0]),
+    "n_serial_blocks": ([0, 1, 2], [-2, -1]),
+    "n_experts": ([1, 2, 3], [-1, 0]),
+    "top_k": ([1], [-1, 0, 4]),
+    "n_heads": ([0, 1, 2], [-2, -1, 3]),
+    "n_quantiles": ([1, 2, 3, 4], [-1, 0]),
+    "theta_base": ([1e-6, 2.0, 1e4, 1e300], [float("nan"), float("inf"), -1.0, 0.0]),
+    "alpha": ([0.0, 0.01, 3.0], [float("nan"), float("inf"), -0.5]),
+    "variant": ([VARIANT_SERIAL, VARIANT_SHIFT], ["serial_token", "", "SERIAL"]),
+}
+
+
+@st.composite
+def _any_config_keys(draw):
+    """Every ModelConfig key at a tiny size; up to two keys take values past
+    their bounds."""
+    broken = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=2, unique=True))
+    keys = {key: draw(st.sampled_from(bad if key in broken else good))
+            for key, (good, bad) in _CONFIG_VALUES.items()}
+    if "top_k" not in broken:
+        keys["top_k"] = draw(st.integers(1, max(keys["n_experts"], 1)))
+    return keys
+
+
+@given(_any_config_keys(), st.integers(1, 24), st.integers(1, 24),
+       st.sampled_from([np.float32, np.float64]))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_any_config_rejected_by_key_or_forecasts(keys, length, horizon, dtype):
+    # a constant context breaks affine equivariance (SIGMA_FLOOR), so only
+    # shape and finiteness are asserted here
+    try:
+        cfg = ModelConfig(**keys)
+    except ConfigError as e:
+        assert str(e).split()[0] in keys, str(e)
+        return
+    params = init_params(cfg, seed=length, dtype=dtype)
+    x = np.random.default_rng(horizon).normal(size=length).cumsum()
+    for fn in (forecast, forecast_rolling_ntp):
+        values = fn(x, horizon, params, cfg).values
+        assert values.shape == (cfg.n_quantiles, horizon)
+        assert np.isfinite(values).all()
+
+
 class TestBatching:
     def test_rows_sharing_a_pass_split_its_time(self, params):
         x = np.sin(np.arange(30) / 4.0)
@@ -343,6 +392,15 @@ class TestEvaluateAndBench:
         assert len(report.mase_per_series) == 3
         keys = [line.split()[0] for line in report.lines()]
         assert keys == ["mase", "crps_wql", "passes_serial", "passes_rolling", "wall_ms_p50"]
+
+    @pytest.mark.parametrize("mode", ["serial", "rolling"])
+    def test_evaluate_fills_both_pass_counts(self, params, mode):
+        # the evaluated mode's passes are counted, the other mode's closed form
+        series = [np.sin(np.arange(80) / 4.0) + i for i in range(3)]
+        horizon = CFG.native_horizon + 1
+        report = evaluate(params, CFG, series, horizon=horizon, mode=mode)
+        for m in ("serial", "rolling"):
+            assert getattr(report, f"passes_{m}") == 3 * expected_passes(m, horizon, CFG)
 
     @pytest.mark.parametrize("season", [0, -3])
     def test_evaluate_season_below_one_rejected(self, params, season):

@@ -15,19 +15,19 @@ from serialcast.tokenizer import (SIGMA_FLOOR, denormalize, embed_patches,
 
 class TestRenormalize:
     def test_two_point_symmetry(self):
-        norm, stats = renormalize([0.0, 2.0])
+        norm, mu, sigma = renormalize([0.0, 2.0])
         np.testing.assert_allclose(norm, [-1.0, 1.0])
-        assert stats.mu == 1.0 and stats.sigma == 1.0
+        assert mu == 1.0 and sigma == 1.0
 
     def test_constant_clamps_sigma(self):
-        norm, stats = renormalize([5.0, 5.0, 5.0])
+        norm, _, sigma = renormalize([5.0, 5.0, 5.0])
         np.testing.assert_array_equal(norm, np.zeros(3))
-        assert stats.sigma == SIGMA_FLOOR
+        assert sigma == SIGMA_FLOOR
 
     def test_direct_formula(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        norm, stats = renormalize(x)
-        assert np.isclose(stats.mu, 2.5) and np.isclose(stats.sigma, np.sqrt(1.25))
+        norm, mu, sigma = renormalize(x)
+        assert np.isclose(mu, 2.5) and np.isclose(sigma, np.sqrt(1.25))
         np.testing.assert_allclose(norm, (x - 2.5) / np.sqrt(1.25), atol=1e-12)
         np.testing.assert_allclose(norm, [-1.34164079, -0.4472136, 0.4472136, 1.34164079])
 
@@ -39,26 +39,26 @@ class TestRenormalize:
     @settings(max_examples=40, deadline=None)
     def test_affine_propagation(self, a, b):
         x = np.sin(np.arange(32) / 3.0)
-        n1, s1 = renormalize(x)
-        n2, s2 = renormalize(a * x + b)
+        n1, mu1, sigma1 = renormalize(x)
+        n2, mu2, sigma2 = renormalize(a * x + b)
         np.testing.assert_allclose(n1, n2, atol=1e-9)
-        assert np.isclose(s2.mu, a * s1.mu + b, atol=1e-9)
-        assert np.isclose(s2.sigma, a * s1.sigma, rtol=1e-12)
+        assert np.isclose(mu2, a * mu1 + b, atol=1e-9)
+        assert np.isclose(sigma2, a * sigma1, rtol=1e-12)
 
 
 class TestDenormalize:
     def test_round_trip(self):
         x = np.random.default_rng(0).normal(2.0, 3.0, size=50)
-        norm, stats = renormalize(x)
-        np.testing.assert_allclose(denormalize(norm, stats), x, atol=1e-9)
+        norm, mu, sigma = renormalize(x)
+        np.testing.assert_allclose(denormalize(norm, mu, sigma), x, atol=1e-9)
 
     def test_zero_maps_to_mu(self):
-        _, stats = renormalize([1.0, 3.0])
-        assert denormalize(np.zeros(1), stats)[0] == stats.mu
+        _, mu, sigma = renormalize([1.0, 3.0])
+        assert denormalize(np.zeros(1), mu, sigma)[0] == mu
 
     def test_inverse_of_example(self):
-        _, stats = renormalize([0.0, 2.0])
-        np.testing.assert_allclose(denormalize(np.array([-1.0, 1.0]), stats), [0.0, 2.0])
+        _, mu, sigma = renormalize([0.0, 2.0])
+        np.testing.assert_allclose(denormalize(np.array([-1.0, 1.0]), mu, sigma), [0.0, 2.0])
 
 
 class TestPatchify:
@@ -128,7 +128,7 @@ class TestBatches:
         batch = make_batch([np.arange(10.0), np.arange(10.0) * 2], 4, 3)
         assert batch.patches.shape == (2, 3, 4)
         assert batch.n_input == 3
-        assert len(batch.stats) == 2
+        assert batch.mu.shape == batch.sigma.shape == (2,)
 
     def test_make_batch_right_pads_to_n_patches(self):
         batch = make_batch([np.arange(1.0, 6.0), np.arange(9.0), np.arange(12.0)], 4, 5)
