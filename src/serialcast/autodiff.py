@@ -8,6 +8,11 @@ has ``requires_grad`` set (or that sits between such a tensor and the output).
 All ops broadcast like numpy; gradients of broadcast operands are summed back
 to the operand's shape. Graph construction can be suppressed globally with
 ``no_grad()`` for inference-speed forward passes.
+
+The fused layer ops (``rmsnorm``, ``l2_normalize``, ``softmax`` with a mask
+and a scale) are one node each with a hand-written backward, computing in the
+input's dtype, so an f32 model stays f32. A model's parameters travel as
+``Params``, a flat name -> Tensor dict.
 """
 
 from __future__ import annotations
@@ -18,8 +23,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import InputError, NumericError
+
 _GRAD_ENABLED = True
 FULL_TILE = 16  # output columns per full BLAS kernel tile, see grouped_linear
+L2_GUARD = 1e-12  # l2_normalize's denominator floor for zero vectors
 
 
 @contextlib.contextmanager
@@ -106,8 +114,18 @@ class Tensor:
                 node._backward(node)
 
 
+Params = dict[str, Tensor]
+
+
 def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def assert_finite(x, ctx: str):
+    data = x.data if isinstance(x, Tensor) else np.asarray(x)
+    if not np.all(np.isfinite(data)):
+        raise NumericError(f"non-finite {ctx}")
+    return x
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None] | None) -> Tensor:
@@ -370,9 +388,14 @@ def softmax(a, mask: np.ndarray | None = None, scale=None) -> Tensor:
     return _make(p, (a,) if s is None else (a, s), bw)
 
 
-def rmsnorm(x, gain, eps: float) -> Tensor:
-    """gain * x / sqrt(mean(x^2) + eps) over the last axis."""
-    x, gain = astensor(x), astensor(gain)
+def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
+    """gain * x / sqrt(mean(x^2) + eps) over the last axis.
+
+    eps=0 is allowed for exact hand checks but requires nonzero input.
+    """
+    if eps < 0:
+        raise InputError("rmsnorm eps must be >= 0")
+    x, gain = assert_finite(astensor(x), "rmsnorm input"), astensor(gain)
     inv = ((x.data * x.data).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype)) ** -0.5
     xn = x.data * inv
 
@@ -384,12 +407,15 @@ def rmsnorm(x, gain, eps: float) -> Tensor:
     return _make(xn * gain.data, (x, gain), bw)
 
 
-def l2_normalize(v, guard: float) -> Tensor:
-    """v / sqrt(max(sum(v^2), guard)) over the last axis. A guarded row, the
-    all-zero row among them, passes no gradient back."""
+def l2_normalize(v) -> Tensor:
+    """Unit-normalize along the last axis; zero vectors map to zero.
+
+    The guard max(||v||, L2_GUARD) is applied to the squared norm. A guarded
+    row, the all-zero row among them, passes no gradient back.
+    """
     v = astensor(v)
     ss = (v.data * v.data).sum(axis=-1, keepdims=True)
-    guard = np.asarray(guard, dtype=v.dtype)
+    guard = np.asarray(L2_GUARD**2, dtype=v.dtype)
     kept = ss >= guard
     inv = np.where(kept, ss, guard) ** -0.5
     y = v.data * inv

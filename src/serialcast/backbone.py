@@ -1,11 +1,13 @@
-"""Decoder-only stack: main mixture-of-experts blocks plus serial blocks.
+"""The model: patch embedder, main mixture-of-experts blocks, serial blocks
+and the quantile head, each layer next to the parameters it reads.
 
-Each main block is pre-RMSNorm attention (QK-normalized, rotary positions,
-learnable per-head temperature, causal mask) followed by a sparse top-K
-mixture-of-experts feed-forward. Serial blocks fuse the previous depth's
-embeddings with the initial patch embeddings through a learned projection and
-then apply one more such block; the j-th serial block's outputs predict the
-patch shifted by j+1.
+The embedder maps each (patch, mask) pair to one token. Each main block is
+pre-RMSNorm attention (QK-normalized, rotary positions, learnable per-head
+temperature, causal mask) followed by a sparse top-K mixture-of-experts
+feed-forward. Serial blocks fuse the previous depth's embeddings with the
+initial patch embeddings through a learned projection and then apply one more
+such block; the j-th serial block's outputs predict the patch shifted by j+1.
+The shared linear head maps any depth's tokens to quantile patches.
 
 Parameters live in a flat name -> Tensor dict laid out by ``param_table``,
 which init, checkpoint validation, weight decay and the gradient check all
@@ -14,16 +16,20 @@ read. Each expert family is one stacked tensor: ``moe.w1`` is (E, d, 2d).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .errors import ConfigError
-from .numerics import Params, l2_normalize, rmsnorm, rope_table, scaled_masked_softmax
-from .tokenizer import PatchBatch, embed_patches
+from .autodiff import Params, Tensor, assert_finite, l2_normalize, rmsnorm
+from .errors import ConfigError, InputError
+from .tokenizer import PatchBatch
+
+# The layers call rmsnorm, l2_normalize, scaled_masked_softmax and
+# embed_patches by their bare module-level names, so that a wrapper set on
+# this module (perfbench/tracing.py) sees every call.
 
 RMS_EPS = 1e-6
 INIT_STD = 0.02
@@ -192,6 +198,74 @@ def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float64) -> Params:
 # -- forward pieces ------------------------------------------------------
 
 
+def embed_patches(patches, masks, params: Params) -> Tensor:
+    """Residual patch embedder R^{2P} -> R^D: h0 = skip(z) + mlp_out(silu(mlp_in(z)))
+    with z = concat(patch, mask), read from the ``embedder.*`` parameters.
+
+    Masked positions must already hold value 0 so pad content cannot leak.
+    """
+    p = ad.astensor(patches)
+    m = np.asarray(masks.data if isinstance(masks, Tensor) else masks, dtype=p.dtype)
+    if p.shape != m.shape:
+        raise ConfigError(f"patches {p.shape} vs masks {m.shape}")
+    skip_w = params["embedder.skip.w"]
+    if p.shape[-1] * 2 != skip_w.shape[0]:
+        raise ConfigError(f"embedder expects 2P={skip_w.shape[0]}, got P={p.shape[-1]}")
+    z = ad.concat([p, Tensor(m)], axis=-1)
+
+    def linear(x: Tensor, name: str) -> Tensor:
+        return ad.add(ad.matmul(x, params[f"embedder.{name}.w"]), params[f"embedder.{name}.b"])
+
+    skip = linear(z, "skip")
+    hidden = ad.silu(linear(z, "mlp_in"))
+    return ad.add(skip, linear(hidden, "mlp_out"))
+
+
+def rope_angle_table(positions: np.ndarray, d: int, theta_base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin tables of shape (len(positions), d//2).
+
+    Pair m rotates by angle position * theta_base^(-2m/d).
+    """
+    if d % 2 != 0:
+        raise ConfigError(f"rotary dimension must be even, got {d}")
+    positions = np.asarray(positions, dtype=np.float64)
+    freqs = theta_base ** (-2.0 * np.arange(d // 2) / d)
+    angles = positions[:, None] * freqs[None, :]
+    return np.cos(angles), np.sin(angles)
+
+
+# bounded: one entry per context length, head size and dtype in use
+@functools.lru_cache(maxsize=256)
+def rope_table(n: int, d: int, theta_base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos/sin tables for positions 0..n-1, cast once to ``dtype``."""
+    tables = tuple(t.astype(dtype) for t in rope_angle_table(np.arange(n), d, theta_base))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=256)
+def causal_mask(n: int) -> np.ndarray:
+    """Read-only (n, n) boolean mask: True where key index j <= query index i."""
+    mask = np.tril(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
+def scaled_masked_softmax(scores, tau) -> Tensor:
+    """softmax(tau * scores) with entries j > i forced to exactly 0.
+
+    tau scales finite scores only; the -inf substitution happens afterwards,
+    so no positive tau can un-mask an entry.
+    """
+    scores = ad.astensor(scores)
+    assert_finite(scores, "attention scores")
+    tau_data = tau.data if isinstance(tau, Tensor) else np.asarray(tau)
+    if np.any(tau_data <= 0):
+        raise InputError("tau must be > 0")
+    return ad.softmax(scores, mask=causal_mask(scores.shape[-1]), scale=tau)
+
+
 def attention_forward(h_in: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> Tensor:
     """QK-normalized rotary causal attention; residual is added by the caller."""
     b, n, d = h_in.shape
@@ -288,6 +362,13 @@ def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params,
         axis=-1,
     )
     return moe_block(ad.matmul(fused, params[pre + "fusion.w"]), params, pre + "block.", cfg)
+
+
+def patch_project(h, params: Params, cfg: ModelConfig) -> Tensor:
+    """Shared linear head D -> (Q, P); no monotonicity imposed at train time."""
+    h = ad.astensor(h)
+    y = ad.add(ad.matmul(h, params["head.w"]), params["head.b"])
+    return ad.reshape(y, h.shape[:-1] + (cfg.n_quantiles, cfg.patch_len))
 
 
 def _shift_embeddings(h0: Tensor, j: int, last: np.ndarray) -> Tensor:

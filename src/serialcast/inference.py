@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
-from .backbone import ModelConfig, model_forward
+from .autodiff import Params, Tensor, no_grad
+from .backbone import ModelConfig, model_forward, patch_project
 from .errors import InputError
-from .numerics import Params
-from .objectives import QuantileGrid, default_grid, patch_project, wql
+from .objectives import QuantileGrid, default_grid, wql
 from .tokenizer import denormalize, make_batch, patchify, renormalize  # noqa: F401
 
 # renormalize and patchify run inside make_batch; their names stay bound here
@@ -228,6 +227,8 @@ def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int, season
         if x.size <= horizon + season:
             raise InputError("series too short to hold out the horizon")
         held.append((x[:-horizon], x[-horizon:]))
+    if not held:
+        raise InputError("evaluate needs at least one series")
     dists = _forecast_loop([context for context, _ in held], horizon, params, cfg,
                            _chunk_len(mode, cfg))
     report = EvalReport()

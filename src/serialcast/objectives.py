@@ -1,15 +1,15 @@
-"""Quantile forecasting head and the training loss.
+"""Quantile grids and the training loss, plus reference forms of the metrics.
 
 The main stack's outputs predict the patch one step ahead and serial block
 j's outputs the patch j+1 ahead, so next-patch training is depth 0 of one
-loss over every depth: ``depth_losses`` runs the head and the pinball loss
-once over all depths, and ``stage_loss`` weighs its entries per stage.
-Losses are computed in normalized space (the head's native space);
+loss over every depth: ``depth_losses`` runs the head (``patch_project``,
+which lives in ``backbone`` and is called here by its bare name) and the
+pinball loss once over all depths, and ``stage_loss`` weighs its entries per
+stage. Losses are computed in normalized space (the head's native space);
 de-normalization happens only at inference. Padded target positions are
 excluded from both the numerator and the denominator of the weighted
 quantile loss, so pad-only positions contribute exactly zero.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .backbone import VARIANT_SHIFT, ForwardTrace, ModelConfig, MoEAux, aux_loss
+from .autodiff import Params, Tensor
+from .backbone import VARIANT_SHIFT, ForwardTrace, ModelConfig, MoEAux, aux_loss, patch_project
 from .errors import InputError
-from .numerics import Params
 from .tokenizer import PatchBatch
 
 WQL_EPS = 1e-8
@@ -72,16 +71,6 @@ def wql(x, xhat, q: float, mask=None) -> float:
     e = x - xhat
     rho = np.maximum(q * e, (q - 1.0) * e) * m
     return 2.0 * rho.sum() / max((np.abs(x) * m).sum(), WQL_EPS)
-
-
-# -- head ----------------------------------------------------------------
-
-
-def patch_project(h, params: Params, cfg: ModelConfig) -> Tensor:
-    """Shared linear head D -> (Q, P); no monotonicity imposed at train time."""
-    h = ad.astensor(h)
-    y = ad.add(ad.matmul(h, params["head.w"]), params["head.b"])
-    return ad.reshape(y, h.shape[:-1] + (cfg.n_quantiles, cfg.patch_len))
 
 
 # -- training loss -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Series -> normalized masked patches -> embeddings, and back to data scale.
+"""Series -> normalized masked patches, and forecasts back to data scale.
 
 Normalization is per instance: mean and population standard deviation of the
 input window, reused to de-normalize forecasts. Patches are left-padded so
@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .errors import ConfigError, InputError
-from .numerics import Params
+from .errors import InputError
 
 SIGMA_FLOOR = 1e-8
 
@@ -126,26 +123,3 @@ def make_supervised_batch(windows, n_input: int, patch_len: int) -> PatchBatch:
         sigma,
         n_input,
     )
-
-
-def embed_patches(patches, masks, params: Params) -> Tensor:
-    """Residual patch embedder R^{2P} -> R^D: h0 = skip(z) + mlp_out(silu(mlp_in(z)))
-    with z = concat(patch, mask), read from the ``embedder.*`` parameters.
-
-    Masked positions must already hold value 0 so pad content cannot leak.
-    """
-    p = ad.astensor(patches)
-    m = np.asarray(masks.data if isinstance(masks, Tensor) else masks, dtype=p.dtype)
-    if p.shape != m.shape:
-        raise ConfigError(f"patches {p.shape} vs masks {m.shape}")
-    skip_w = params["embedder.skip.w"]
-    if p.shape[-1] * 2 != skip_w.shape[0]:
-        raise ConfigError(f"embedder expects 2P={skip_w.shape[0]}, got P={p.shape[-1]}")
-    z = ad.concat([p, Tensor(m)], axis=-1)
-
-    def linear(x: Tensor, name: str) -> Tensor:
-        return ad.add(ad.matmul(x, params[f"embedder.{name}.w"]), params[f"embedder.{name}.b"])
-
-    skip = linear(z, "skip")
-    hidden = ad.silu(linear(z, "mlp_in"))
-    return ad.add(skip, linear(hidden, "mlp_out"))

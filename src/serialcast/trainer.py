@@ -1,4 +1,4 @@
-"""Training loop, two-stage pipeline, checkpointing, gradient-check harness.
+"""Training loop, two-stage pipeline, checkpointing, gradient checking.
 
 Optimization is adaptive-moment estimation with linear warmup, cosine decay
 and decoupled weight decay on exactly the tensors drawn at random at init
@@ -16,6 +16,10 @@ CRC, then the version, so a flipped byte, a truncated file or a version-1
 file is a ``CheckpointError``. Saving writes a temporary file and renames it
 over the target, so a failed save leaves the previous checkpoint intact.
 Save -> load -> save is byte-identical.
+
+Gradient checking compares every analytic gradient with an independent
+central-difference estimate (``finite_diff_gradient``) in 64-bit; training
+may run the same code in 32-bit.
 """
 
 from __future__ import annotations
@@ -30,13 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Params, Tensor
 from .backbone import RANDOM_INITS, ModelConfig, init_params, model_forward, param_table
 from .datagen import RESAMPLE_FACTORS, derive_seed, resample, value_flip
 from .dataloader import MixtureSampler, ShardManifest, WindowSampler
 from .errors import CheckpointError, ConfigError, InputError, SamplerError
-from .numerics import (GradCheckReport, Params, compare_gradients, finite_diff_gradient,
-                       zero_grads)
 from .objectives import QuantileGrid, default_grid, stage_loss
 from .tokenizer import PatchBatch, make_supervised_batch
 
@@ -49,6 +51,11 @@ _CODE_DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.float32)}
 ADAM_BETA1 = 0.9  # first-moment decay
 ADAM_BETA2 = 0.95  # second-moment decay
 ADAM_EPS = 1e-8  # keeps the update finite where the second moment is 0
+# A gradient passes the finite-difference oracle when its largest relative
+# error is below GRAD_REL_TOL or its largest absolute error is below
+# GRAD_ABS_FLOOR, where finite-difference noise dominates.
+GRAD_REL_TOL = 1e-4
+GRAD_ABS_FLOOR = 1e-7
 
 
 @dataclass
@@ -324,9 +331,25 @@ class TrainResult:
     checkpoint_path: str = ""
 
 
+def _load_weights(path: str, model_cfg: ModelConfig,
+                  train_cfg: TrainConfig) -> tuple[Params, OptState | None]:
+    """A checkpoint to train on: its tensors must match ``model_cfg`` and the
+    run's precision, since training would otherwise go on in the stored dtype."""
+    params, opt = load_checkpoint(path)
+    validate_params(params, model_cfg)
+    want = np.dtype(train_cfg.dtype)
+    for name, p in params.items():
+        if p.dtype != want:
+            raise CheckpointError(f"precision={train_cfg.precision} trains in {want}, "
+                                  f"but {path} holds {name} in {p.dtype}")
+    return params, opt
+
+
 def _run_loop(params: Params, opt: OptState, sampler, model_cfg: ModelConfig,
               train_cfg: TrainConfig, start_step: int = 0,
               log_every: int = 0) -> TrainResult:
+    if log_every < 0:
+        raise InputError(f"log_every must be >= 0, got {log_every}")
     grid = default_grid(model_cfg.n_quantiles)
     decayed = decayed_names(model_cfg)
     history: list[StepResult] = []
@@ -354,8 +377,7 @@ def run_pretrain(model_cfg: ModelConfig, train_cfg: TrainConfig, manifest: Shard
         raise InputError("run_pretrain needs stage=pretrain")
     sampler = WindowSampler(manifest)
     if resume_from:
-        params, opt = load_checkpoint(resume_from)
-        validate_params(params, model_cfg)
+        params, opt = _load_weights(resume_from, model_cfg, train_cfg)
         opt = opt or OptState.fresh(params)
         start = opt.step
     else:
@@ -376,14 +398,93 @@ def run_posttrain(pretrained: str, model_cfg: ModelConfig, train_cfg: TrainConfi
     """
     if train_cfg.stage != "posttrain":
         raise InputError("run_posttrain needs stage=posttrain")
-    params, _ = load_checkpoint(pretrained)
-    validate_params(params, model_cfg)
+    params, _ = _load_weights(pretrained, model_cfg, train_cfg)
     sampler = MixtureSampler([(WindowSampler(m), w) for m, w in sources])
     opt = OptState.fresh(params)
     return _run_loop(params, opt, sampler, model_cfg, train_cfg, log_every=log_every)
 
 
-# -- gradient-check harness --------------------------------------------------
+# -- gradient checking ---------------------------------------------------------
+
+
+@dataclass
+class GradCheckReport:
+    param_name: str
+    max_rel_err: float
+    max_abs_err: float
+    passed: bool
+
+    def __str__(self):
+        tag = "ok  " if self.passed else "FAIL"
+        return f"[{tag}] {self.param_name:40s} rel={self.max_rel_err:.3e} abs={self.max_abs_err:.3e}"
+
+
+def zero_grads(params: Params):
+    for p in params.values():
+        p.zero_grad()
+
+
+def finite_diff_gradient(loss_fn, params: Params, epsilon: float = 1e-5,
+                         coords_per_tensor: int | None = None,
+                         rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
+    """Central-difference gradient (f(t+e) - f(t-e)) / 2e per coordinate.
+
+    With ``coords_per_tensor`` set (at least 1), only that many randomly
+    chosen coordinates are evaluated per tensor; unsampled entries are NaN.
+    ``loss_fn`` must be deterministic (checked by a repeated base evaluation).
+    """
+    if not (1e-6 <= epsilon <= 1e-4):
+        raise InputError(f"epsilon {epsilon} outside [1e-6, 1e-4]")
+    if coords_per_tensor is not None and coords_per_tensor < 1:
+        raise InputError(f"coords per tensor must be >= 1, got {coords_per_tensor}")
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            raise InputError(f"finite differences require 64-bit params ({name} is {p.data.dtype})")
+    base = float(loss_fn(params))
+    if float(loss_fn(params)) != base:
+        raise InputError("loss_fn is not deterministic")
+    rng = rng or np.random.default_rng(0)
+    out: dict[str, np.ndarray] = {}
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        n = flat.size
+        if coords_per_tensor is None or coords_per_tensor >= n:
+            idx = np.arange(n)
+        else:
+            idx = rng.choice(n, size=coords_per_tensor, replace=False)
+        g = np.full(n, np.nan)
+        for i in idx:
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            hi = float(loss_fn(params))
+            flat[i] = orig - epsilon
+            lo = float(loss_fn(params))
+            flat[i] = orig
+            g[i] = (hi - lo) / (2.0 * epsilon)
+        out[name] = g.reshape(p.data.shape)
+    return out
+
+
+def compare_gradients(analytic: dict[str, np.ndarray],
+                      numeric: dict[str, np.ndarray]) -> list[GradCheckReport]:
+    """One report per parameter; NaN entries of ``numeric`` are skipped.
+
+    A coordinate counts toward max_rel_err only when its absolute error is at
+    least GRAD_ABS_FLOOR; below that, finite-difference noise dominates.
+    """
+    reports = []
+    for name in sorted(numeric):
+        f = numeric[name].reshape(-1)
+        a = np.zeros_like(f) if analytic.get(name) is None else np.asarray(analytic[name]).reshape(-1)
+        keep = ~np.isnan(f)
+        err = np.abs(a[keep] - f[keep])
+        scale = np.maximum(np.abs(a[keep]), np.abs(f[keep]))
+        max_abs = float(err.max()) if err.size else 0.0
+        sig = err >= GRAD_ABS_FLOOR
+        max_rel = float((err[sig] / scale[sig]).max()) if sig.any() else 0.0
+        passed = (max_rel < GRAD_REL_TOL) or (max_abs < GRAD_ABS_FLOOR)
+        reports.append(GradCheckReport(name, max_rel, max_abs, passed))
+    return reports
 
 
 REFERENCE_TINY = ModelConfig(d_model=16, patch_len=4, n_max=4, n_main_blocks=2,

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from serialcast import autodiff as ad
-from serialcast.autodiff import Tensor
-from serialcast.numerics import (L2_GUARD, causal_mask, l2_normalize, rmsnorm, rope_table,
-                                 scaled_masked_softmax)
+from serialcast.autodiff import L2_GUARD, Tensor, l2_normalize, rmsnorm
+from serialcast.backbone import causal_mask, rope_table, scaled_masked_softmax
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

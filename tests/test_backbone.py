@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from serialcast import autodiff as ad
-from serialcast.autodiff import Tensor
+from serialcast import backbone, inference, objectives
+from serialcast.autodiff import Tensor, rmsnorm
 from serialcast.backbone import (ModelConfig, MoEAux, attention_forward,
                                  aux_loss, init_params, model_forward, moe_forward,
-                                 moe_block, serial_block)
+                                 moe_block, rope_angle_table, serial_block)
 from serialcast.errors import ConfigError
-from serialcast.numerics import rmsnorm, rope_angle_table
 from serialcast.tokenizer import make_batch
 
 
@@ -355,3 +355,31 @@ class TestConfigValidation:
     def test_native_horizon_paper_scale(self):
         cfg = ModelConfig(d_model=64, patch_len=16, n_serial_blocks=16, n_max=180)
         assert cfg.native_horizon == 272
+
+
+def test_layers_called_through_module_globals(monkeypatch, tiny_cfg, tiny_params, tiny_batch,
+                                              tiny_grid):
+    # perfbench/tracing.py times these layers by replacing the module
+    # attributes, which sees only calls made through the bare global name
+    bound = [(backbone, "rmsnorm"), (backbone, "l2_normalize"),
+             (backbone, "scaled_masked_softmax"), (backbone, "embed_patches"),
+             (objectives, "patch_project"), (inference, "patch_project")]
+    calls = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in bound:
+        key = f"{module.__name__}.{name}"
+        calls[key] = 0
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    trace = model_forward(tiny_batch, tiny_params, tiny_cfg, depth=tiny_cfg.n_serial_blocks)
+    objectives.stage_loss("pretrain", trace, tiny_batch, tiny_params, tiny_cfg, tiny_grid)
+    train = dict(calls)
+    inference.forecast(np.sin(np.arange(20.0)), 8, tiny_params, tiny_cfg)
+    served = {k: calls[k] - train[k] for k in calls}
+    assert all(n > 0 for k, n in train.items() if k != "serialcast.inference.patch_project"), train
+    assert all(n > 0 for k, n in served.items() if k != "serialcast.objectives.patch_project"), served

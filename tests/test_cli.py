@@ -409,6 +409,22 @@ def test_posttrain_n_max_extends_context(pipeline, capsys):
     assert not np.array_equal(got, forecast(series, 8, params, replace(cfg, n_max=8)).values)
 
 
+@pytest.mark.parametrize("command", ["train", "posttrain"])
+@pytest.mark.parametrize("flag, value, code, messages", [
+    ("--log-every", "-1", 1, ["log_every must be >= 0"]),
+    ("--precision", "f64", 2, ["precision=f64", "float64", "float32"]),  # an f32 checkpoint
+])
+def test_run_argument_refused_before_first_step(pipeline, tmp_path, capsys, command, flag,
+                                                value, code, messages):
+    source = "--resume" if command == "train" else "--checkpoint"
+    argv = [command, source, pipeline["ckpt"], "--config", pipeline["config"], "--data",
+            pipeline["data"], "--steps", "4", "--out-dir", str(tmp_path / "run"), flag, value]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages), err
+    assert not (tmp_path / "run").exists()
+
+
 def test_n_max_override_rejected(pipeline, tmp_path, capsys):
     argv = ["posttrain", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
             "--steps", "1", "--batch-size", "2", "--out-dir", str(tmp_path / "post")] + MODEL_FLAGS

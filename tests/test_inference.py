@@ -402,6 +402,10 @@ class TestEvaluateAndBench:
         for m in ("serial", "rolling"):
             assert getattr(report, f"passes_{m}") == 3 * expected_passes(m, horizon, CFG)
 
+    def test_evaluate_empty_series_list_rejected(self, params):
+        with pytest.raises(InputError, match="at least one series"):
+            evaluate(params, CFG, [], horizon=8)
+
     @pytest.mark.parametrize("season", [0, -3])
     def test_evaluate_season_below_one_rejected(self, params, season):
         series = [np.sin(np.arange(80) / 4.0)]

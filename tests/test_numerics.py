@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serialcast import autodiff as ad
-from serialcast.autodiff import Tensor
+from serialcast.autodiff import Tensor, l2_normalize, rmsnorm
+from serialcast.backbone import rope_angle_table, scaled_masked_softmax
 from serialcast.errors import ConfigError, InputError, NumericError
-from serialcast.numerics import (compare_gradients, finite_diff_gradient, l2_normalize,
-                                 rmsnorm, rope_angle_table, scaled_masked_softmax)
+from serialcast.trainer import compare_gradients, finite_diff_gradient
 
 finite_vec = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=16)
 

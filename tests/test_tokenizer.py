@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serialcast.autodiff import Tensor
-from serialcast.backbone import init_params, model_forward
+from serialcast.backbone import embed_patches, init_params, model_forward
 from serialcast.errors import InputError
-from serialcast.numerics import compare_gradients, finite_diff_gradient
-from serialcast.tokenizer import (SIGMA_FLOOR, denormalize, embed_patches,
-                                  make_batch, make_supervised_batch, patchify, renormalize)
+from serialcast.tokenizer import (SIGMA_FLOOR, denormalize, make_batch, make_supervised_batch,
+                                  patchify, renormalize)
+from serialcast.trainer import compare_gradients, finite_diff_gradient
 
 
 class TestRenormalize:

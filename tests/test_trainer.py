@@ -16,12 +16,12 @@ from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig, init_params, model_forward
 from serialcast.datagen import SignalSpec, gen_signal
 from serialcast.dataloader import build_shards
-from serialcast.errors import CheckpointError, ConfigError
+from serialcast.errors import CheckpointError, ConfigError, InputError
 from serialcast.tokenizer import make_batch
 from serialcast.trainer import (REFERENCE_TINY, OptState, TrainConfig, adamw_update,
                                 clip_gradients, decayed_names, draw_batch,
-                                gradient_check_suite, load_checkpoint, lr_at, run_pretrain,
-                                save_checkpoint, train_step, validate_params)
+                                gradient_check_suite, load_checkpoint, lr_at, run_posttrain,
+                                run_pretrain, save_checkpoint, train_step, validate_params)
 
 
 @pytest.fixture
@@ -329,6 +329,30 @@ class TestResume:
             np.testing.assert_array_equal(loaded[k].data, fresh[k].data)
 
 
+class TestRunArguments:
+    def _run(self, stage, tmp_path, manifest, log_every=0, **train):
+        ckpt = str(tmp_path / "f32.sfck")
+        save_checkpoint(init_params(SMALL, seed=1, dtype=np.float32), None, ckpt)
+        tcfg = TrainConfig(stage=stage, steps=2, batch_size=2, out_dir=str(tmp_path / "run"),
+                           **train)
+        if stage == "pretrain":
+            return run_pretrain(SMALL, tcfg, manifest, resume_from=ckpt, log_every=log_every)
+        return run_posttrain(ckpt, SMALL, tcfg, [(manifest, 1.0)], log_every=log_every)
+
+    @pytest.mark.parametrize("stage", ["pretrain", "posttrain"])
+    def test_negative_log_every_rejected_before_first_step(self, toy_manifest, tmp_path, stage):
+        with pytest.raises(InputError, match="log_every must be >= 0"):
+            self._run(stage, tmp_path, toy_manifest, log_every=-1)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("stage", ["pretrain", "posttrain"])
+    def test_precision_unlike_checkpoint_rejected(self, toy_manifest, tmp_path, stage):
+        # an f32 checkpoint would otherwise go on training in float32 under f64
+        with pytest.raises(CheckpointError, match="precision=f64 .*float64.*float32"):
+            self._run(stage, tmp_path, toy_manifest, precision="f64")
+        assert not (tmp_path / "run").exists()
+
+
 class TestExtendContext:
     def test_paper_scale_figures(self):
         cfg = ModelConfig(d_model=64, patch_len=16, n_max=180, n_serial_blocks=16)
@@ -386,7 +410,7 @@ class TestGradientCheckSuite:
         assert taus
 
         params = init_params(REFERENCE_TINY, seed=0, dtype=np.float64)
-        from serialcast.numerics import zero_grads
+        from serialcast.trainer import zero_grads
         from serialcast.objectives import QuantileGrid, stage_loss
         from serialcast.tokenizer import make_supervised_batch
 
