@@ -1,4 +1,4 @@
-"""Shard-based series storage and the hybrid memory-disk window sampler.
+"""Shard-based series storage and the window samplers that read it from disk.
 
 Data format version 2. A shard file holds only the little-endian float32
 values of its series segments, back to back. A series never crosses a shard
@@ -13,13 +13,17 @@ lengths are stored::
     ...
     crc32 <CRC32 of every byte before this line, 8 hex digits>
 
-Loading the manifest checks its version, then its CRC; loading a shard checks
-that its size is 4 x the sum of its lengths, then its CRC. Any mismatch is a
-``DataError`` that names the file. A version-1 corpus must be rebuilt.
+Loading the manifest checks its version, then its CRC; checking a shard
+checks that its size is 4 x the sum of its lengths, then streams its CRC.
+The sampler checks a shard the first time it draws from it, then reads each
+window with one ``pread``, after checking that the shard's size and mtime
+have not moved. Any mismatch is a ``DataError`` that names the file. A
+version-1 corpus must be rebuilt.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import zlib
@@ -33,6 +37,7 @@ MANIFEST_MAGIC = "SFMANIFEST"
 MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.sfm"
 MIN_SHARD_BYTES = 1 << 20
+CHECK_CHUNK = 1 << 16  # bytes a shard check holds at once
 DEFAULT_SHARD_BYTES = 4 << 20
 VALUE_DTYPE = np.dtype("<f4")
 
@@ -155,17 +160,41 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES,
         raise
 
 
+def _stamp(fd: int) -> tuple[int, int]:
+    st = os.fstat(fd)
+    return st.st_size, st.st_mtime_ns
+
+
+def check_shard(path: str, crc32: int, lengths: list[int],
+                out: np.ndarray | None = None) -> tuple[int, int]:
+    """Check one shard against its manifest entry: its size, then the CRC32 of
+    its bytes, streamed ``CHECK_CHUNK`` bytes at a time. The values are copied
+    into ``out`` when it is given. Returns the file's (size, mtime_ns) stamp."""
+    expected = VALUE_DTYPE.itemsize * sum(lengths)
+    with open(path, "rb", buffering=0) as f:
+        stamp = _stamp(f.fileno())
+        buf = memoryview(bytearray(CHECK_CHUNK))
+        sink = None if out is None else memoryview(out).cast("B")
+        crc = done = 0
+        while stamp[0] == expected and (got := f.readinto(buf[: expected - done])):
+            crc = zlib.crc32(buf[:got], crc)
+            if sink is not None:
+                sink[done : done + got] = buf[:got]
+            done += got
+    size = stamp[0] if stamp[0] != expected else done  # done falls short if it shrank meanwhile
+    if size != expected:
+        raise DataError(f"{path}: {size} bytes, but the manifest's lengths need {expected}: "
+                        "truncated shard or mismatched manifest")
+    if crc != crc32:
+        raise DataError(f"{path}: checksum mismatch, shard rejected")
+    return stamp
+
+
 def load_shard(path: str, crc32: int, lengths: list[int]) -> list[np.ndarray]:
     """The float32 segments of one shard, checked against its manifest entry."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    expected = VALUE_DTYPE.itemsize * sum(lengths)
-    if len(blob) != expected:
-        raise DataError(f"{path}: {len(blob)} bytes, but the manifest's lengths need {expected}: "
-                        "truncated shard or mismatched manifest")
-    if zlib.crc32(blob) != crc32:
-        raise DataError(f"{path}: checksum mismatch, shard rejected")
-    return np.split(np.frombuffer(blob, VALUE_DTYPE), np.cumsum(lengths[:-1]))
+    values = np.empty(sum(lengths), VALUE_DTYPE)
+    check_shard(path, crc32, lengths, values)
+    return np.split(values, np.cumsum(lengths[:-1]))
 
 
 def read_all_series(manifest: ShardManifest) -> list[np.ndarray]:
@@ -174,32 +203,41 @@ def read_all_series(manifest: ShardManifest) -> list[np.ndarray]:
             for values in load_shard(manifest.shard_path(i), e.crc32, e.series_lengths)]
 
 
-class ShardQueue:
-    """At most ``capacity`` shards resident; least-recently-sampled eviction."""
+def read_values(path: str, stamp: tuple[int, int], start: int, count: int) -> np.ndarray:
+    """``count`` float32 values from value ``start`` of a checked shard, in one
+    pread. A file whose (size, mtime_ns) moved from ``stamp``, or a short read,
+    is a ``DataError``; an in-place rewrite within one mtime tick is not seen."""
+    size, at = count * VALUE_DTYPE.itemsize, start * VALUE_DTYPE.itemsize
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        if (now := _stamp(fd)) != stamp:
+            raise DataError(f"{path}: changed since its check, (size, mtime_ns) {stamp} -> {now}; "
+                            "shard rejected")
+        blob = os.pread(fd, size, at)
+    finally:
+        os.close(fd)
+    if len(blob) != size:
+        raise DataError(f"{path}: read {len(blob)} of {size} bytes at byte {at}: truncated shard")
+    return np.frombuffer(blob, VALUE_DTYPE)
 
-    def __init__(self, manifest: ShardManifest, capacity: int = 4):
-        if capacity < 1:
-            raise InputError("queue capacity must be >= 1")
+
+class ShardQueue:
+    """Checks each shard once, the first time it is drawn, and holds none of
+    its values; ``load_count`` counts the checks."""
+
+    def __init__(self, manifest: ShardManifest):
         self.manifest = manifest
-        self.capacity = capacity
-        self._resident: dict[int, list[np.ndarray]] = {}
-        self._order: list[int] = []  # least recent first
+        self._checked: dict[int, tuple[str, tuple[int, int], list[int]]] = {}
         self.load_count = 0
 
-    def get(self, shard_index: int) -> list[np.ndarray]:
-        if shard_index in self._resident:
-            self._order.remove(shard_index)
-            self._order.append(shard_index)
-            return self._resident[shard_index]
-        while len(self._resident) >= self.capacity:
-            victim = self._order.pop(0)
-            del self._resident[victim]
-        entry = self.manifest.entries[shard_index]
-        data = load_shard(self.manifest.shard_path(shard_index), entry.crc32, entry.series_lengths)
-        self._resident[shard_index] = data
-        self._order.append(shard_index)
-        self.load_count += 1
-        return data
+    def get(self, shard_index: int) -> tuple[str, tuple[int, int], list[int]]:
+        """The shard's path, its stamp at the check and its series' offsets."""
+        if shard_index not in self._checked:
+            path, entry = self.manifest.shard_path(shard_index), self.manifest.entries[shard_index]
+            self._checked[shard_index] = (path, check_shard(path, entry.crc32, entry.series_lengths),
+                                          [0, *itertools.accumulate(entry.series_lengths[:-1])])
+            self.load_count += 1
+        return self._checked[shard_index]
 
 
 class WindowSampler:
@@ -208,8 +246,8 @@ class WindowSampler:
     A window of ``length`` points is eligible wherever it fits inside a
     single series (or split segment); long series therefore contribute
     proportionally more windows. The counts come from the manifest's
-    lengths, so a shard is loaded only once it is drawn. Deterministic under
-    a fixed rng.
+    lengths, so a shard is checked only once it is first drawn, and each
+    window is then one read of its bytes. Deterministic under a fixed rng.
     """
 
     def __init__(self, manifest: ShardManifest):
@@ -235,11 +273,11 @@ class WindowSampler:
         if total <= 0:
             raise SamplerError(f"no series can host a {length}-point window")
         shard_i = int(rng.choice(per_shard.size, p=per_shard / total))
-        series = self.queue.get(shard_i)
+        path, stamp, offsets = self.queue.get(shard_i)
         counts = per_series[shard_i]
-        values = series[int(rng.choice(counts.size, p=counts / counts.sum()))]
-        start = int(rng.integers(0, values.size - length + 1))
-        return np.asarray(values[start : start + length], dtype=np.float64)
+        series_i = int(rng.choice(counts.size, p=counts / counts.sum()))
+        start = offsets[series_i] + int(rng.integers(0, int(counts[series_i])))
+        return read_values(path, stamp, start, length).astype(np.float64)
 
 
 class MixtureSampler:

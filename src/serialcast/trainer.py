@@ -142,21 +142,32 @@ def clip_gradients(params: Params, max_norm: float) -> float:
 
 def adamw_update(params: Params, opt: OptState, lr: float, cfg: TrainConfig,
                  decayed: frozenset[str]):
+    """Update the moments and weights in place, through two scratch buffers
+    per dtype sized for the largest tensor. The operations and their order are
+    those of ``p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)``, bit for bit."""
     opt.step += 1
     t = opt.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    size = max((p.data.size for p in params.values() if p.grad is not None), default=0)
+    scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
     for name, p in params.items():
         g = p.grad
         if g is None:
             continue
-        opt.m[name] = b1 * opt.m[name] + (1 - b1) * g
-        opt.v[name] = b2 * opt.v[name] + (1 - b2) * g * g
-        m_hat = opt.m[name] / (1 - b1**t)
-        v_hat = opt.v[name] / (1 - b2**t)
-        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v, w = opt.m[name], opt.v[name], p.data
+        if w.dtype not in scratch:
+            scratch[w.dtype] = np.empty(size, w.dtype), np.empty(size, w.dtype)
+        a, b = (s[: w.size].reshape(w.shape) for s in scratch[w.dtype])
+        np.multiply(m, b1, out=m)
+        np.add(m, np.multiply(1 - b1, g, out=a), out=m)
+        np.multiply(np.multiply(1 - b2, g, out=a), g, out=a)
+        np.add(np.multiply(v, b2, out=v), a, out=v)
+        np.divide(m, 1 - b1**t, out=a)  # m_hat
+        np.divide(v, 1 - b2**t, out=b)  # v_hat
+        np.divide(a, np.add(np.sqrt(b, out=b), ADAM_EPS, out=b), out=a)  # the update
         if cfg.weight_decay > 0 and name in decayed:
-            update = update + cfg.weight_decay * p.data
-        p.data = p.data - lr * update
+            np.add(a, np.multiply(cfg.weight_decay, w, out=b), out=a)
+        np.subtract(w, np.multiply(lr, a, out=a), out=w)
 
 
 @dataclass

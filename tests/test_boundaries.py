@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from serialcast.backbone import ModelConfig, init_params
 from serialcast.cli import run, save_config
-from serialcast.dataloader import MANIFEST_NAME, ShardManifest, build_shards, load_shard
+from serialcast.dataloader import (MANIFEST_NAME, ShardManifest, WindowSampler, build_shards,
+                                   load_shard)
 from serialcast.errors import CheckpointError, DataError
 from serialcast.trainer import OptState, load_checkpoint, save_checkpoint
 
@@ -129,6 +130,9 @@ def _assert_corpus_rejected(d, manifest: bytes, shard: bytes):
         loaded = ShardManifest.load(str(damaged / MANIFEST_NAME))
         entry = loaded.entries[0]
         load_shard(loaded.shard_path(0), entry.crc32, entry.series_lengths)
+    with pytest.raises(DataError):  # the training path checks the shard on its first draw
+        WindowSampler(ShardManifest.load(str(damaged / MANIFEST_NAME))).sample_raw(
+            40, np.random.default_rng(0))
     code, err = _cli(["stats", "--manifest", str(damaged)])
     assert code == 2, err
     lines = err.splitlines()

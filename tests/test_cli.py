@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from serialcast import cli
+from serialcast import cli, trainer
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig
 from serialcast.cli import run
@@ -186,6 +186,40 @@ def test_train_on_edited_manifest_exits_two(tmp_path, capsys, resealed):
     lines = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("[train]")]
     assert len(lines) == 1 and lines[0].startswith(f"runtime failure: {data}"), lines
     assert ("shard_00000.sfd" if resealed else "checksum mismatch") in lines[0]
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+@pytest.mark.parametrize("damage", ["flip", "truncate"])
+def test_train_on_damaged_shard_exits_two(tmp_path, capsys, monkeypatch, when, damage):
+    # "after" damages the shard once its first draw has checked it; a flip is
+    # then a same-size rewrite with a later mtime
+    data = tmp_path / "data"
+    build_shards([np.sin(np.arange(400.0)), np.cos(np.arange(300.0))], 1 << 20, str(data))
+    shard = data / "shard_00000.sfd"
+
+    def spoil():
+        blob, mtime = bytearray(shard.read_bytes()), shard.stat().st_mtime_ns
+        if damage == "flip":
+            blob[len(blob) // 2] ^= 0x01
+        shard.write_bytes(blob if damage == "flip" else blob[:-4])
+        os.utime(shard, ns=(mtime, mtime + 10**9))
+
+    if when == "before":
+        spoil()
+    else:
+        step, steps = trainer.train_step, []
+
+        def step_then_spoil(*args, **kwargs):
+            steps.append(step(*args, **kwargs))
+            if len(steps) == 1:
+                spoil()
+            return steps[-1]
+        monkeypatch.setattr(trainer, "train_step", step_then_spoil)
+    code = run(["train", "--data", str(data), "--out-dir", str(tmp_path / "run"), *MODEL_FLAGS,
+                "--steps", "2", "--batch-size", "2"])
+    assert code == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("[train]")]
+    assert len(lines) == 1 and lines[0].startswith(f"runtime failure: {shard}: "), lines
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -1,26 +1,19 @@
-"""Shard round trips, sampler statistics, queue residency, CSV interface."""
+"""Shard round trips, sampler statistics, window reads, CSV interface."""
 
 import os
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from serialcast.dataloader import (MANIFEST_NAME, MixtureSampler, ShardManifest, ShardQueue,
-                                   WindowSampler, build_shards, load_shard, read_all_series,
-                                   read_csv_series, write_csv_series)
+from serialcast.dataloader import (MANIFEST_NAME, MixtureSampler, ShardManifest, WindowSampler,
+                                   build_shards, load_shard, read_all_series, read_csv_series,
+                                   write_csv_series)
 from serialcast.errors import DataError, InputError, SamplerError
 
 MIB = 1 << 20
-
-
-def resident_count(q: ShardQueue) -> int:
-    return len(q._resident)
-
-
-def resident_bytes(q: ShardQueue) -> int:
-    return sum(v.nbytes for i in q._resident for v in q._resident[i])
 
 
 def make_manifest(tmp_path, series, shard_bytes=MIB, sub="data"):
@@ -179,42 +172,100 @@ class TestManifest:
             load_shard(shard_file, manifest.entries[0].crc32, [100])
 
 
-class TestShardQueue:
-    def _multi_shard_manifest(self, tmp_path, n_shards=4):
-        series = [np.full(200_000, float(i), dtype=np.float32) for i in range(n_shards)]
-        return make_manifest(tmp_path, series)
+@pytest.fixture(scope="module")
+def ragged_corpus(tmp_path_factory):
+    """Fifty series of 20-60k points, packed into at least five 1 MiB shards."""
+    rng = np.random.default_rng(11)
+    series = [rng.normal(size=n).astype(np.float32) for n in rng.integers(20, 60_000, 50)]
+    manifest = make_manifest(tmp_path_factory.mktemp("ragged"), series)
+    assert len(manifest.entries) >= 5
+    return manifest
 
-    def test_no_evictions_above_capacity(self, tmp_path):
-        manifest = self._multi_shard_manifest(tmp_path, 3)
-        q = ShardQueue(manifest, capacity=3)
-        for i in (0, 1, 2, 0, 1, 2):
-            q.get(i)
-        assert q.load_count == 3 and resident_count(q) == 3
 
-    def test_capacity_one_alternation_always_loads(self, tmp_path):
-        manifest = self._multi_shard_manifest(tmp_path, 2)
-        q = ShardQueue(manifest, capacity=1)
-        for i in (0, 1, 0, 1):
-            q.get(i)
-        assert q.load_count == 4 and resident_count(q) == 1
+def twin_draw(sampler, flat, first, length, rng):
+    """The draw ``sample_raw`` makes, with the same rng calls, sliced from
+    ``read_all_series``; also returns the shard drawn."""
+    per_shard, per_series = sampler.window_counts(length)
+    shard_i = int(rng.choice(per_shard.size, p=per_shard / per_shard.sum()))
+    counts = per_series[shard_i]
+    values = flat[first[shard_i] + int(rng.choice(counts.size, p=counts / counts.sum()))]
+    start = int(rng.integers(0, values.size - length + 1))
+    return np.asarray(values[start : start + length], dtype=np.float64), shard_i
 
-    def test_resident_bytes_bounded(self, tmp_path):
-        manifest = self._multi_shard_manifest(tmp_path, 4)
-        q = ShardQueue(manifest, capacity=2)
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            q.get(int(rng.integers(4)))
-            assert resident_count(q) <= 2
-            assert resident_bytes(q) <= 2 * MIB
 
-    def test_lru_eviction_order(self, tmp_path):
-        manifest = self._multi_shard_manifest(tmp_path, 3)
-        q = ShardQueue(manifest, capacity=2)
-        q.get(0)
-        q.get(1)
-        q.get(0)  # refresh 0; victim should now be 1
-        q.get(2)
-        assert set(q._resident) == {0, 2}
+class TestWindowReads:
+    LENGTHS = (1, 17, 296, 2000, 19_999)
+
+    def test_draws_equal_slices_of_read_all_series(self, ragged_corpus):
+        flat = read_all_series(ragged_corpus)
+        first = np.cumsum([0] + [len(e.series_lengths) for e in ragged_corpus.entries])
+        sampler = WindowSampler(ragged_corpus)
+        rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+        drawn = set()
+        for i in range(500):
+            length = self.LENGTHS[i % len(self.LENGTHS)]
+            got = sampler.sample_raw(length, rng)
+            want, shard_i = twin_draw(sampler, flat, first, length, twin)
+            drawn.add(shard_i)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            assert sampler.queue.load_count == len(drawn) <= len(ragged_corpus.entries)
+        assert rng.random() == twin.random()  # the same number of rng calls
+
+    def test_memory_below_one_shard(self, ragged_corpus):
+        sampler = WindowSampler(ragged_corpus)
+        rng = np.random.default_rng(13)
+        for length in self.LENGTHS:
+            sampler.window_counts(length)  # cached once per sampler, not per draw
+        tracemalloc.start()
+        try:
+            for i in range(500):
+                sampler.sample_raw(self.LENGTHS[i % len(self.LENGTHS)], rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sampler.queue.load_count == len(ragged_corpus.entries)
+        assert peak < MIB, peak
+
+
+class TestChangedAfterCheck:
+    @pytest.fixture
+    def checked(self, tmp_path):
+        """A sampler that has checked its one shard, and that shard's path."""
+        manifest = make_manifest(tmp_path, [np.arange(1000, dtype=np.float32)])
+        sampler = WindowSampler(manifest)
+        sampler.sample_raw(100, np.random.default_rng(0))
+        assert sampler.queue.load_count == 1
+        return sampler, manifest.shard_path(0)
+
+    def test_intact_shard_read_without_a_second_check(self, checked):
+        sampler, _ = checked
+        window = sampler.sample_raw(100, np.random.default_rng(1))
+        assert np.array_equal(window, np.arange(window[0], window[0] + 100))
+        assert sampler.queue.load_count == 1
+
+    def test_truncated_shard_names_file(self, checked):
+        sampler, path = checked
+        os.truncate(path, os.path.getsize(path) - 4)
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: changed since its check"):
+            sampler.sample_raw(100, np.random.default_rng(1))
+
+    def test_same_size_rewrite_names_file(self, checked):
+        sampler, path = checked
+        mtime = os.stat(path).st_mtime_ns
+        blob = bytearray(open(path, "rb").read())
+        blob[0] ^= 0x01
+        open(path, "wb").write(bytes(blob))
+        os.utime(path, ns=(mtime, mtime + 10**9))
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: changed since its check"):
+            sampler.sample_raw(100, np.random.default_rng(1))
+
+    def test_short_read_names_file(self, checked, monkeypatch):
+        sampler, path = checked
+        pread = os.pread
+        monkeypatch.setattr(os, "pread", lambda fd, n, at: pread(fd, n, at)[:-4])
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: read 396 of 400 bytes at byte "
+                                            "[0-9]+: truncated shard"):
+            sampler.sample_raw(100, np.random.default_rng(1))
 
 
 class TestWindowSampler:

@@ -73,6 +73,40 @@ class TestAdamW:
         adamw_update(params, opt, 0.0, cfg, frozenset({"w"}))
         np.testing.assert_array_equal(params["w"].data, [1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_equals_allocating_reference(self, dtype):
+        # the allocating form the in-place update must match bit for bit
+        def reference(params, opt, lr, cfg, decayed):
+            opt.step += 1
+            b1, b2, t = trainer.ADAM_BETA1, trainer.ADAM_BETA2, opt.step
+            for name, p in params.items():
+                g = p.grad
+                opt.m[name] = b1 * opt.m[name] + (1 - b1) * g
+                opt.v[name] = b2 * opt.v[name] + (1 - b2) * g * g
+                update = (opt.m[name] / (1 - b1**t)) / (np.sqrt(opt.v[name] / (1 - b2**t))
+                                                        + trainer.ADAM_EPS)
+                if cfg.weight_decay > 0 and name in decayed:
+                    update = update + cfg.weight_decay * p.data
+                p.data = p.data - lr * update
+
+        rng = np.random.default_rng(3)
+        cfg = TrainConfig(stage="pretrain", steps=1, weight_decay=0.1)
+        shapes = {"w": (7, 5), "b": (5,), "e": (3, 4, 6)}
+        init = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        got = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        want = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        opt_got, opt_want = OptState.fresh(got), OptState.fresh(want)
+        for step in range(5):
+            for k, s in shapes.items():
+                got[k].grad = (rng.normal(size=s) * 10.0 ** rng.integers(-4, 3)).astype(dtype)
+                want[k].grad = got[k].grad.copy()
+            adamw_update(got, opt_got, 0.01 / (step + 1), cfg, frozenset({"w", "e"}))
+            reference(want, opt_want, 0.01 / (step + 1), cfg, frozenset({"w", "e"}))
+            for k in shapes:
+                for a, b in ((got[k].data, want[k].data), (opt_got.m[k], opt_want.m[k]),
+                             (opt_got.v[k], opt_want.v[k])):
+                    assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
     def test_descends_quadratic(self):
         cfg = TrainConfig(stage="pretrain", steps=1, weight_decay=0.0)
         params = {"w": Tensor(np.array([3.0]), requires_grad=True)}
