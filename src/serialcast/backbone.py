@@ -89,24 +89,22 @@ class ModelConfig:
         return (self.n_serial_blocks + 1) * self.patch_len
 
 
-@dataclass
-class MoEAux:
-    """Per-layer load-balance accumulators for one batch.
+class Routing(NamedTuple):
+    """What one MoE layer's router did in one forward pass.
 
-    ``assign_frac`` is the constant fraction of (token, slot) assignments per
-    expert (1/K per slot); ``mean_affinity`` keeps the graph so the balance
-    loss can push router probabilities around. Gradient flows through
-    affinities only; the assignment counts are piecewise constant.
+    ``affinity`` is the (T, E) router softmax over the layer's T tokens and
+    keeps its graph; ``counts`` is the (E,) number of (token, slot)
+    assignments per expert, summing to T * K.
     """
 
-    assign_frac: np.ndarray  # (E,), sums to 1
-    mean_affinity: Tensor  # (E,), sums to 1
+    affinity: Tensor
+    counts: np.ndarray
 
 
 @dataclass
 class ForwardTrace:
     embeddings: list[Tensor] = field(default_factory=list)  # h0, h1..hL, hL+1..hL+depth
-    aux: list[MoEAux] = field(default_factory=list)
+    aux: list[Routing] = field(default_factory=list)  # one per MoE layer
     n_main: int = 0
 
     @property
@@ -292,7 +290,7 @@ def attention_forward(h_in: Tensor, params: Params, prefix: str, cfg: ModelConfi
     return ad.matmul(out, params[prefix + "attn.wo"])
 
 
-def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple[Tensor, MoEAux]:
+def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple[Tensor, Routing]:
     """Sparse top-K expert mixture over stacked expert weights.
 
     Gates keep the selected softmax affinities un-renormalized; ties in the
@@ -313,10 +311,6 @@ def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tup
     selected = order[:, :k].reshape(-1)  # (BN*K,) token-major
 
     counts = np.bincount(selected, minlength=e)
-    aux = MoEAux(
-        assign_frac=(counts / (k * b * n)).astype(u.dtype),
-        mean_affinity=ad.tmean(affinity, axis=0),
-    )
 
     # stable: each expert's rows stay in token order; slots[t] lists token t's
     # K rows in ascending row order, which is expert index order, so a token
@@ -330,28 +324,21 @@ def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tup
     y = ad.grouped_linear(hidden, params[prefix + "w2"], params[prefix + "b2"], counts)
     gates = ad.getitem(affinity, (pairs[:, None] // k, selected[pairs, None]))  # (BN*K, 1)
     out = ad.sum_slots(ad.mul(y, gates), slots)
-    return ad.reshape(out, (b, n, d)), aux
+    return ad.reshape(out, (b, n, d)), Routing(affinity, counts)
 
 
-def aux_loss(aux: MoEAux) -> Tensor:
-    """Load-balance penalty E * sum_j f_j * P_j over the last (expert) axis;
-    1.0 at perfect uniformity. Accumulators stacked to (L, E) give (L,)."""
-    e = aux.assign_frac.shape[-1]
-    return ad.mul(ad.tsum(ad.mul(aux.mean_affinity, aux.assign_frac), axis=-1), float(e))
-
-
-def moe_block(h: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple[Tensor, MoEAux]:
+def moe_block(h: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple[Tensor, Routing]:
     """u = MHA(RMSNorm(h)) + h;  h' = MoE(RMSNorm(u)) + u."""
     attn = attention_forward(rmsnorm(h, params[prefix + "attn_norm.g"], RMS_EPS),
                              params, prefix, cfg)
     u = ad.add(attn, h)
-    moe_out, aux = moe_forward(rmsnorm(u, params[prefix + "moe_norm.g"], RMS_EPS),
-                               params, prefix + "moe.", cfg)
-    return ad.add(moe_out, u), aux
+    moe_out, routing = moe_forward(rmsnorm(u, params[prefix + "moe_norm.g"], RMS_EPS),
+                                   params, prefix + "moe.", cfg)
+    return ad.add(moe_out, u), routing
 
 
 def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params,
-                 cfg: ModelConfig) -> tuple[Tensor, MoEAux]:
+                 cfg: ModelConfig) -> tuple[Tensor, Routing]:
     """Fuse the previous depth with the initial embeddings, then one block."""
     if not (1 <= j <= cfg.n_serial_blocks):
         raise ConfigError(f"serial block index {j} outside 1..{cfg.n_serial_blocks}")
@@ -394,12 +381,12 @@ def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: in
     trace.embeddings.append(h0)
     h = h0
     for layer in range(cfg.n_main_blocks):
-        h, aux = moe_block(h, params, f"block{layer}.", cfg)
+        h, routing = moe_block(h, params, f"block{layer}.", cfg)
         trace.embeddings.append(h)
-        trace.aux.append(aux)
+        trace.aux.append(routing)
     for j in range(1, depth + 1):
         ref = _shift_embeddings(h0, j, batch.last_token) if cfg.variant == VARIANT_SHIFT else h0
-        h, aux = serial_block(h, ref, j, params, cfg)
+        h, routing = serial_block(h, ref, j, params, cfg)
         trace.embeddings.append(h)
-        trace.aux.append(aux)
+        trace.aux.append(routing)
     return trace

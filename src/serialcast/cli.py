@@ -125,7 +125,7 @@ def _number_list(text: str, flag: str, typ) -> list:
         raise InputError(f"{flag}: expected comma-separated {typ.__name__}s: {text!r}") from None
 
 
-def _gather_series(inputs: list[str]) -> list[np.ndarray]:
+def _input_paths(inputs: list[str]) -> list[str]:
     paths = []
     for pattern in inputs:
         hits = sorted(glob.glob(pattern)) if any(c in pattern for c in "*?[") else [pattern]
@@ -134,7 +134,11 @@ def _gather_series(inputs: list[str]) -> list[np.ndarray]:
         paths.extend(hits)
     if not paths:
         raise InputError("no input files")
-    return [read_csv_series(p) for p in paths]
+    return paths
+
+
+def _gather_series(inputs: list[str]) -> list[np.ndarray]:
+    return [read_csv_series(p) for p in _input_paths(inputs)]
 
 
 # -- subcommand bodies ----------------------------------------------------
@@ -152,6 +156,8 @@ def cmd_synth(args) -> int:
             write_csv_series(args.out, values)
             print(f"wrote {values.size} points to {args.out}", file=sys.stderr)
         return 0
+    if args.out == "-":
+        raise InputError("--format shard writes a directory: give it with --out")
     # shard corpus: --count series with derived seeds; sinusoids additionally
     # get rotated phases so a noise-free family still has distinct members
     series = []
@@ -164,11 +170,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_shard(args) -> int:
-    return _write_shards(_gather_series(args.input), args)
+    paths = _input_paths(args.input)
+    return _write_shards([read_csv_series(p) for p in paths], args, paths)
 
 
-def _write_shards(series, args) -> int:
-    manifest = build_shards(series, args.shard_bytes, args.out)
+def _write_shards(series, args, names: list[str] | None = None) -> int:
+    manifest = build_shards(series, args.shard_bytes, args.out, names)
     print(f"wrote {len(manifest.entries)} shard(s), {manifest.total_points} points to {args.out}",
           file=sys.stderr)
     return 0

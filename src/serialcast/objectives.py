@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Params, Tensor
-from .backbone import VARIANT_SHIFT, ForwardTrace, ModelConfig, MoEAux, aux_loss, patch_project
+from .backbone import VARIANT_SHIFT, ForwardTrace, ModelConfig, Routing, patch_project
 from .errors import InputError
 from .tokenizer import PatchBatch
 
@@ -112,15 +112,19 @@ def horizon_decay_weights(h_depths: int) -> list[float]:
     return [1.0 / np.sqrt(j) for j in range(1, h_depths + 1)]
 
 
-def mean_aux_loss(aux_list: list[MoEAux]) -> Tensor:
-    """Load-balance loss averaged over every MoE layer in the forward, as one
-    ``aux_loss`` over the layers' accumulators stacked to (L, E)."""
-    if not aux_list:
-        raise InputError("no MoE accumulators")
-    affinity = ad.concat([aux.mean_affinity for aux in aux_list], axis=0)
-    stacked = MoEAux(np.stack([aux.assign_frac for aux in aux_list]),
-                     ad.reshape(affinity, (len(aux_list), -1)))
-    return ad.tmean(aux_loss(stacked))
+def mean_aux_loss(routing: list[Routing]) -> Tensor:
+    """Load-balance penalty E * sum_j f_j * P_j, averaged over the MoE layers;
+    1.0 at uniform routing. f_j is expert j's constant share of a layer's
+    (token, slot) assignments and P_j its mean affinity, which carries the
+    gradient. All layers route the same T tokens and fold at once as (L, T, E)."""
+    if not routing:
+        raise InputError("no MoE routing records")
+    dt = routing[0].affinity.dtype
+    frac = np.stack([(r.counts / r.counts.sum()).astype(dt) for r in routing])  # (L, E)
+    affinity = ad.reshape(ad.concat([r.affinity for r in routing], axis=0),
+                          (len(routing),) + routing[0].affinity.shape)
+    per_layer = ad.tsum(ad.mul(ad.tmean(affinity, axis=1), frac), axis=-1)
+    return ad.tmean(ad.mul(per_layer, float(frac.shape[-1])))
 
 
 def stage_loss(stage: str, trace: ForwardTrace, batch: PatchBatch, params: Params,

@@ -130,7 +130,8 @@ def clip_gradients(params: Params, max_norm: float) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
+            g = p.grad.astype(np.float64)  # always a copy, so squared in place
+            total += float(np.square(g, out=g).sum())
     norm = math.sqrt(total)
     if max_norm > 0 and math.isfinite(max_norm) and norm > max_norm:
         scale = max_norm / norm

@@ -1,7 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from serialcast.backbone import ModelConfig, init_params
+from serialcast.dataloader import MANIFEST_NAME, VALUE_DTYPE, ShardEntry, ShardManifest
 from serialcast.objectives import QuantileGrid
 from serialcast.tokenizer import make_supervised_batch
 
@@ -30,3 +33,19 @@ def tiny_batch(tiny_cfg):
     n_total = tiny_cfg.n_max + tiny_cfg.n_serial_blocks + 1
     windows = rng.normal(size=(2, n_total * tiny_cfg.patch_len)).cumsum(axis=1)
     return make_supervised_batch(windows, tiny_cfg.n_max, tiny_cfg.patch_len)
+
+
+@pytest.fixture
+def unchecked_corpus(tmp_path):
+    """Writes ``values`` as the one shard of a corpus with a valid manifest and
+    no check of the values, as a writer that does not check them would;
+    returns the corpus directory and the shard path."""
+    def write(values):
+        out = tmp_path / "unchecked"
+        out.mkdir()
+        data = np.asarray(values, dtype=VALUE_DTYPE)
+        (out / "shard_00000.sfd").write_bytes(data.tobytes())
+        ShardManifest([ShardEntry("shard_00000.sfd", zlib.crc32(data), [data.size])],
+                      str(out)).save(str(out / MANIFEST_NAME))
+        return str(out), str(out / "shard_00000.sfd")
+    return write

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from serialcast.autodiff import Tensor
-from serialcast.backbone import ModelConfig, MoEAux, aux_loss, init_params, model_forward
+from serialcast.backbone import ModelConfig, Routing, init_params, model_forward
 from serialcast.datagen import (SignalSpec, adf_statistic, derive_seed, dickey_fuller_design,
                                 forecastability, gen_signal, resample)
 from serialcast.dataloader import (MixtureSampler, WindowSampler, build_shards,
                                    read_all_series)
 from serialcast.inference import (bench_inference, eval_crps_wql, forecast,
                                   forecast_rolling_ntp, mase)
-from serialcast.objectives import (default_grid, depth_losses, pinball, wql, horizon_decay_weights)
+from serialcast.objectives import (default_grid, depth_losses, horizon_decay_weights, mean_aux_loss,
+                                   pinball, wql)
 from serialcast.tokenizer import make_batch, make_supervised_batch
 from serialcast.trainer import TrainConfig, gradient_check_suite, run_posttrain, run_pretrain
 
@@ -167,8 +168,8 @@ def test_criterion_5_loss_identities():
     assert wql(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.7) == 0.0
 
     e = 16
-    uniform = MoEAux(np.full(e, 1 / e), Tensor(np.full(e, 1 / e)))
-    assert abs(float(aux_loss(uniform).data) - 1.0) < 1e-12
+    uniform = Routing(Tensor(np.full((e, e), 1 / e)), np.full(e, 2))
+    assert abs(float(mean_aux_loss([uniform]).data) - 1.0) < 1e-12
 
     w = horizon_decay_weights(16)
     for j, wj in enumerate(w, start=1):

@@ -8,9 +8,9 @@ import pytest
 from serialcast import autodiff as ad
 from serialcast import backbone, inference, objectives
 from serialcast.autodiff import Tensor, rmsnorm
-from serialcast.backbone import (ModelConfig, MoEAux, attention_forward,
-                                 aux_loss, init_params, model_forward, moe_forward,
-                                 moe_block, rope_angle_table, serial_block)
+from serialcast.backbone import (ModelConfig, Routing, attention_forward, init_params,
+                                 model_forward, moe_forward, moe_block, rope_angle_table,
+                                 serial_block)
 from serialcast.errors import ConfigError
 from serialcast.tokenizer import make_batch
 
@@ -115,14 +115,14 @@ class TestMoE:
     def test_gate_sparsity_invariant(self, tiny_cfg, tiny_params):
         rng = np.random.default_rng(5)
         u = Tensor(rng.normal(size=(2, 4, tiny_cfg.d_model)))
-        out, aux = moe_forward(u, tiny_params, "block0.moe.", tiny_cfg)
-        assert np.isclose(aux.mean_affinity.data.sum(), 1.0, atol=1e-9)
-        assert np.isclose(aux.assign_frac.sum(), 1.0, atol=1e-12)
+        out, routing = moe_forward(u, tiny_params, "block0.moe.", tiny_cfg)
+        np.testing.assert_allclose(routing.affinity.data.sum(axis=-1), 1.0, atol=1e-9)
+        assert routing.counts.sum() == tiny_cfg.top_k * 2 * 4
 
     def test_aux_accumulators_match_recount(self, tiny_cfg, tiny_params):
         rng = np.random.default_rng(6)
         u = rng.normal(size=(2, 4, tiny_cfg.d_model))
-        _, aux = moe_forward(Tensor(u), tiny_params, "block0.moe.", tiny_cfg)
+        _, routing = moe_forward(Tensor(u), tiny_params, "block0.moe.", tiny_cfg)
         # brute-force recount from scratch
         flat = u.reshape(-1, tiny_cfg.d_model)
         logits = flat @ tiny_params["block0.moe.router.w"].data
@@ -133,8 +133,8 @@ class TestMoE:
         for row in a:
             for j in np.argsort(-row, kind="stable")[:k]:
                 counts[j] += 1
-        np.testing.assert_allclose(aux.assign_frac, counts / (k * flat.shape[0]), atol=1e-12)
-        np.testing.assert_allclose(aux.mean_affinity.data, a.mean(axis=0), atol=1e-12)
+        np.testing.assert_array_equal(routing.counts, counts)
+        np.testing.assert_allclose(routing.affinity.data, a, atol=1e-12)
 
     def test_matches_per_expert_reference(self, tiny_cfg, tiny_params):
         rng = np.random.default_rng(10)
@@ -184,26 +184,27 @@ class TestMoE:
 
 
 class TestAuxLoss:
+    @staticmethod
+    def _loss(affinity, counts) -> float:
+        return float(objectives.mean_aux_loss([Routing(Tensor(affinity), np.asarray(counts))]).data)
+
     def test_uniform_gives_one(self):
         e = 8
-        aux = MoEAux(np.full(e, 1 / e), Tensor(np.full(e, 1 / e)))
-        assert np.isclose(aux_loss(aux).data, 1.0, atol=1e-12)
+        assert np.isclose(self._loss(np.full((e, e), 1 / e), np.full(e, 2)), 1.0, atol=1e-12)
 
     def test_degenerate_routing_k1(self):
         e = 5
-        frac = np.zeros(e)
-        frac[0] = 1.0
-        affinity = np.zeros(e)
-        affinity[0] = 1.0
-        assert np.isclose(aux_loss(MoEAux(frac, Tensor(affinity))).data, e, atol=1e-12)
+        affinity = np.zeros((3, e))
+        affinity[:, 0] = 1.0
+        assert np.isclose(self._loss(affinity, [3, 0, 0, 0, 0]), e, atol=1e-12)
 
     def test_matches_formula_on_random(self):
         rng = np.random.default_rng(7)
         e = 6
-        f = rng.dirichlet(np.ones(e))
-        p = rng.dirichlet(np.ones(e))
-        expected = e * float((f * p).sum())
-        assert np.isclose(aux_loss(MoEAux(f, Tensor(p))).data, expected, atol=1e-12)
+        affinity = rng.dirichlet(np.ones(e), size=10)
+        counts = rng.integers(0, 10, size=e) + 1
+        expected = e * float((counts / counts.sum() * affinity.mean(axis=0)).sum())
+        assert np.isclose(self._loss(affinity, counts), expected, atol=1e-12)
 
 
 def identity_block_params(params, prefix):

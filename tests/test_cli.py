@@ -47,6 +47,13 @@ def test_synth_csv_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_synth_shard_without_out_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["synth", "--format", "shard", "--count", "2", "--length", "64"]) == 1
+    assert capsys.readouterr().err.startswith("error: --format shard writes a directory")
+    assert not os.listdir(tmp_path)
+
+
 def test_synth_invalid_kind_exits_one(capsys):
     assert run(["synth", "--kind", "wavelet"]) == 1
     assert "error" in capsys.readouterr().err
@@ -361,6 +368,38 @@ def test_shard_non_finite_input_exits_one(pipeline, capsys):
     assert run(["shard", "--input", bad, "--out", out]) == 1
     assert "index 5" in capsys.readouterr().err
     assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("source", ["synth", "shard"])
+def test_value_not_finite_in_float32_exits_one(tmp_path, capsys, source):
+    # exp(t) passes the float32 maximum at t = 89; the CSV's 1e39 is finite in float64
+    out = tmp_path / "corpus"
+    if source == "synth":
+        argv = ["synth", "--format", "shard", "--kind", "exponential", "--rate", "1",
+                "--length", "400", "--count", "2", "--out", str(out)]
+        shown = "series 0: value 4.4896128191743455e+38 at index 89"
+    else:
+        csv = tmp_path / "big.csv"
+        csv.write_text("value\n1.0\n2.0\n1e39\n")
+        argv = ["shard", "--input", str(csv), "--out", str(out)]
+        shown = f"{csv}: value 1e+39 at index 2"
+    assert run(argv) == 1
+    assert f"error: {shown} is not finite in float32" in capsys.readouterr().err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("command", ["train", "stats"])
+def test_corpus_value_not_finite_exits_two(tmp_path, capsys, unchecked_corpus, command):
+    values = np.sin(np.arange(400.0))
+    values[150] = np.inf
+    root, shard = unchecked_corpus(values)
+    argv = (["stats", "--manifest", root] if command == "stats" else
+            ["train", "--data", root, "--out-dir", str(tmp_path / "run"), *MODEL_FLAGS,
+             "--steps", "1", "--batch-size", "1"])
+    assert run(argv) == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("[train]")]
+    assert lines == [f"runtime failure: {shard}: value 150 is not finite, shard rejected; "
+                     "rebuild the corpus"]
 
 
 def test_eval_report_keys(pipeline, capsys):

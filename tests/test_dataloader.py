@@ -1,5 +1,6 @@
 """Shard round trips, sampler statistics, window reads, CSV interface."""
 
+import io
 import os
 import re
 import tracemalloc
@@ -8,6 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
+from serialcast import dataloader
 from serialcast.dataloader import (MANIFEST_NAME, MixtureSampler, ShardManifest, WindowSampler,
                                    build_shards, load_shard, read_all_series, read_csv_series,
                                    write_csv_series)
@@ -266,6 +268,51 @@ class TestChangedAfterCheck:
         with pytest.raises(DataError, match=f"^{re.escape(path)}: read 396 of 400 bytes at byte "
                                             "[0-9]+: truncated shard"):
             sampler.sample_raw(100, np.random.default_rng(1))
+
+
+class ShortReads(io.FileIO):
+    """A file whose every read returns at most 7 bytes."""
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[:7])
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad, shown", [(1e39, "1e+39"), (-1e39, "-1e+39"), (np.inf, "inf"),
+                                            (np.nan, "nan")])
+    def test_build_rejects_value_not_finite_in_float32(self, tmp_path, bad, shown):
+        # the second series spans two shards; the bad value is in its second
+        # segment, followed by its negation
+        series = [np.ones(10), np.ones(MIB // 4 + 100)]
+        series[1][MIB // 4 + 7 : MIB // 4 + 9] = bad, -bad
+        out = tmp_path / "data"
+        with pytest.raises(InputError, match=re.escape(
+                f"b.csv: value {shown} at index {MIB // 4 + 7} is not finite in float32")):
+            build_shards(series, MIB, str(out), names=["a.csv", "b.csv"])
+        assert not os.listdir(out)
+        with pytest.raises(InputError, match="^series 1: value"):
+            build_shards(series, MIB, str(out))
+
+    @pytest.mark.parametrize("short_reads", [False, True])
+    def test_check_rejects_stored_value_not_finite(self, tmp_path, unchecked_corpus, monkeypatch,
+                                                   short_reads):
+        # 20000 values span two 64 KiB check chunks; the infs are in the second
+        values = np.arange(20000, dtype=np.float32)
+        values[17000 : 17002] = np.inf, -np.inf
+        root, shard = unchecked_corpus(values)
+        manifest = ShardManifest.load(os.path.join(root, MANIFEST_NAME))
+        finite = np.where(np.isfinite(values), values, 0.0).astype(np.float32)
+        finite.tofile(tmp_path / "finite.sfd")
+        if short_reads:  # the shard check is the only open call left
+            monkeypatch.setattr(dataloader, "open", lambda path, mode, buffering: ShortReads(path),
+                                raising=False)
+        loaded = load_shard(str(tmp_path / "finite.sfd"), zlib.crc32(finite), [finite.size])
+        np.testing.assert_array_equal(loaded[0], finite)
+        message = f"^{re.escape(shard)}: value 17000 is not finite"
+        with pytest.raises(DataError, match=message):
+            read_all_series(manifest)
+        with pytest.raises(DataError, match=message):
+            WindowSampler(manifest).sample_raw(100, np.random.default_rng(0))
 
 
 class TestWindowSampler:

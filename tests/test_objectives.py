@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serialcast.backbone import ModelConfig, aux_loss, init_params, model_forward
+from serialcast.backbone import ModelConfig, init_params, model_forward
 from serialcast.errors import InputError
 from serialcast.objectives import (QuantileGrid, default_grid, depth_losses, mean_aux_loss,
                                    patch_project, pinball, stage_loss, wql,
@@ -232,7 +232,7 @@ class TestTrainingLosses:
                 size=(2, (cfg.n_max + n_serial + 1) * cfg.patch_len)).cumsum(axis=1)
             batch = make_supervised_batch(windows, cfg.n_max, cfg.patch_len)
             trace = model_forward(batch, params, cfg, n_serial)
-            forward = _graph(trace.embeddings + [aux.mean_affinity for aux in trace.aux])
+            forward = _graph(trace.embeddings + [r.affinity for r in trace.aux])
             total, _ = stage_loss("pretrain", trace, batch, params, cfg)
             added.add(len(_graph([total]) - forward))
         assert len(added) == 1, added
@@ -286,7 +286,9 @@ class TestTrainingLosses:
 
     def test_mean_aux_is_mean_over_layers(self, tiny_cfg, tiny_params, tiny_batch):
         trace = model_forward(tiny_batch, tiny_params, tiny_cfg, 2)
-        per_layer = [float(aux_loss(aux).data) for aux in trace.aux]
+        e = tiny_cfg.n_experts
+        per_layer = [e * float((r.counts / r.counts.sum() * r.affinity.data.mean(axis=0)).sum())
+                     for r in trace.aux]
         assert len(per_layer) == 4
         assert np.isclose(float(mean_aux_loss(trace.aux).data), np.mean(per_layer), rtol=1e-14)
 

@@ -135,6 +135,22 @@ class TestClip:
         assert norm == 5.0
         np.testing.assert_array_equal(params["p"].grad, [3.0, 4.0, 0.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_equals_allocating_expression(self, dtype):
+        # the in-place square must give the allocating form's norm bit for bit
+        # and leave the gradients untouched
+        rng = np.random.default_rng(4)
+        shapes = {"w": (7, 5), "b": (5,), "e": (3, 4, 6), "none": (2,)}
+        params = {k: Tensor(np.zeros(s, dtype), requires_grad=True) for k, s in shapes.items()}
+        for k, s in shapes.items():
+            if k != "none":
+                params[k].grad = (rng.normal(size=s) * 10.0 ** rng.integers(-4, 3)).astype(dtype)
+        grads = {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+        want = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
+        assert clip_gradients(params, float("inf")) == want
+        for k, g in grads.items():
+            assert params[k].grad.dtype == dtype and np.array_equal(params[k].grad, g)
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("key, value", [
