@@ -23,7 +23,8 @@ from .backbone import ModelConfig, init_params
 from .datagen import (SignalSpec, adf_statistic, dataset_complexity, derive_seed, forecastability,
                       gen_signal)
 from .dataloader import (DEFAULT_SHARD_BYTES, MANIFEST_NAME, ShardManifest, build_shards,
-                         default_data_dir, read_all_series, read_csv_series, write_csv_series)
+                         csv_lines, default_data_dir, read_all_series, read_csv_series,
+                         write_csv_series, write_whole)
 from .errors import ConfigError, InputError, SerialcastError
 from .inference import (bench_inference, evaluate, expected_block_count, forecast,
                         forecast_rolling_ntp)
@@ -96,10 +97,9 @@ def echo_config(name: str, merged: dict, seed: int | None = None):
 
 
 def save_config(path: str, merged: dict):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as f:
-        for k in sorted(merged):
-            f.write(f"{k}={merged[k]}\n")
+    if nan := [k for k, v in merged.items() if v != v]:
+        raise InputError(f"{nan[0]} is nan, which its config file cannot restore")
+    write_whole(path, ["".join(f"{k}={merged[k]}\n" for k in sorted(merged)).encode()])
 
 
 def _model_cfg(merged: dict) -> ModelConfig:
@@ -149,9 +149,7 @@ def cmd_synth(args) -> int:
     if args.format == "csv":
         values = gen_signal(spec)
         if args.out == "-":
-            sys.stdout.write("value\n")
-            for v in values:
-                sys.stdout.write(f"{v}\n")
+            sys.stdout.write(csv_lines(values, "synth"))
         else:
             write_csv_series(args.out, values)
             print(f"wrote {values.size} points to {args.out}", file=sys.stderr)
@@ -267,8 +265,7 @@ def cmd_forecast(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as f:
-            f.write(text)
+        write_whole(args.out, [text.encode()])
         print(f"wrote {dist.horizon} steps to {args.out}", file=sys.stderr)
     return 0
 

@@ -19,11 +19,14 @@ and checks that every value is finite, as the writer requires too.
 The sampler checks a shard the first time it draws from it, then reads each
 window with one ``pread``, after checking that the shard's size and mtime
 have not moved. Any mismatch is a ``DataError`` that names the file. A
-version-1 corpus must be rebuilt.
+version-1 corpus must be rebuilt. Every file is written whole (``write_whole``).
+A rebuild takes the lowest free ``shard_NNNNN.sfd`` names, replaces the manifest
+last, then removes the old shards, so a failed rebuild keeps the old corpus.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import re
@@ -47,6 +50,40 @@ DATA_DIR_ENV = "SF_DATA_DIR"
 _VERSION_LINE = re.compile(rf"{MANIFEST_MAGIC} ([0-9]+)")
 _SHARD_LINE = re.compile(r"(\S+) ([0-9a-f]{8}) ([0-9]+(?:,[0-9]+)*)")
 _CRC_LINE = re.compile(r"crc32 ([0-9a-f]{8})")
+
+
+def write_whole(path: str, chunks):
+    """Write ``chunks`` to ``path + ".tmp"``, fsync it and rename it over ``path``;
+    a failure removes the temporary file and leaves ``path`` as it was."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        _remove([tmp])
+        raise
+
+
+def _remove(paths):
+    for path in paths:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+
+
+def finite_series(values, label: str) -> np.ndarray:
+    """``values`` as flat float64; empty or non-finite is an ``InputError``."""
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    if x.size < 1:
+        raise InputError(f"{label}: no values")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise InputError(f"{label}: non-finite value {x[bad[0]]} at index {bad[0]}")
+    return x
 
 
 @dataclass
@@ -73,8 +110,7 @@ class ShardManifest:
         lines += [f"{e.path} {e.crc32:08x} {','.join(map(str, e.series_lengths))}"
                   for e in self.entries]
         body = "".join(line + "\n" for line in lines).encode()
-        with open(path, "wb") as f:
-            f.write(body + f"crc32 {zlib.crc32(body):08x}\n".encode())
+        write_whole(path, [body, f"crc32 {zlib.crc32(body):08x}\n".encode()])
 
     @classmethod
     def load(cls, path: str) -> "ShardManifest":
@@ -123,12 +159,14 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES,
 
     Values are stored as float32, and one that is not finite after rounding
     is an ``InputError`` naming its series (``names[idx]``, or its index) and
-    its index. On any failure, files written so far are removed before the
-    error propagates.
+    its index. On any failure, the files it wrote are removed and the corpus
+    that was in ``out_dir`` stays whole; see the module docstring.
     """
     if shard_bytes < MIN_SHARD_BYTES:
         raise InputError(f"shard_bytes must be >= {MIN_SHARD_BYTES}")
     os.makedirs(out_dir, exist_ok=True)
+    taken = set(os.listdir(out_dir))
+    free = (rel for rel in map("shard_{:05d}.sfd".format, itertools.count()) if rel not in taken)
     capacity = shard_bytes // VALUE_DTYPE.itemsize  # values per shard
     shard = np.empty(capacity, VALUE_DTYPE)  # the shard being filled
     lengths: list[int] = []  # of the segments in it
@@ -137,11 +175,8 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES,
 
     def flush(filled: int):
         data = shard[:filled]
-        rel = f"shard_{len(entries):05d}.sfd"
-        full = os.path.join(out_dir, rel)
-        with open(full, "wb") as f:
-            written.append(full)
-            f.write(data)
+        written.append(os.path.join(out_dir, rel := next(free)))
+        write_whole(written[-1], [data])
         entries.append(ShardEntry(rel, zlib.crc32(data), lengths.copy()))
         lengths.clear()
 
@@ -170,14 +205,11 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES,
         flush(filled)
         manifest = ShardManifest(entries, out_dir)
         manifest.save(os.path.join(out_dir, MANIFEST_NAME))
-        return manifest
     except BaseException:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        _remove(written)
         raise
+    _remove(os.path.join(out_dir, n) for n in taken if re.fullmatch(r"shard_[0-9]{5}\.sfd", n))
+    return manifest
 
 
 def _stamp(fd: int) -> tuple[int, int]:
@@ -345,20 +377,16 @@ def read_csv_series(path: str) -> np.ndarray:
                 except ValueError:
                     raise InputError(f"{path}: line {lineno}: not a number: "
                                      f"{line.strip()!r}") from None
-    if not values:
-        raise InputError(f"{path}: no values")
-    x = np.asarray(values, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise InputError(f"{path}: non-finite value {x[bad[0]]} at index {bad[0]}")
-    return x
+    return finite_series(values, path)
+
+
+def csv_lines(values, label: str) -> str:
+    """The CSV text of one series, after the check its reader makes."""
+    return "".join(f"{v}\n" for v in ["value", *finite_series(values, label)])
 
 
 def write_csv_series(path: str, values):
-    with open(path, "w") as f:
-        f.write("value\n")
-        for v in np.asarray(values).reshape(-1):
-            f.write(f"{v}\n")
+    write_whole(path, [csv_lines(values, path).encode()])
 
 
 def default_data_dir() -> str:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .autodiff import Params, Tensor, no_grad
 from .backbone import ModelConfig, model_forward, patch_project
+from .dataloader import finite_series
 from .errors import InputError
 from .objectives import QuantileGrid, default_grid, wql
 from .tokenizer import denormalize, make_batch, patchify, renormalize  # noqa: F401
@@ -54,17 +55,6 @@ class ForecastDistribution:
     @property
     def median(self) -> np.ndarray:
         return self.values[self.levels.median_index()]
-
-
-def _observed(series) -> np.ndarray:
-    """The series as a flat float64 array; rejects empty or non-finite input."""
-    x = np.asarray(series, dtype=np.float64).reshape(-1)
-    if x.size < 1:
-        raise InputError("forecast needs at least one observed point")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise InputError(f"non-finite value {x[bad[0]]} at index {bad[0]}")
-    return x
 
 
 def _truncate(x: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -112,7 +102,7 @@ def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
     if horizon < 1:
         raise InputError("horizon must be >= 1")
     grid = default_grid(cfg.n_quantiles)
-    contexts = [_truncate(_observed(s), cfg) for s in series_list]
+    contexts = [_truncate(finite_series(s, f"series {i}"), cfg) for i, s in enumerate(series_list)]
     chunks: list[list[np.ndarray]] = [[] for _ in contexts]
     blocks = ran = 0  # one count for all rows: each row runs every chunk at its depth
     wall_ms = [0.0] * len(contexts)
@@ -222,8 +212,8 @@ def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int, season
     if season < 1:
         raise InputError(f"season must be >= 1, got {season}")
     held = []
-    for series in series_list:
-        x = _observed(series)  # the held-out part is checked too
+    for i, series in enumerate(series_list):
+        x = finite_series(series, f"series {i}")  # the held-out part is checked too
         if x.size <= horizon + season:
             raise InputError("series too short to hold out the horizon")
         held.append((x[:-horizon], x[-horizon:]))

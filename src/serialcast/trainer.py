@@ -13,9 +13,9 @@ ndim x u64 shape, raw values``. The parameters come first; the optimizer
 moments, when saved, follow as ``m.<name>`` and ``v.<name>`` records. A
 CRC32 of everything before it ends the file. Loading checks the magic, the
 CRC, then the version, so a flipped byte, a truncated file or a version-1
-file is a ``CheckpointError``. Saving writes a temporary file and renames it
-over the target, so a failed save leaves the previous checkpoint intact.
-Save -> load -> save is byte-identical.
+file is a ``CheckpointError``. Saving goes through ``dataloader.write_whole``
+(temporary file, fsync, rename), so a failed save leaves the previous
+checkpoint intact. Save -> load -> save is byte-identical.
 
 Gradient checking compares every analytic gradient with an independent
 central-difference estimate (``finite_diff_gradient``) in 64-bit; training
@@ -24,7 +24,6 @@ may run the same code in 32-bit.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
@@ -37,7 +36,7 @@ import numpy as np
 from .autodiff import Params, Tensor
 from .backbone import RANDOM_INITS, ModelConfig, init_params, model_forward, param_table
 from .datagen import RESAMPLE_FACTORS, derive_seed, resample, value_flip
-from .dataloader import MixtureSampler, ShardManifest, WindowSampler
+from .dataloader import MixtureSampler, ShardManifest, WindowSampler, write_whole
 from .errors import CheckpointError, ConfigError, InputError, SamplerError
 from .objectives import QuantileGrid, default_grid, stage_loss
 from .tokenizer import PatchBatch, make_supervised_batch
@@ -258,24 +257,15 @@ def _encode(params: Params, state: OptState | None):
 
 
 def save_checkpoint(params: Params, state: OptState | None, path: str):
-    """Write ``path + ".tmp"``, fsync it, then rename it over ``path``, so a
-    failed save leaves the previous checkpoint untouched."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            crc = 0
-            for chunk in _encode(params, state):
-                f.write(chunk)
-                crc = zlib.crc32(chunk, crc)
-            f.write(struct.pack("<I", crc))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    """Write the checkpoint whole: a failed save leaves the previous one untouched."""
+    def chunks():
+        crc = 0
+        for chunk in _encode(params, state):
+            crc = zlib.crc32(chunk, crc)
+            yield chunk
+        yield struct.pack("<I", crc)
+
+    write_whole(path, chunks())
 
 
 def load_checkpoint(path: str) -> tuple[Params, OptState | None]:

@@ -5,10 +5,13 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serialcast import autodiff as ad
 from serialcast.autodiff import L2_GUARD, Tensor, l2_normalize, rmsnorm
 from serialcast.backbone import causal_mask, rope_table, scaled_masked_softmax
+from serialcast.errors import NumericError
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -257,3 +260,57 @@ def test_graph_freed_without_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+finite_vec = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=16)
+
+
+class TestRmsnorm:
+    def test_zero_input(self):
+        out = rmsnorm(Tensor(np.zeros(2)), Tensor(np.ones(2)), 1e-6)
+        np.testing.assert_array_equal(out.data, [0.0, 0.0])
+
+    def test_hand_evaluated(self):
+        out = rmsnorm(Tensor(np.array([3.0, 4.0])), Tensor(np.ones(2)), 0.0)
+        expected = np.array([3.0, 4.0]) / np.sqrt(12.5)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data, [0.848528137, 1.131370850], atol=1e-8)
+
+    def test_constant_vector_unit_rms(self):
+        for c in (2.5, -0.3):
+            out = rmsnorm(Tensor(np.full(5, c)), Tensor(np.ones(5)), 0.0)
+            np.testing.assert_allclose(out.data, np.sign(c) * np.ones(5), atol=1e-12)
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(NumericError):
+            rmsnorm(Tensor(np.array([np.nan, 1.0])), Tensor(np.ones(2)))
+
+    @given(finite_vec)
+    @settings(max_examples=50, deadline=None)
+    def test_unit_rms_property(self, values):
+        x = np.asarray(values)
+        if np.sqrt((x**2).mean()) < 1e-100:  # eps=0 contract needs non-underflowing input
+            return
+        out = rmsnorm(Tensor(x), Tensor(np.ones(x.size)), 0.0).data
+        assert np.isclose(np.sqrt((out**2).mean()), 1.0, atol=1e-9)
+
+
+class TestL2Normalize:
+    def test_three_four_five(self):
+        np.testing.assert_allclose(l2_normalize(Tensor(np.array([3.0, 4.0]))).data,
+                                   [0.6, 0.8], atol=1e-12)
+
+    def test_idempotent_on_unit(self):
+        v = np.array([0.6, 0.8])
+        np.testing.assert_allclose(l2_normalize(Tensor(v)).data, v, atol=1e-12)
+
+    def test_zero_guard(self):
+        np.testing.assert_array_equal(l2_normalize(Tensor(np.zeros(3))).data, np.zeros(3))
+
+    @given(finite_vec)
+    @settings(max_examples=50, deadline=None)
+    def test_unit_norm_or_zero(self, values):
+        x = np.asarray(values)
+        out = l2_normalize(Tensor(x)).data
+        n = np.linalg.norm(out)
+        assert np.isclose(n, 1.0, atol=1e-9) or (np.linalg.norm(x) < 1e-10 and n < 1.0)

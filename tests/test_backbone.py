@@ -10,8 +10,8 @@ from serialcast import backbone, inference, objectives
 from serialcast.autodiff import Tensor, rmsnorm
 from serialcast.backbone import (ModelConfig, Routing, attention_forward, init_params,
                                  model_forward, moe_forward, moe_block, rope_angle_table,
-                                 serial_block)
-from serialcast.errors import ConfigError
+                                 scaled_masked_softmax, serial_block)
+from serialcast.errors import ConfigError, InputError
 from serialcast.tokenizer import make_batch
 
 
@@ -384,3 +384,81 @@ def test_layers_called_through_module_globals(monkeypatch, tiny_cfg, tiny_params
     served = {k: calls[k] - train[k] for k in calls}
     assert all(n > 0 for k, n in train.items() if k != "serialcast.inference.patch_project"), train
     assert all(n > 0 for k, n in served.items() if k != "serialcast.objectives.patch_project"), served
+
+
+def rotary_rotate(v, position: int, theta_base: float = 10000.0) -> Tensor:
+    """Reference rotation of one vector: interleaved pairs (v[2m], v[2m+1])
+    turn counterclockwise by position * theta_base^(-2m/d)."""
+    v = ad.astensor(v)
+    if position < 0:
+        raise InputError("rotary position must be >= 0")
+    cos, sin = rope_angle_table(np.array([position]), v.shape[-1], theta_base)
+    return ad.rope_rotate(v, cos[0], sin[0])
+
+
+class TestRotary:
+    def test_zero_position_identity(self):
+        v = np.random.default_rng(0).normal(size=8)
+        np.testing.assert_allclose(rotary_rotate(Tensor(v), 0).data, v, atol=1e-15)
+
+    def test_norm_preserved(self):
+        rng = np.random.default_rng(1)
+        for t in (1, 5, 117):
+            v = rng.normal(size=12)
+            out = rotary_rotate(Tensor(v), t).data
+            assert np.isclose(np.linalg.norm(out), np.linalg.norm(v), atol=1e-12)
+
+    def test_quarter_turn_2d(self):
+        # pair frequency for d=2 is 1, so rotating [1,0] by angle pi/2 -> [0,1]
+        out = ad.rope_rotate(Tensor(np.array([1.0, 0.0])), np.cos(np.pi / 2), np.sin(np.pi / 2))
+        np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
+
+    def test_integer_position_2d(self):
+        out = rotary_rotate(Tensor(np.array([1.0, 0.0])), 1)
+        np.testing.assert_allclose(out.data, [np.cos(1.0), np.sin(1.0)], atol=1e-12)
+
+    def test_composition_additive(self):
+        rng = np.random.default_rng(2)
+        v = Tensor(rng.normal(size=6))
+        a, b = 3, 9
+        left = rotary_rotate(rotary_rotate(v, a), b).data
+        right = rotary_rotate(v, a + b).data
+        np.testing.assert_allclose(left, right, atol=1e-12)
+
+    def test_odd_dimension_rejected(self):
+        with pytest.raises(ConfigError):
+            rope_angle_table(np.arange(3), 5)
+
+    def test_negative_position_rejected(self):
+        with pytest.raises(InputError):
+            rotary_rotate(Tensor(np.zeros(4)), -1)
+
+
+class TestScaledMaskedSoftmax:
+    def test_single_entry(self):
+        out = scaled_masked_softmax(Tensor(np.array([[0.7]])), 2.0)
+        np.testing.assert_array_equal(out.data, [[1.0]])
+
+    def test_symmetric_row(self):
+        scores = Tensor(np.array([[0.0, 0.0], [0.3, 0.3]]))
+        out = ad.softmax(scores, scale=1.5)
+        np.testing.assert_allclose(out.data, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+
+    def test_closed_form_row(self):
+        scores = Tensor(np.array([[0.0, np.log(3.0)], [0.0, np.log(3.0)]]))
+        out = ad.softmax(scores, scale=1.0)
+        np.testing.assert_allclose(out.data[0], [0.25, 0.75], atol=1e-12)
+
+    def test_causal_zeros_and_row_sums(self):
+        rng = np.random.default_rng(3)
+        out = scaled_masked_softmax(Tensor(rng.normal(size=(6, 6))), 3.0).data
+        assert (out[np.triu_indices(6, k=1)] == 0.0).all()
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_large_tau_never_unmasks(self):
+        out = scaled_masked_softmax(Tensor(np.full((3, 3), 50.0)), 1e6).data
+        assert (out[np.triu_indices(3, k=1)] == 0.0).all()
+
+    def test_nonpositive_tau_rejected(self):
+        with pytest.raises(InputError):
+            scaled_masked_softmax(Tensor(np.ones((2, 2))), 0.0)

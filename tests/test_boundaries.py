@@ -2,9 +2,12 @@
 CSV text must fail as structured errors with the CLI's exit codes, never as a
 traceback."""
 
+import argparse
 import contextlib
 import io
+import os
 import shutil
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -13,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serialcast.backbone import ModelConfig, init_params
-from serialcast.cli import run, save_config
-from serialcast.dataloader import (MANIFEST_NAME, ShardManifest, WindowSampler, build_shards,
-                                   load_shard)
-from serialcast.errors import CheckpointError, DataError
+from serialcast.cli import MODEL_KEYS, TRAIN_KEYS, merge_config, run, save_config
+from serialcast.dataloader import (MANIFEST_NAME, ShardEntry, ShardManifest, WindowSampler,
+                                   build_shards, load_shard, read_csv_series, write_csv_series)
+from serialcast.errors import CheckpointError, DataError, InputError
 from serialcast.trainer import OptState, load_checkpoint, save_checkpoint
 
 TINY = ModelConfig(d_model=8, patch_len=2, n_max=2, n_main_blocks=1, n_serial_blocks=1,
@@ -177,3 +180,71 @@ def test_flipped_shard_byte_rejected(tiny_corpus, data):
 def test_truncated_shard_rejected(tiny_corpus, data):
     d, manifest, shard = tiny_corpus
     _assert_corpus_rejected(d, manifest, shard[: data.draw(st.integers(0, len(shard) - 1))])
+
+
+# -- what a writer writes, its reader reads back bit-exactly ------------------
+
+_EDGE_FLOATS = [float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+                2.2250738585072009e-308, 1e308, -1e308, 0.0, -0.0]
+_any_float = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(), st.floats(width=32))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _fresh(tmp_path_factory, name: str) -> str:
+    path = tmp_path_factory.getbasetemp() / name
+    path.unlink(missing_ok=True)
+    return str(path)
+
+
+@given(st.one_of(st.lists(_any_float, max_size=12).map(np.array),
+                 st.lists(st.floats(width=32), max_size=12).map(lambda v: np.array(v, np.float32))))
+@FUZZ
+def test_csv_reads_back_bit_exact(tmp_path_factory, values):
+    path = _fresh(tmp_path_factory, "round_trip.csv")
+    try:
+        write_csv_series(path, values)
+    except InputError:
+        assert values.size == 0 or not np.isfinite(values).all()
+        assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
+        return
+    assert _bits(read_csv_series(path)) == _bits(values)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                          st.lists(st.integers(0, 2**63), min_size=1, max_size=4)), max_size=4))
+@FUZZ
+def test_manifest_reads_back_bit_exact(tmp_path_factory, shards):
+    path = _fresh(tmp_path_factory, MANIFEST_NAME)
+    manifest = ShardManifest([ShardEntry(f"shard_{i:05d}.sfd", crc, lengths)
+                              for i, (crc, lengths) in enumerate(shards)], os.path.dirname(path))
+    manifest.save(path)
+    assert ShardManifest.load(path) == manifest
+
+
+_CONFIG_KEYS = {**MODEL_KEYS, **TRAIN_KEYS}
+_config_value = {float: _any_float, int: st.integers(-2**70, 2**70)}
+
+
+@given(st.fixed_dictionaries({k: _config_value[typ] for k, (typ, _) in _CONFIG_KEYS.items()
+                              if typ in _config_value}))  # the str keys keep their defaults
+@FUZZ
+def test_config_reads_back_bit_exact(tmp_path_factory, merged):
+    path = _fresh(tmp_path_factory, "config.txt")
+    merged = {**{k: d for k, (_, d) in _CONFIG_KEYS.items()}, **merged}
+    try:
+        save_config(path, merged)
+    except InputError:
+        assert any(v != v for v in merged.values())
+        assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
+        return
+    back = merge_config(argparse.Namespace(), _CONFIG_KEYS, path)
+
+    def same(a, b):
+        return type(a) is type(b) and (a == b if not isinstance(a, float)
+                                       else struct.pack("<d", a) == struct.pack("<d", b))
+
+    assert back.keys() == merged.keys()
+    assert all(same(back[k], merged[k]) for k in merged), (back, merged)

@@ -11,7 +11,8 @@ from serialcast import cli, trainer
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig
 from serialcast.cli import run
-from serialcast.dataloader import build_shards, read_csv_series
+from serialcast.dataloader import (MANIFEST_NAME, ShardManifest, build_shards, read_all_series,
+                                   read_csv_series, write_csv_series)
 from serialcast.inference import expected_passes, forecast
 from serialcast.trainer import load_checkpoint, save_checkpoint
 
@@ -386,6 +387,47 @@ def test_value_not_finite_in_float32_exits_one(tmp_path, capsys, source):
     assert run(argv) == 1
     assert f"error: {shown} is not finite in float32" in capsys.readouterr().err
     assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("out", ["e.csv", "-"])
+def test_synth_csv_not_finite_exits_one(tmp_path, capsys, monkeypatch, out):
+    # exp(10 t) overflows float64 at t = 71, and the CSV reader rejects the inf
+    monkeypatch.chdir(tmp_path)
+    argv = ["synth", "--kind", "exponential", "--rate", "10", "--length", "400", "--out", out]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    label = "synth" if out == "-" else out
+    assert f"error: {label}: non-finite value inf at index 71" in captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def _files(root) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in root.iterdir()}
+
+
+def test_failed_rebuild_keeps_corpus(tmp_path, capsys):
+    corpus = tmp_path / "c"
+    assert run(["synth", "--format", "shard", "--count", "4", "--length", "400",
+                "--out", str(corpus)]) == 0
+    long_csv, big_csv = str(tmp_path / "long.csv"), str(tmp_path / "big.csv")
+    write_csv_series(long_csv, np.sin(np.arange(300000) / 7.0))
+    write_csv_series(big_csv, [1.0, 1e39])  # finite in float64, not in float32
+    before = _files(corpus)
+    assert run(["stats", "--manifest", str(corpus)]) == 0
+    stats = capsys.readouterr().out
+    rebuild = ["shard", "--shard-bytes", "1048576", "--out", str(corpus), "--input", long_csv]
+    assert run(rebuild + [big_csv]) == 1
+    assert _files(corpus) == before
+    assert run(["stats", "--manifest", str(corpus)]) == 0
+    assert capsys.readouterr().out == stats
+    # the same rebuild without the bad series replaces the corpus
+    assert run(rebuild) == 0
+    manifest = ShardManifest.load(str(corpus / MANIFEST_NAME))
+    assert [e.path for e in manifest.entries] == ["shard_00001.sfd", "shard_00002.sfd"]
+    assert sorted(os.listdir(corpus)) == [MANIFEST_NAME, "shard_00001.sfd", "shard_00002.sfd"]
+    assert [v.size for v in read_all_series(manifest)] == [262144, 300000 - 262144]
 
 
 @pytest.mark.parametrize("command", ["train", "stats"])

@@ -11,17 +11,19 @@ import numpy as np
 import pytest
 
 from serialcast import autodiff as ad
-from serialcast import trainer
+from serialcast import cli, dataloader, trainer
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig, init_params, model_forward
 from serialcast.datagen import SignalSpec, gen_signal
-from serialcast.dataloader import build_shards
+from serialcast.dataloader import (MANIFEST_NAME, ShardEntry, ShardManifest, build_shards,
+                                   write_csv_series)
 from serialcast.errors import CheckpointError, ConfigError, InputError
 from serialcast.tokenizer import make_batch
 from serialcast.trainer import (REFERENCE_TINY, OptState, TrainConfig, adamw_update,
-                                clip_gradients, decayed_names, draw_batch,
-                                gradient_check_suite, load_checkpoint, lr_at, run_posttrain,
-                                run_pretrain, save_checkpoint, train_step, validate_params)
+                                clip_gradients, compare_gradients, decayed_names, draw_batch,
+                                finite_diff_gradient, gradient_check_suite, load_checkpoint,
+                                lr_at, run_posttrain, run_pretrain, save_checkpoint, train_step,
+                                validate_params)
 
 
 @pytest.fixture
@@ -219,6 +221,52 @@ class TestTrainStep:
             np.testing.assert_array_equal(r1.params[k].data, r2.params[k].data)
 
 
+def _write_forecast(root, version: int):
+    inputs = root.parent / "in"
+    if version == 0:
+        save_checkpoint(init_params(SMALL, seed=9, dtype=np.float32), None, str(inputs / "m.sfck"))
+        write_csv_series(str(inputs / "s.csv"), np.sin(np.arange(40.0) / 3))
+    flags = [f"--{k.replace('_', '-')}={getattr(SMALL, k)}" for k in cli.MODEL_KEYS]
+    args = cli.build_parser().parse_args(
+        ["forecast", "--checkpoint", str(inputs / "m.sfck"), "--input", str(inputs / "s.csv"),
+         "--horizon", str(4 + 4 * version), "--out", str(root / "f.csv"), *flags])
+    args.fn(args)
+    return root / "f.csv"
+
+
+def _write_checkpoint(root, version: int):
+    params = init_params(SMALL, seed=9 + version, dtype=np.float32)
+    save_checkpoint(params, OptState.fresh(params) if version else None, str(root / "t.sfck"))
+    return root / "t.sfck"
+
+
+def _write_manifest(root, version: int):
+    entry = ShardEntry("shard_00000.sfd", 0xC0FFEE + version, [100 + version, 7])
+    ShardManifest([entry], str(root)).save(str(root / MANIFEST_NAME))
+    return root / MANIFEST_NAME
+
+
+def _write_shards(root, version: int):
+    build_shards([np.arange(300.0 + 100 * version)], 1 << 20, str(root))
+    return root / "shard_00000.sfd"
+
+
+def _write_config(root, version: int):
+    cli.save_config(str(root / "config.txt"), {"d_model": 16 + version, "peak_lr": 0.005})
+    return root / "config.txt"
+
+
+def _write_csv(root, version: int):
+    write_csv_series(str(root / "s.csv"), np.arange(20.0) + version)
+    return root / "s.csv"
+
+
+# Each writes version 0 or 1 of one artifact under ``root`` and returns its
+# path; version 1 is more than half the size of version 0.
+WRITERS = {"checkpoint": _write_checkpoint, "manifest": _write_manifest, "shards": _write_shards,
+           "config": _write_config, "forecast": _write_forecast, "csv": _write_csv}
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         params = init_params(SMALL, seed=3, dtype=np.float32)
@@ -288,15 +336,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="unsupported version 1"):
             load_checkpoint(str(path))
 
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "t.sfck")
-        old = init_params(SMALL, seed=9, dtype=np.float32)
-        save_checkpoint(old, None, path)
+    @pytest.mark.parametrize("artifact", sorted(WRITERS))
+    def test_failed_write_keeps_previous_artifact(self, tmp_path, monkeypatch, artifact):
+        root = tmp_path / "out"
+        path = WRITERS[artifact](root, 0)
         before = open(path, "rb").read()
+        files = {f.name: f.read_bytes() for f in root.iterdir()}
         real_open = open
 
         class TornFile:
-            """Accepts half a checkpoint's bytes, then fails like a full disk."""
+            """Accepts half the previous artifact's bytes, then fails like a full disk."""
 
             def __init__(self, f):
                 self.f, self.room = f, len(before) // 2
@@ -321,16 +370,12 @@ class TestCheckpoint:
             f = real_open(file, mode, *args, **kwargs)
             return TornFile(f) if "w" in mode else f
 
-        monkeypatch.setattr(trainer, "open", torn_open, raising=False)
-        new = init_params(SMALL, seed=10, dtype=np.float32)
+        monkeypatch.setattr(dataloader, "open", torn_open, raising=False)
         with pytest.raises(OSError, match="No space"):
-            save_checkpoint(new, OptState.fresh(new), path)
+            WRITERS[artifact](root, 1)
         monkeypatch.undo()
         assert open(path, "rb").read() == before
-        assert os.listdir(tmp_path) == ["t.sfck"]
-        loaded, _ = load_checkpoint(path)
-        for k in old:
-            np.testing.assert_array_equal(loaded[k].data, old[k].data)
+        assert {f.name: f.read_bytes() for f in root.iterdir()} == files  # no temporary file
 
     def test_mismatched_config_lists_offender(self, tmp_path):
         params = init_params(SMALL, seed=6, dtype=np.float32)
@@ -494,3 +539,70 @@ class TestGradientCheckSuite:
         monkeypatch.setattr("serialcast.backbone.ad.silu", corrupted)
         reports = gradient_check_suite(seed=0, coords_per_tensor=3)
         assert any(not r.passed for r in reports)
+
+
+class TestFiniteDiff:
+    def test_quadratic(self):
+        theta = Tensor(np.array([3.0]), requires_grad=True)
+        fd = finite_diff_gradient(lambda p: float((p["theta"].data ** 2).sum()),
+                                  {"theta": theta}, 1e-5)
+        np.testing.assert_allclose(fd["theta"], [6.0], atol=1e-8)
+
+    def test_constant_loss(self):
+        theta = Tensor(np.ones(4), requires_grad=True)
+        fd = finite_diff_gradient(lambda p: 1.25, {"theta": theta}, 1e-5)
+        np.testing.assert_array_equal(fd["theta"], np.zeros(4))
+
+    def test_epsilon_range_enforced(self):
+        theta = Tensor(np.ones(1), requires_grad=True)
+        for eps in (1e-7, 1e-3):
+            with pytest.raises(InputError):
+                finite_diff_gradient(lambda p: 0.0, {"theta": theta}, eps)
+
+    def test_requires_float64(self):
+        theta = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+        with pytest.raises(InputError):
+            finite_diff_gradient(lambda p: 0.0, {"theta": theta}, 1e-5)
+
+    def test_nondeterministic_rejected(self):
+        theta = Tensor(np.ones(1), requires_grad=True)
+        state = {"n": 0}
+
+        def noisy(p):
+            state["n"] += 1
+            return float(state["n"])
+
+        with pytest.raises(InputError):
+            finite_diff_gradient(noisy, {"theta": theta}, 1e-5)
+
+    @pytest.mark.parametrize("coords", [0, -1])
+    def test_coords_below_one_rejected(self, coords):
+        # zero coordinates would compare nothing and pass every family
+        theta = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(InputError, match="coords per tensor"):
+            finite_diff_gradient(lambda p: 0.0, {"theta": theta}, 1e-5, coords_per_tensor=coords)
+
+    def test_coordinate_sampling_marks_nan(self):
+        theta = Tensor(np.arange(10.0), requires_grad=True)
+        fd = finite_diff_gradient(lambda p: float((p["theta"].data ** 2).sum()),
+                                  {"theta": theta}, 1e-5, coords_per_tensor=3)
+        assert np.isnan(fd["theta"]).sum() == 7
+        done = ~np.isnan(fd["theta"])
+        np.testing.assert_allclose(fd["theta"][done], 2 * np.arange(10.0)[done], atol=1e-7)
+
+
+class TestCompareGradients:
+    def test_pass_and_fail(self):
+        ok = compare_gradients({"w": np.array([1.0, 2.0])}, {"w": np.array([1.0, 2.0 + 1e-9])})
+        assert ok[0].passed and ok[0].max_rel_err == 0.0
+        bad = compare_gradients({"w": np.array([1.0])}, {"w": np.array([1.1])})
+        assert not bad[0].passed
+
+    def test_tiny_grads_pass_on_absolute_floor(self):
+        rep = compare_gradients({"w": np.array([1e-9])}, {"w": np.array([3e-9])})[0]
+        assert rep.passed and rep.max_abs_err < 1e-7
+
+    def test_nan_coordinates_skipped(self):
+        rep = compare_gradients({"w": np.array([1.0, 5.0])},
+                                {"w": np.array([1.0, np.nan])})[0]
+        assert rep.passed
