@@ -23,8 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericError
-
 _GRAD_ENABLED = True
 FULL_TILE = 16  # output columns per full BLAS kernel tile, see grouped_linear
 L2_GUARD = 1e-12  # l2_normalize's denominator floor for zero vectors
@@ -119,13 +117,6 @@ Params = dict[str, Tensor]
 
 def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def assert_finite(x, ctx: str):
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if not np.all(np.isfinite(data)):
-        raise NumericError(f"non-finite {ctx}")
-    return x
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None] | None) -> Tensor:
@@ -393,9 +384,7 @@ def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
 
     eps=0 is allowed for exact hand checks but requires nonzero input.
     """
-    if eps < 0:
-        raise InputError("rmsnorm eps must be >= 0")
-    x, gain = assert_finite(astensor(x), "rmsnorm input"), astensor(gain)
+    x, gain = astensor(x), astensor(gain)
     inv = ((x.data * x.data).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype)) ** -0.5
     xn = x.data * inv
 

@@ -97,8 +97,9 @@ def echo_config(name: str, merged: dict, seed: int | None = None):
 
 
 def save_config(path: str, merged: dict):
-    if nan := [k for k, v in merged.items() if v != v]:
-        raise InputError(f"{nan[0]} is nan, which its config file cannot restore")
+    for k, v in merged.items():  # nan, or a str that load_config_file would cut or strip
+        if v != v or isinstance(v, str) and (v != v.strip() or any(c in v for c in "#\r\n")):
+            raise InputError(f"{k}={v!r} cannot be restored from its config file")
     write_whole(path, ["".join(f"{k}={merged[k]}\n" for k in sorted(merged)).encode()])
 
 

@@ -73,11 +73,12 @@ def _clean_signal(spec: SignalSpec, t: np.ndarray) -> np.ndarray:
 
 
 def gen_signal(spec: SignalSpec) -> np.ndarray:
-    """Deterministic signal for a spec; noise is additive Gaussian."""
+    """Deterministic signal for a spec; noise is additive Gaussian; overflow gives inf or nan."""
     t = np.arange(spec.length, dtype=np.float64)
-    x = _clean_signal(spec, t)
-    if spec.noise_sigma > 0:
-        x = x + np.random.default_rng(spec.seed).normal(0.0, spec.noise_sigma, spec.length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _clean_signal(spec, t)
+        if spec.noise_sigma > 0:
+            x = x + np.random.default_rng(spec.seed).normal(0.0, spec.noise_sigma, spec.length)
     return x
 
 

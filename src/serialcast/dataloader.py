@@ -106,9 +106,12 @@ class ShardManifest:
         return os.path.join(self.root_dir, self.entries[i].path)
 
     def save(self, path: str):
+        """Write the manifest whole, after refusing any entry ``load`` would reject."""
         lines = [f"{MANIFEST_MAGIC} {MANIFEST_VERSION}"]
         lines += [f"{e.path} {e.crc32:08x} {','.join(map(str, e.series_lengths))}"
                   for e in self.entries]
+        if bad := [line for line in lines[1:] if not _SHARD_LINE.fullmatch(line)]:
+            raise InputError(f"manifest entry {bad[0]!r} would not read back")
         body = "".join(line + "\n" for line in lines).encode()
         write_whole(path, [body, f"crc32 {zlib.crc32(body):08x}\n".encode()])
 

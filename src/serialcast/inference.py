@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import Params, Tensor, no_grad
 from .backbone import ModelConfig, model_forward, patch_project
 from .dataloader import finite_series
-from .errors import InputError
+from .errors import InputError, NumericError
 from .objectives import QuantileGrid, default_grid, wql
 from .tokenizer import denormalize, make_batch, patchify, renormalize  # noqa: F401
 
@@ -98,7 +98,7 @@ def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
     chunk of at most ``chunk_len`` steps, at the depth the chunk needs, over
     up to MAX_BATCH_ROWS rows at a time. Between passes each row's median is
     appended to its context, which is then re-normalized. Quantiles come out
-    sorted along the level axis."""
+    sorted along the level axis; a pass that is not all finite raises."""
     if horizon < 1:
         raise InputError("horizon must be >= 1")
     grid = default_grid(cfg.n_quantiles)
@@ -113,8 +113,13 @@ def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
         for lo in range(0, len(contexts), MAX_BATCH_ROWS):
             part = range(lo, min(lo + MAX_BATCH_ROWS, len(contexts)))
             t0 = time.perf_counter()
-            preds, ran = _group_pass(contexts[lo:part.stop], _depth(chunk, cfg), params, cfg)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                preds, ran = _group_pass(contexts[lo:part.stop], _depth(chunk, cfg), params, cfg)
             share = 1000.0 * (time.perf_counter() - t0) / len(part)
+            finite = np.isfinite(preds[..., :chunk]).all(axis=(1, 2))
+            if not finite.all():
+                raise NumericError(f"series {part[np.argmin(finite)]}: pass {step + 1} "
+                                   "forecasts a value that is not finite, an overflow")
             for i, pred in zip(part, preds):
                 chunks[i].append(pred[:, :chunk])
                 wall_ms[i] += share

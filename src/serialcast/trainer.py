@@ -132,7 +132,7 @@ def clip_gradients(params: Params, max_norm: float) -> float:
             g = p.grad.astype(np.float64)  # always a copy, so squared in place
             total += float(np.square(g, out=g).sum())
     norm = math.sqrt(total)
-    if max_norm > 0 and math.isfinite(max_norm) and norm > max_norm:
+    if 0 < max_norm < norm < math.inf:  # never scales by a non-finite norm
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -182,17 +182,21 @@ class StepResult:
 def train_step(params: Params, batch: PatchBatch, model_cfg: ModelConfig,
                train_cfg: TrainConfig, opt: OptState, lr: float, decayed: frozenset[str],
                grid: QuantileGrid | None = None) -> StepResult:
-    """One optimization step; a non-finite loss aborts without touching params.
+    """One optimization step. A non-finite loss or gradient norm skips it: only
+    ``opt.step`` advances, so a resumed run draws the same batches after it.
     ``decayed`` is ``decayed_names(model_cfg)``, computed once per run."""
     zero_grads(params)
     trace = model_forward(batch, params, model_cfg, depth=model_cfg.n_serial_blocks)
     total, parts = stage_loss(train_cfg.stage, trace, batch, params, model_cfg, grid)
-    if not math.isfinite(parts["total"]):
-        return StepResult(parts["total"], parts, 0.0, lr, skipped=True)
-    total.backward()
-    norm = clip_gradients(params, train_cfg.clip_norm)
-    adamw_update(params, opt, lr, train_cfg, decayed)
-    return StepResult(parts["total"], parts, norm, lr, skipped=False)
+    norm = 0.0
+    if math.isfinite(parts["total"]):
+        total.backward()
+        norm = clip_gradients(params, train_cfg.clip_norm)
+        if math.isfinite(norm):
+            adamw_update(params, opt, lr, train_cfg, decayed)
+            return StepResult(parts["total"], parts, norm, lr)
+    opt.step += 1
+    return StepResult(parts["total"], parts, norm, lr, skipped=True)
 
 
 # -- batch construction with augmentation ---------------------------------
@@ -308,7 +312,7 @@ def load_checkpoint(path: str) -> tuple[Params, OptState | None]:
 
 
 def validate_params(params: Params, cfg: ModelConfig):
-    """Check the loaded tensor names and shapes against ``param_table(cfg)``."""
+    """Check the tensor names and shapes against ``param_table(cfg)``, and every value finite."""
     expected = param_table(cfg)
     missing = [k for k in expected if k not in params]
     extra = [k for k in params if k not in expected]
@@ -320,6 +324,8 @@ def validate_params(params: Params, cfg: ModelConfig):
         if params[k].shape != spec.shape:
             raise CheckpointError(f"shape mismatch for {k}: checkpoint {params[k].shape}, "
                                   f"config wants {spec.shape}")
+        if not np.isfinite(params[k].data).all():
+            raise CheckpointError(f"{k} holds a value that is not finite")
 
 
 # -- stage runners ----------------------------------------------------------

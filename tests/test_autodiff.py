@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from serialcast import autodiff as ad
 from serialcast.autodiff import L2_GUARD, Tensor, l2_normalize, rmsnorm
 from serialcast.backbone import causal_mask, rope_table, scaled_masked_softmax
-from serialcast.errors import NumericError
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -280,10 +279,6 @@ class TestRmsnorm:
         for c in (2.5, -0.3):
             out = rmsnorm(Tensor(np.full(5, c)), Tensor(np.ones(5)), 0.0)
             np.testing.assert_allclose(out.data, np.sign(c) * np.ones(5), atol=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericError):
-            rmsnorm(Tensor(np.array([np.nan, 1.0])), Tensor(np.ones(2)))
 
     @given(finite_vec)
     @settings(max_examples=50, deadline=None)

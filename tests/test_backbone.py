@@ -459,6 +459,9 @@ class TestScaledMaskedSoftmax:
         out = scaled_masked_softmax(Tensor(np.full((3, 3), 50.0)), 1e6).data
         assert (out[np.triu_indices(3, k=1)] == 0.0).all()
 
-    def test_nonpositive_tau_rejected(self):
-        with pytest.raises(InputError):
-            scaled_masked_softmax(Tensor(np.ones((2, 2))), 0.0)
+    def test_zero_tau_uniform_causal_average(self):
+        # tau = 0 flattens every score but the mask still applies after scaling
+        scores = Tensor(np.random.default_rng(5).normal(size=(2, 5, 5)))
+        out = scaled_masked_softmax(scores, Tensor(np.zeros((2, 1, 1)))).data
+        uniform = np.tril(np.ones((5, 5))) / np.arange(1, 6)[:, None]
+        np.testing.assert_array_equal(out, np.broadcast_to(uniform, out.shape))

@@ -213,31 +213,57 @@ def test_csv_reads_back_bit_exact(tmp_path_factory, values):
     assert _bits(read_csv_series(path)) == _bits(values)
 
 
-@given(st.lists(st.tuples(st.integers(0, 2**32 - 1),
-                          st.lists(st.integers(0, 2**63), min_size=1, max_size=4)), max_size=4))
+_lengths = st.lists(st.integers(0, 2**63), max_size=4)
+# what build_shards writes, and entries that may hold what load rejects
+_built_entry = st.builds(ShardEntry, st.from_regex(r"shard_[0-9]{5}\.sfd", fullmatch=True),
+                         st.integers(0, 2**32 - 1), _lengths.filter(len))
+_any_entry = st.builds(ShardEntry, st.one_of(st.sampled_from(["", "a b.sfd", "a\tb", "a\nb",
+                                                              "x\u00a0y", "x\u2028"]),
+                                             st.text(max_size=6)),
+                       st.integers(-1, 2**32), _lengths)
+
+
+def _loadable(entry: ShardEntry) -> bool:
+    return (entry.path != "" and not any(c.isspace() for c in entry.path)
+            and 0 <= entry.crc32 < 2**32 and len(entry.series_lengths) > 0)
+
+
+@given(st.one_of(st.lists(_built_entry, max_size=4), st.lists(_any_entry, max_size=4)))
 @FUZZ
-def test_manifest_reads_back_bit_exact(tmp_path_factory, shards):
+def test_manifest_reads_back_bit_exact(tmp_path_factory, entries):
     path = _fresh(tmp_path_factory, MANIFEST_NAME)
-    manifest = ShardManifest([ShardEntry(f"shard_{i:05d}.sfd", crc, lengths)
-                              for i, (crc, lengths) in enumerate(shards)], os.path.dirname(path))
-    manifest.save(path)
+    manifest = ShardManifest(entries, os.path.dirname(path))
+    try:
+        manifest.save(path)
+    except InputError:
+        assert not all(map(_loadable, entries))
+        assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
+        return
+    assert all(map(_loadable, entries))
     assert ShardManifest.load(path) == manifest
 
 
 _CONFIG_KEYS = {**MODEL_KEYS, **TRAIN_KEYS}
-_config_value = {float: _any_float, int: st.integers(-2**70, 2**70)}
+_config_value = {float: _any_float, int: st.integers(-2**70, 2**70),
+                 str: st.one_of(st.sampled_from(["serial", "f32", "serial # x", "a\nb", "a\rb",
+                                                 " f64", "f64\t", "a=b", ""]),
+                                st.text(max_size=6))}
 
 
-@given(st.fixed_dictionaries({k: _config_value[typ] for k, (typ, _) in _CONFIG_KEYS.items()
-                              if typ in _config_value}))  # the str keys keep their defaults
+def _restorable(v) -> bool:
+    if isinstance(v, str):
+        return v == v.strip() and not any(c in v for c in "#\r\n")
+    return v == v
+
+
+@given(st.fixed_dictionaries({k: _config_value[typ] for k, (typ, _) in _CONFIG_KEYS.items()}))
 @FUZZ
 def test_config_reads_back_bit_exact(tmp_path_factory, merged):
     path = _fresh(tmp_path_factory, "config.txt")
-    merged = {**{k: d for k, (_, d) in _CONFIG_KEYS.items()}, **merged}
     try:
         save_config(path, merged)
     except InputError:
-        assert any(v != v for v in merged.values())
+        assert not all(map(_restorable, merged.values()))
         assert not os.path.exists(path) and not os.path.exists(path + ".tmp")
         return
     back = merge_config(argparse.Namespace(), _CONFIG_KEYS, path)

@@ -348,6 +348,35 @@ def test_forecast_per_expert_checkpoint_rejected(pipeline, capsys):
     assert "block0.moe.w1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["forecast", "eval"])
+def test_non_finite_weight_exits_two(pipeline, capsys, command):
+    params, state = load_checkpoint(pipeline["ckpt"])
+    params["head.w"].data[0, 0] = np.nan
+    ckpt = str(pipeline["tmp"] / "nan_head.sfck")
+    save_checkpoint(params, state, ckpt)
+    out = pipeline["tmp"] / "nan_head.csv"
+    argv = [command, "--checkpoint", ckpt, "--config", pipeline["config"],
+            "--input", pipeline["csv"], "--horizon", "4"]
+    assert run(argv + (["--out", str(out)] if command == "forecast" else [])) == 2
+    captured = capsys.readouterr()
+    assert "runtime failure: head.w holds a value that is not finite" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["forecast", "eval"])
+def test_overflowing_series_exits_two(pipeline, capsys, command):
+    # finite in float64, but its variance is not: the pass overflows
+    huge = str(pipeline["tmp"] / "huge.csv")
+    write_csv_series(huge, read_csv_series(pipeline["csv"]) * 1e200)
+    assert run([command, "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
+                "--input", huge, "--horizon", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "runtime failure: series 0: pass 1 forecasts a value that is not finite" \
+        in captured.err
+    assert captured.out == ""
+
+
 def _csv_with_nan(path, index: int):
     values = [f"{v}" for v in np.sin(np.arange(64) / 4.0)]
     values[index] = "nan"
@@ -389,7 +418,7 @@ def test_value_not_finite_in_float32_exits_one(tmp_path, capsys, source):
     assert not os.path.exists(out) or not os.listdir(out)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("out", ["e.csv", "-"])
 def test_synth_csv_not_finite_exits_one(tmp_path, capsys, monkeypatch, out):
     # exp(10 t) overflows float64 at t = 71, and the CSV reader rejects the inf

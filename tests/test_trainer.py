@@ -3,6 +3,7 @@
 import errno
 import math
 import os
+import re
 import struct
 import zlib
 from dataclasses import replace
@@ -137,6 +138,16 @@ class TestClip:
         assert norm == 5.0
         np.testing.assert_array_equal(params["p"].grad, [3.0, 4.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_norm_never_scales(self, bad):
+        params = {"p": Tensor(np.zeros(3), requires_grad=True),
+                  "q": Tensor(np.zeros(2), requires_grad=True)}
+        params["p"].grad = np.array([3.0, bad, 0.0])
+        params["q"].grad = np.array([1.0, 2.0])
+        assert not math.isfinite(clip_gradients(params, 1.0))
+        np.testing.assert_array_equal(params["p"].grad, [3.0, bad, 0.0])
+        np.testing.assert_array_equal(params["q"].grad, [1.0, 2.0])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_norm_equals_allocating_expression(self, dtype):
         # the in-place square must give the allocating form's norm bit for bit
@@ -210,6 +221,56 @@ class TestTrainStep:
         assert res.skipped
         for k in params:
             np.testing.assert_array_equal(params[k].data, before[k])
+
+    @staticmethod
+    def _stepped(toy_manifest):
+        """SMALL weights and moments after one real step, and the next batch."""
+        from serialcast.dataloader import WindowSampler
+
+        params = init_params(SMALL, seed=0, dtype=np.float64)
+        tcfg = TrainConfig(stage="pretrain", steps=2, batch_size=2, precision="f64")
+        sampler, opt = WindowSampler(toy_manifest), OptState.fresh(params)
+        train_step(params, draw_batch(sampler, SMALL, tcfg, 0), SMALL, tcfg, opt, 1e-3,
+                   decayed_names(SMALL))
+        return params, opt, tcfg, draw_batch(sampler, SMALL, tcfg, 1)
+
+    @staticmethod
+    def _assert_skipped(res, params, opt, before):
+        weights, m, v, step = before
+        assert res.skipped and opt.step == step + 1
+        for k in params:
+            assert np.array_equal(params[k].data, weights[k], equal_nan=True), k
+            assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), k
+
+    @staticmethod
+    def _snapshot(params, opt):
+        return ({k: p.data.copy() for k, p in params.items()},
+                {k: a.copy() for k, a in opt.m.items()},
+                {k: a.copy() for k, a in opt.v.items()}, opt.step)
+
+    def test_nan_weight_skips_step(self, toy_manifest):
+        # a NaN weight reaches no per-layer check: the non-finite loss skips the
+        # step, which still advances opt.step and leaves weights and moments
+        params, opt, tcfg, batch = self._stepped(toy_manifest)
+        params["block0.attn.wq"].data[1, 2] = np.nan
+        before = self._snapshot(params, opt)
+        res = train_step(params, batch, SMALL, tcfg, opt, 1e-3, decayed_names(SMALL))
+        assert not math.isfinite(res.loss)
+        self._assert_skipped(res, params, opt, before)
+
+    def test_non_finite_grad_norm_skips_step(self, toy_manifest, monkeypatch):
+        params, opt, tcfg, batch = self._stepped(toy_manifest)
+        clip = trainer.clip_gradients
+
+        def overflowing(params, max_norm):
+            params["head.w"].grad[0, 0] = np.inf
+            return clip(params, max_norm)
+
+        monkeypatch.setattr(trainer, "clip_gradients", overflowing)
+        before = self._snapshot(params, opt)
+        res = train_step(params, batch, SMALL, tcfg, opt, 1e-3, decayed_names(SMALL))
+        assert math.isfinite(res.loss) and res.grad_norm == np.inf
+        self._assert_skipped(res, params, opt, before)
 
     def test_trajectory_deterministic(self, toy_manifest, tmp_path):
         tcfg = lambda sub: TrainConfig(stage="pretrain", steps=4, batch_size=2, seed=11,
@@ -396,6 +457,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="head.w"):
             validate_params(loaded, SMALL)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_named(self, tmp_path, bad):
+        # every tensor of every family, one at a time, through a saved checkpoint
+        params = init_params(SMALL, seed=8, dtype=np.float32)
+        path = str(tmp_path / "bad.sfck")
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            kept, flat[-1] = flat[-1], bad
+            save_checkpoint(params, None, path)
+            flat[-1] = kept
+            with pytest.raises(CheckpointError, match=f"^{re.escape(name)} holds"):
+                validate_params(load_checkpoint(path)[0], SMALL)
+        validate_params(params, SMALL)  # every value restored
+
 
 class TestResume:
     def test_resume_reproduces_trajectory(self, toy_manifest, tmp_path):
@@ -413,6 +488,30 @@ class TestResume:
         assert resumed.opt.step == 6
         for k in full.params:
             np.testing.assert_array_equal(full.params[k].data, resumed.params[k].data)
+
+    def test_resume_after_skipped_step_byte_identical(self, toy_manifest, tmp_path,
+                                                      monkeypatch):
+        # step 1's batch yields a NaN loss; the step-3 snapshot comes after it,
+        # so a resume must start at step 3, not re-draw step 2's batch
+        draw = trainer.draw_batch
+
+        def poisoned(sampler, model_cfg, train_cfg, step):
+            batch = draw(sampler, model_cfg, train_cfg, step)
+            if step == 1:
+                batch.patches[0, -1, 0] = np.nan  # a target value
+            return batch
+
+        monkeypatch.setattr(trainer, "draw_batch", poisoned)
+        tcfg = lambda sub, **kw: TrainConfig(stage="pretrain", steps=5, batch_size=2, seed=4,
+                                             out_dir=str(tmp_path / sub), **kw)
+        full = run_pretrain(SMALL, tcfg("full", checkpoint_interval=3), toy_manifest)
+        assert [h.skipped for h in full.history] == [False, True, False, False, False]
+        snapshot = str(tmp_path / "full" / "pretrain_step000003.sfck")
+        assert load_checkpoint(snapshot)[1].step == 3
+        resumed = run_pretrain(SMALL, tcfg("resumed"), toy_manifest, resume_from=snapshot)
+        assert len(resumed.history) == 2
+        with open(full.checkpoint_path, "rb") as a, open(resumed.checkpoint_path, "rb") as b:
+            assert a.read() == b.read()
 
     def test_zero_steps_checkpoints_init(self, toy_manifest, tmp_path):
         tcfg = TrainConfig(stage="pretrain", steps=0, batch_size=2, seed=9,
