@@ -55,8 +55,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -299,8 +297,6 @@ def tmean(a, axis=None) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul operands must have at least 2 dimensions")
 
     def bw(out):
         g = out.grad
@@ -318,10 +314,6 @@ def grouped_linear(a, w, b, counts) -> Tensor:
     """
     a, w, b = astensor(a), astensor(w), astensor(b)
     bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-    if a.ndim != 2 or w.ndim != 3 or b.shape != (w.shape[0], w.shape[2]) \
-            or bounds.size != w.shape[0] + 1 or bounds[-1] != a.shape[0]:
-        raise ValueError(f"grouped_linear shapes: rows {a.shape}, weights {w.shape}, "
-                         f"biases {b.shape}, counts summing to {bounds[-1]}")
     groups = [(j, lo, hi) for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
     o = w.shape[2]
     y = np.empty((a.shape[0], o), dtype=np.result_type(a.data, w.data, b.data))

@@ -218,8 +218,6 @@ def rope_angle_table(positions: np.ndarray, d: int, theta_base: float = 10000.0)
 
     Pair m rotates by angle position * theta_base^(-2m/d).
     """
-    if d % 2 != 0:
-        raise ConfigError(f"rotary dimension must be even, got {d}")
     positions = np.asarray(positions, dtype=np.float64)
     freqs = theta_base ** (-2.0 * np.arange(d // 2) / d)
     angles = positions[:, None] * freqs[None, :]
@@ -256,8 +254,6 @@ def scaled_masked_softmax(scores, tau) -> Tensor:
 def attention_forward(h_in: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> Tensor:
     """QK-normalized rotary causal attention; residual is added by the caller."""
     b, n, d = h_in.shape
-    if n > cfg.n_max:
-        raise ConfigError(f"context of {n} patches exceeds the {cfg.n_max}-patch bound")
     nh, dh = cfg.n_heads, cfg.d_head
 
     def split_heads(x: Tensor) -> Tensor:
@@ -329,8 +325,6 @@ def moe_block(h: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple
 def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params,
                  cfg: ModelConfig) -> tuple[Tensor, Routing]:
     """Fuse the previous depth with the initial embeddings, then one block."""
-    if not (1 <= j <= cfg.n_serial_blocks):
-        raise ConfigError(f"serial block index {j} outside 1..{cfg.n_serial_blocks}")
     pre = f"serial{j}."
     fused = ad.concat(
         [rmsnorm(h_prev, params[pre + "norm_prev.g"], RMS_EPS),
@@ -361,6 +355,8 @@ def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: in
     """
     if not (0 <= depth <= cfg.n_serial_blocks):
         raise ConfigError(f"depth {depth} outside 0..{cfg.n_serial_blocks}")
+    if batch.n_input > cfg.n_max:
+        raise ConfigError(f"context of {batch.n_input} patches exceeds the {cfg.n_max}-patch bound")
     dtype = params["head.w"].dtype
     values = (batch.input_patches * batch.input_masks).astype(dtype)  # pads forced to 0
     masks = batch.input_masks.astype(dtype)

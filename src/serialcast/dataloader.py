@@ -187,8 +187,6 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES,
         filled = 0
         for idx, series in enumerate(series_iter):
             values = np.asarray(series)
-            if values.size == 0:
-                raise InputError(f"series {idx} is empty")
             for start in range(0, values.size, capacity):
                 chunk = values[start : start + capacity]
                 if filled + chunk.size > capacity:
@@ -220,26 +218,21 @@ def _stamp(fd: int) -> tuple[int, int]:
     return st.st_size, st.st_mtime_ns
 
 
-def check_shard(path: str, crc32: int, lengths: list[int],
-                out: np.ndarray | None = None) -> tuple[int, int]:
+def check_shard(path: str, crc32: int, lengths: list[int]) -> tuple[int, int]:
     """Check one shard against its manifest entry: its size, then the CRC32 of
     its bytes, streamed ``CHECK_CHUNK`` bytes at a time, then that every value
-    is finite. The values are copied into ``out`` when it is given. Returns
-    the file's (size, mtime_ns) stamp."""
+    is finite. Returns the file's (size, mtime_ns) stamp."""
     width = VALUE_DTYPE.itemsize
     expected = width * sum(lengths)
     with open(path, "rb", buffering=0) as f:
         stamp = _stamp(f.fileno())
         buf = memoryview(bytearray(CHECK_CHUNK))
-        sink = None if out is None else memoryview(out).cast("B")
         crc = done = 0
         first_bad = None  # index of the first value that is not finite
         while stamp[0] == expected and (got := f.readinto(buf[: expected - done])):
             while got % width and (more := f.readinto(buf[got : expected - done])):
                 got += more  # a short read: complete the last value
             crc = zlib.crc32(buf[:got], crc)
-            if sink is not None:
-                sink[done : done + got] = buf[:got]
             values = np.frombuffer(buf[: got - got % width], VALUE_DTYPE)
             if first_bad is None and (bad := _first_non_finite(values)) is not None:
                 first_bad = done // width + bad
@@ -254,19 +247,6 @@ def check_shard(path: str, crc32: int, lengths: list[int],
         raise DataError(f"{path}: value {first_bad} is not finite, shard rejected; "
                         "rebuild the corpus")
     return stamp
-
-
-def load_shard(path: str, crc32: int, lengths: list[int]) -> list[np.ndarray]:
-    """The float32 segments of one shard, checked against its manifest entry."""
-    values = np.empty(sum(lengths), VALUE_DTYPE)
-    check_shard(path, crc32, lengths, values)
-    return np.split(values, np.cumsum(lengths[:-1]))
-
-
-def read_all_series(manifest: ShardManifest) -> list[np.ndarray]:
-    """Sequential read of every series in shard order (round-trip check path)."""
-    return [values for i, e in enumerate(manifest.entries)
-            for values in load_shard(manifest.shard_path(i), e.crc32, e.series_lengths)]
 
 
 def read_values(path: str, stamp: tuple[int, int], start: int, count: int) -> np.ndarray:
@@ -304,6 +284,16 @@ class ShardQueue:
                                           [0, *itertools.accumulate(entry.series_lengths[:-1])])
             self.load_count += 1
         return self._checked[shard_index]
+
+
+def read_all_series(manifest: ShardManifest) -> list[np.ndarray]:
+    """Every series in shard order: each shard is checked once and read in one
+    pread through the sampler's path, then split at its series' offsets."""
+    queue, out = ShardQueue(manifest), []
+    for i, entry in enumerate(manifest.entries):
+        path, stamp, offsets = queue.get(i)
+        out += np.split(read_values(path, stamp, 0, sum(entry.series_lengths)), offsets[1:])
+    return out
 
 
 class WindowSampler:

@@ -88,8 +88,6 @@ def depth_losses(trace: ForwardTrace, batch: PatchBatch, params: Params, cfg: Mo
     head and the loss run once for all of them.
     """
     depths, n = trace.depth + 1, batch.n_input
-    if batch.patches.shape[1] < n + depths:
-        raise InputError(f"targets require {n + depths} patches, batch has {batch.patches.shape[1]}")
     targets = np.concatenate([batch.patches[:, d + 1 : n + d + 1] for d in range(depths)])
     masks = [batch.masks[:, d + 1 : n + d + 1] for d in range(depths)]
     if cfg.variant == VARIANT_SHIFT:
@@ -117,8 +115,6 @@ def mean_aux_loss(routing: list[Routing]) -> Tensor:
     1.0 at uniform routing. f_j is expert j's constant share of a layer's
     (token, slot) assignments and P_j its mean affinity, which carries the
     gradient. All layers route the same T tokens and fold at once as (L, T, E)."""
-    if not routing:
-        raise InputError("no MoE routing records")
     dt = routing[0].affinity.dtype
     frac = np.stack([(r.counts / r.counts.sum()).astype(dt) for r in routing])  # (L, E)
     affinity = ad.reshape(ad.concat([r.affinity for r in routing], axis=0),

@@ -95,8 +95,6 @@ def make_batch(series_list, patch_len: int, n_patches: int) -> PatchBatch:
     for row, s in enumerate(series_list):
         norm, mu[row], sigma[row] = renormalize(s)
         p, m, n = patchify(norm, patch_len)
-        if n > n_patches:
-            raise InputError(f"a row of {n} patches exceeds the batch's {n_patches}")
         values[:, row, :n] = p, m
     return PatchBatch(*values, mu, sigma, n_patches)
 
@@ -108,11 +106,7 @@ def make_supervised_batch(windows, n_input: int, patch_len: int) -> PatchBatch:
     the whole window, targets included, is normalized with those stats.
     """
     w = np.asarray(windows, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] % patch_len != 0:
-        raise InputError("windows must be (B, k*P)")
     n_total = w.shape[1] // patch_len
-    if n_total < n_input:
-        raise InputError("window shorter than the declared input length")
     mu, sigma = _moments(w[:, : n_input * patch_len])
     norm = (w - mu[:, None]) / sigma[:, None]
     b = w.shape[0]

@@ -95,8 +95,6 @@ def test_matmul_batched():
     check_op(lambda a, b: ad.matmul(a, b), (3, 4), (4, 2))
     check_op(lambda a, b: ad.matmul(a, b), (2, 3, 4), (4, 5))
     check_op(lambda a, b: ad.matmul(a, b), (2, 2, 3, 4), (2, 2, 4, 3), seed=5)
-    with pytest.raises(ValueError):
-        ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
 
 def test_grouped_linear():
@@ -108,8 +106,6 @@ def test_grouped_linear():
     out = ad.grouped_linear(Tensor(a), Tensor(w), Tensor(b), counts).data
     np.testing.assert_allclose(out[2], a[2] @ w[2] + b[2], atol=1e-12)
     np.testing.assert_allclose(out[3:], a[3:] @ w[3] + b[3], atol=1e-12)
-    with pytest.raises(ValueError):
-        ad.grouped_linear(Tensor(a), Tensor(w), Tensor(b), np.array([2, 0, 1, 2]))
 
 
 def test_grouped_linear_row_independent_of_group_size():

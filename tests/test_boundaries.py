@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from serialcast.backbone import ModelConfig, init_params
 from serialcast.cli import MODEL_KEYS, TRAIN_KEYS, merge_config, run, save_config
 from serialcast.dataloader import (MANIFEST_NAME, ShardEntry, ShardManifest, WindowSampler,
-                                   build_shards, load_shard, read_csv_series, write_csv_series)
+                                   build_shards, read_all_series, read_csv_series,
+                                   write_csv_series)
 from serialcast.errors import CheckpointError, DataError, InputError
 from serialcast.trainer import OptState, load_checkpoint, save_checkpoint
 
@@ -130,9 +131,7 @@ def _assert_corpus_rejected(d, manifest: bytes, shard: bytes):
     (damaged / MANIFEST_NAME).write_bytes(manifest)
     (damaged / "shard_00000.sfd").write_bytes(shard)
     with pytest.raises(DataError):
-        loaded = ShardManifest.load(str(damaged / MANIFEST_NAME))
-        entry = loaded.entries[0]
-        load_shard(loaded.shard_path(0), entry.crc32, entry.series_lengths)
+        read_all_series(ShardManifest.load(str(damaged / MANIFEST_NAME)))
     with pytest.raises(DataError):  # the training path checks the shard on its first draw
         WindowSampler(ShardManifest.load(str(damaged / MANIFEST_NAME))).sample_raw(
             40, np.random.default_rng(0))
@@ -140,6 +139,23 @@ def _assert_corpus_rejected(d, manifest: bytes, shard: bytes):
     assert code == 2, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"runtime failure: {damaged}"), err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stats_on_huge_series_prints_finite_adf(tmp_path):
+    # finite values near the top of float64 still give the unscaled statistic
+    x = np.random.default_rng(0).normal(size=300).cumsum()
+    for name, scale in (("series.csv", 1.0), ("huge.csv", 1e200)):
+        write_csv_series(str(tmp_path / name), x * scale)
+    outputs = []
+    for name in ("series.csv", "huge.csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["stats", "--input", str(tmp_path / name)]) == 0
+        outputs.append(out.getvalue())
+    assert "inf" not in outputs[1]
+    adf = [float(o.split("aggregate adf ")[1].split()[0]) for o in outputs]
+    assert np.isfinite(adf[1]) and np.isclose(adf[1], adf[0], rtol=1e-12)
 
 
 def test_intact_corpus_stats(tiny_corpus):

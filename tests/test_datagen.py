@@ -91,19 +91,6 @@ class TestResample:
         ey = (np.abs(np.fft.rfft(y)[1:8]) ** 2).sum() / 32**2
         np.testing.assert_allclose(ex, ey, rtol=1e-6)
 
-    def test_factor_bounds(self):
-        x = np.ones(32)
-        with pytest.raises(InputError):
-            resample(x, 0.05)
-        with pytest.raises(InputError):
-            resample(x, 9.0)
-
-    def test_too_short_inputs(self):
-        with pytest.raises(InputError):
-            resample(np.ones(3), 2.0)
-        with pytest.raises(InputError):
-            resample(np.ones(8), 0.125)  # would give 1 point
-
 
 class TestValueFlip:
     def test_involution(self):
@@ -161,6 +148,18 @@ class TestAdf:
         beta, oracle = ols_normal_equations(*dickey_fuller_design(x, 0))
         assert np.isfinite(stat) and np.isclose(stat, oracle, atol=1e-8)
         assert abs(beta[1]) < 1e-3  # gamma-hat near 0 under the no-trend spec
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-50, 1e50, 1e200])
+    def test_scale_free(self, scale):
+        # the t-statistic of a scaled and shifted series is the series' own
+        x = np.random.default_rng(0).normal(size=300).cumsum()
+        stat = adf_statistic(x)
+        assert np.isfinite(stat)
+        np.testing.assert_allclose(adf_statistic(x * scale), stat, rtol=1e-13)
+        np.testing.assert_allclose(adf_statistic(x * scale + 7.0 * scale), stat, rtol=1e-12)
+        assert adf_statistic(np.full(300, 3.0 * scale)) == float("-inf")
+        assert adf_statistic(np.arange(1.0, 101.0) * scale, lag_order=0) == float("-inf")
 
     def test_negative_lag_rejected(self):
         # a lag of -1 would index dx[-1], the last difference, as x_{t+1}'s

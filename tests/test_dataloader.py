@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from serialcast import dataloader
-from serialcast.dataloader import (MANIFEST_NAME, MixtureSampler, ShardManifest, WindowSampler,
-                                   build_shards, load_shard, read_all_series, read_csv_series,
+from serialcast.cli import run
+from serialcast.dataloader import (MANIFEST_NAME, MixtureSampler, ShardEntry, ShardManifest,
+                                   WindowSampler, build_shards, read_all_series, read_csv_series,
                                    write_csv_series)
 from serialcast.errors import DataError, InputError, SamplerError
 
@@ -52,12 +53,15 @@ class TestBuildShards:
             make_manifest(tmp_path, [])
         assert not os.path.exists(tmp_path / "data" / MANIFEST_NAME)
 
-    def test_empty_series_rejected_with_cleanup(self, tmp_path):
-        series = [np.ones(300_000, dtype=np.float32), np.array([], dtype=np.float32)]
-        with pytest.raises(InputError):
-            make_manifest(tmp_path, series)
-        leftover = [f for f in os.listdir(tmp_path / "data") if f.endswith(".sfd")]
-        assert leftover == []
+    def test_empty_series_rejected_with_cleanup(self, tmp_path, capsys):
+        # an empty series is refused where it enters, before a shard is written
+        write_csv_series(str(tmp_path / "a.csv"), np.ones(300))
+        (tmp_path / "empty.csv").write_text("value\n")
+        out = tmp_path / "data"
+        assert run(["shard", "--input", str(tmp_path / "a.csv"), str(tmp_path / "empty.csv"),
+                    "--out", str(out)]) == 1
+        assert f"{tmp_path / 'empty.csv'}: no values" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
 
     def test_min_shard_bytes_enforced(self, tmp_path):
         with pytest.raises(InputError):
@@ -163,7 +167,7 @@ class TestManifest:
         blob[-1] ^= 0xFF
         open(shard_file, "wb").write(bytes(blob))
         with pytest.raises(DataError, match="checksum"):
-            load_shard(shard_file, manifest.entries[0].crc32, [100])
+            read_all_series(manifest)
 
     def test_truncated_record_detected(self, tmp_path):
         manifest = make_manifest(tmp_path, [np.ones(100, dtype=np.float32)])
@@ -171,7 +175,7 @@ class TestManifest:
         blob = open(shard_file, "rb").read()[:-8]
         open(shard_file, "wb").write(blob)
         with pytest.raises(DataError, match="truncated"):
-            load_shard(shard_file, manifest.entries[0].crc32, [100])
+            read_all_series(manifest)
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +310,8 @@ class TestNonFiniteValues:
         if short_reads:  # the shard check is the only open call left
             monkeypatch.setattr(dataloader, "open", lambda path, mode, buffering: ShortReads(path),
                                 raising=False)
-        loaded = load_shard(str(tmp_path / "finite.sfd"), zlib.crc32(finite), [finite.size])
+        loaded = read_all_series(ShardManifest([ShardEntry("finite.sfd", zlib.crc32(finite),
+                                                           [finite.size])], str(tmp_path)))
         np.testing.assert_array_equal(loaded[0], finite)
         message = f"^{re.escape(shard)}: value 17000 is not finite"
         with pytest.raises(DataError, match=message):

@@ -137,8 +137,6 @@ class TestBatches:
             assert not batch.patches[row, n:].any() and not batch.masks[row, n:].any()
             assert batch.masks[row, n - 1].all()
         np.testing.assert_array_equal(batch.last_token, [1, 2, 2])
-        with pytest.raises(InputError, match="4 patches exceeds"):
-            make_batch([np.arange(3.0), np.arange(13.0)], 4, 3)
 
     def test_last_token_of_full_windows(self):
         batch = make_supervised_batch(np.arange(48.0).reshape(2, 24), 4, 4)
