@@ -119,9 +119,10 @@ def astensor(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None] | None) -> Tensor:
     """Build an op output; skips graph recording when grads are off/unneeded."""
-    track = _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents)
     out = Tensor(data)
-    if track and backward is not None:
+    if not _GRAD_ENABLED or backward is None:
+        return out
+    if any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward  # gets the output passed in, so no node refers to itself
@@ -163,7 +164,11 @@ def mul(a, b) -> Tensor:
 
 def silu(a) -> Tensor:
     a = astensor(a)
-    s = 1.0 / (1.0 + np.exp(-np.clip(a.data, -60.0, 60.0)))
+    s = np.clip(a.data, -60.0, 60.0)  # the sigmoid 1 / (1 + exp(-x)), in this one buffer
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
 
     def bw(out):
         a._accumulate(out.grad * s * (1.0 + a.data * (1.0 - s)))
@@ -225,6 +230,19 @@ def getitem(a, idx) -> Tensor:
         a._accumulate(g)
 
     return _make(a.data[idx], (a,), bw)
+
+
+def put_rows(a, rows: np.ndarray, n: int) -> Tensor:
+    """Row i of ``a`` at row rows[i] of n rows, every other row 0: the
+    adjoint of ``getitem(., rows)`` for distinct rows."""
+    a = astensor(a)
+
+    def bw(out):
+        a._accumulate(out.grad[rows])
+
+    y = np.zeros((n,) + a.shape[1:], dtype=a.dtype)
+    y[rows] = a.data
+    return _make(y, (a,), bw)
 
 
 # A slot table ``slots`` of shape (T, K) lists, for each of T tokens, the K
@@ -325,8 +343,12 @@ def grouped_linear(a, w, b, counts) -> Tensor:
     # weights get zero columns up to a multiple of FULL_TILE.
     wide = w.data if o % FULL_TILE == 0 else np.pad(w.data, ((0, 0), (0, 0), (0, -o % FULL_TILE)))
     for j, lo, hi in groups:
-        rows = a.data[lo:hi] if hi - lo > 1 else a.data[[lo, lo]]
-        y[lo:hi] = (rows @ wide[j])[: hi - lo, :o] + b.data[j]
+        if hi - lo > 1 and wide is w.data:
+            np.matmul(a.data[lo:hi], wide[j], out=y[lo:hi])
+        else:
+            rows = a.data[lo:hi] if hi - lo > 1 else a.data[[lo, lo]]
+            y[lo:hi] = (rows @ wide[j])[: hi - lo, :o]
+    y += np.repeat(b.data, counts, axis=0)
 
     def bw(out):
         g = out.grad
@@ -355,9 +377,9 @@ def softmax(a, mask: np.ndarray | None = None, scale=None) -> Tensor:
     x = a.data if s is None else a.data * s.data
     if mask is not None:
         x = np.where(np.asarray(mask, dtype=bool), x, -np.inf)
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
 
     def bw(out):
         g = out.grad
@@ -377,8 +399,13 @@ def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
     eps=0 is allowed for exact hand checks but requires nonzero input.
     """
     x, gain = astensor(x), astensor(gain)
-    inv = ((x.data * x.data).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype)) ** -0.5
-    xn = x.data * inv
+    xn = x.data * x.data
+    inv = np.add.reduce(xn, axis=-1, keepdims=True)
+    # the mean as numpy's own: the sum divided in place by an intp count
+    np.true_divide(inv, np.intp(x.shape[-1]), out=inv, casting="unsafe")
+    inv += np.asarray(eps, dtype=x.dtype)
+    np.power(inv, -0.5, out=inv)
+    np.multiply(x.data, inv, out=xn)
 
     def bw(out):
         gxn = out.grad * gain.data
@@ -395,11 +422,13 @@ def l2_normalize(v) -> Tensor:
     row, the all-zero row among them, passes no gradient back.
     """
     v = astensor(v)
-    ss = (v.data * v.data).sum(axis=-1, keepdims=True)
+    y = v.data * v.data
+    ss = np.add.reduce(y, axis=-1, keepdims=True)
     guard = np.asarray(L2_GUARD**2, dtype=v.dtype)
     kept = ss >= guard
-    inv = np.where(kept, ss, guard) ** -0.5
-    y = v.data * inv
+    inv = np.where(kept, ss, guard)
+    np.power(inv, -0.5, out=inv)
+    np.multiply(v.data, inv, out=y)
 
     def bw(out):
         g = out.grad
@@ -417,8 +446,11 @@ def rope_rotate(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     x = astensor(x)
     xe, xo = x.data[..., 0::2], x.data[..., 1::2]
     y = np.empty_like(x.data)
-    y[..., 0::2] = xe * cos - xo * sin
-    y[..., 1::2] = xe * sin + xo * cos
+    ye, yo = y[..., 0::2], y[..., 1::2]
+    np.multiply(xe, cos, out=ye)
+    ye -= xo * sin
+    np.multiply(xe, sin, out=yo)
+    yo += xo * cos
 
     def bw(out):
         ge, go = out.grad[..., 0::2], out.grad[..., 1::2]

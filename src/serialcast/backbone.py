@@ -92,8 +92,8 @@ class ModelConfig:
 class Routing(NamedTuple):
     """What one MoE layer's router did in one forward pass.
 
-    ``affinity`` is the (T, E) router softmax over the layer's T tokens and
-    keeps its graph; ``counts`` is the (E,) number of (token, slot)
+    ``affinity`` is the (T, E) router softmax over the T tokens the layer
+    routed and keeps its graph; ``counts`` is the (E,) number of (token, slot)
     assignments per expert, summing to T * K.
     """
 
@@ -275,13 +275,15 @@ def attention_forward(h_in: Tensor, params: Params, prefix: str, cfg: ModelConfi
     return ad.matmul(out, params[prefix + "attn.wo"])
 
 
-def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple[Tensor, Routing]:
+def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig,
+                rows: np.ndarray | None = None) -> tuple[Tensor, Routing]:
     """Sparse top-K expert mixture over stacked expert weights.
 
     Gates keep the selected softmax affinities un-renormalized; ties in the
     top-K cut are broken toward the lowest expert index. The (token, slot)
     pairs are sorted by expert once, so every expert runs on one contiguous
-    segment of rows.
+    segment of rows. Only the tokens ``rows`` (flat B*N indices, None for
+    all) are routed; every other token's output is 0.
     """
     b, n, d = u.shape
     e, k = cfg.n_experts, cfg.top_k
@@ -289,11 +291,13 @@ def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tup
     # one (N, d) @ (d, E) product per row of the batch: with few experts the
     # BLAS edge kernels make a flat (B*N, d) product's rows depend on B
     logits = ad.reshape(ad.matmul(u, params[prefix + "router.w"]), (b * n, e))
-    affinity = ad.softmax(logits)  # (BN, E)
+    if rows is not None:
+        flat, logits = ad.getitem(flat, rows), ad.getitem(logits, rows)
+    affinity = ad.softmax(logits)  # (T, E)
 
     # stable sort on descending affinity -> equal scores keep index order
     order = np.argsort(-affinity.data, axis=-1, kind="stable")
-    selected = order[:, :k].reshape(-1)  # (BN*K,) token-major
+    selected = order[:, :k].reshape(-1)  # (T*K,) token-major
 
     counts = np.bincount(selected, minlength=e)
 
@@ -303,27 +307,31 @@ def moe_forward(u: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tup
     pairs = np.argsort(selected, kind="stable")
     slots = np.empty_like(pairs)
     slots[pairs] = np.arange(pairs.size)
-    slots = np.sort(slots.reshape(b * n, k), axis=1)
+    slots = np.sort(slots.reshape(-1, k), axis=1)
     hidden = ad.silu(ad.grouped_linear(ad.gather_slots(flat, slots), params[prefix + "w1"],
                                        params[prefix + "b1"], counts))
     y = ad.grouped_linear(hidden, params[prefix + "w2"], params[prefix + "b2"], counts)
-    gates = ad.getitem(affinity, (pairs[:, None] // k, selected[pairs, None]))  # (BN*K, 1)
+    gates = ad.getitem(affinity, (pairs[:, None] // k, selected[pairs, None]))  # (T*K, 1)
     out = ad.sum_slots(ad.mul(y, gates), slots)
+    if rows is not None:
+        out = ad.put_rows(out, rows, b * n)
     return ad.reshape(out, (b, n, d)), Routing(affinity, counts)
 
 
-def moe_block(h: Tensor, params: Params, prefix: str, cfg: ModelConfig) -> tuple[Tensor, Routing]:
-    """u = MHA(RMSNorm(h)) + h;  h' = MoE(RMSNorm(u)) + u."""
+def moe_block(h: Tensor, params: Params, prefix: str, cfg: ModelConfig,
+              rows: np.ndarray | None = None) -> tuple[Tensor, Routing]:
+    """u = MHA(RMSNorm(h)) + h;  h' = MoE(RMSNorm(u)) + u, the MoE term only
+    at the tokens ``rows``."""
     attn = attention_forward(rmsnorm(h, params[prefix + "attn_norm.g"], RMS_EPS),
                              params, prefix, cfg)
     u = ad.add(attn, h)
     moe_out, routing = moe_forward(rmsnorm(u, params[prefix + "moe_norm.g"], RMS_EPS),
-                                   params, prefix + "moe.", cfg)
+                                   params, prefix + "moe.", cfg, rows)
     return ad.add(moe_out, u), routing
 
 
-def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params,
-                 cfg: ModelConfig) -> tuple[Tensor, Routing]:
+def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params, cfg: ModelConfig,
+                 rows: np.ndarray | None = None) -> tuple[Tensor, Routing]:
     """Fuse the previous depth with the initial embeddings, then one block."""
     pre = f"serial{j}."
     fused = ad.concat(
@@ -331,7 +339,8 @@ def serial_block(h_prev: Tensor, h0: Tensor, j: int, params: Params,
          rmsnorm(h0, params[pre + "norm_h0.g"], RMS_EPS)],
         axis=-1,
     )
-    return moe_block(ad.matmul(fused, params[pre + "fusion.w"]), params, pre + "block.", cfg)
+    return moe_block(ad.matmul(fused, params[pre + "fusion.w"]), params, pre + "block.", cfg,
+                     rows)
 
 
 def patch_project(h, params: Params, cfg: ModelConfig) -> Tensor:
@@ -347,11 +356,18 @@ def _shift_embeddings(h0: Tensor, j: int, last: np.ndarray) -> Tensor:
     return ad.getitem(h0, (np.arange(len(last))[:, None], idx))
 
 
-def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: int) -> ForwardTrace:
+def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: int,
+                  reads: np.ndarray | None = None) -> ForwardTrace:
     """Embed, run all main blocks, then the first ``depth`` serial blocks.
 
     Deterministic: running at a larger depth reproduces every shallower
     serial output bit-exactly, so traces are prefix-stable.
+
+    Each block computes only the tokens that are read. Causal attention keeps
+    a real token's output free of the pad tokens after ``last_token``, so the
+    experts skip the pads, whose outputs then carry no expert term. A caller
+    that reads one token per row from the deepest block gives their (B,)
+    positions as ``reads``, and that block's experts run on them alone.
     """
     if not (0 <= depth <= cfg.n_serial_blocks):
         raise ConfigError(f"depth {depth} outside 0..{cfg.n_serial_blocks}")
@@ -362,16 +378,22 @@ def model_forward(batch: PatchBatch, params: Params, cfg: ModelConfig, depth: in
     masks = batch.input_masks.astype(dtype)
     h0 = embed_patches(values, masks, params)
 
+    last, n = batch.last_token, batch.n_input
+    real = np.arange(n) <= last[:, None]
+    rows = [None if real.all() else np.flatnonzero(real)] * (cfg.n_main_blocks + depth)
+    if reads is not None:
+        rows[-1] = np.arange(len(last)) * n + reads
+
     trace = ForwardTrace(n_main=cfg.n_main_blocks)
     trace.embeddings.append(h0)
     h = h0
     for layer in range(cfg.n_main_blocks):
-        h, routing = moe_block(h, params, f"block{layer}.", cfg)
+        h, routing = moe_block(h, params, f"block{layer}.", cfg, rows[layer])
         trace.embeddings.append(h)
         trace.aux.append(routing)
     for j in range(1, depth + 1):
-        ref = _shift_embeddings(h0, j, batch.last_token) if cfg.variant == VARIANT_SHIFT else h0
-        h, routing = serial_block(h, ref, j, params, cfg)
+        ref = _shift_embeddings(h0, j, last) if cfg.variant == VARIANT_SHIFT else h0
+        h, routing = serial_block(h, ref, j, params, cfg, rows[cfg.n_main_blocks + j - 1])
         trace.embeddings.append(h)
         trace.aux.append(routing)
     return trace

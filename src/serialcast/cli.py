@@ -306,9 +306,15 @@ def cmd_bench(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+def build_parser(only: str | None = None) -> _Parser:
+    """Every subcommand; given ``only``, the others get no flags of their own."""
     parser = _Parser(prog="serialcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, summary: str, fn):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        return p if only in (None, name) else None
 
     def seed(p):
         p.add_argument("--seed", type=int, default=0)
@@ -319,84 +325,76 @@ def build_parser() -> _Parser:
         if train:
             _add_keys(p, TRAIN_KEYS)
 
-    p = sub.add_parser("synth", help="generate a synthetic series or shard corpus")
-    seed(p)
-    _add_keys(p, SIGNAL_KEYS)
-    p.add_argument("--format", choices=("csv", "shard"), default="csv")
-    p.add_argument("--count", type=int, default=32, help="series count for shard format")
-    p.add_argument("--shard-bytes", dest="shard_bytes", type=int, default=DEFAULT_SHARD_BYTES)
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_synth)
+    if p := command("synth", "generate a synthetic series or shard corpus", cmd_synth):
+        seed(p)
+        _add_keys(p, SIGNAL_KEYS)
+        p.add_argument("--format", choices=("csv", "shard"), default="csv")
+        p.add_argument("--count", type=int, default=32, help="series count for shard format")
+        p.add_argument("--shard-bytes", dest="shard_bytes", type=int, default=DEFAULT_SHARD_BYTES)
+        p.add_argument("--out", default="-")
 
-    p = sub.add_parser("shard", help="pack CSV series into shards")
-    p.add_argument("--input", nargs="+", required=True)
-    p.add_argument("--shard-bytes", dest="shard_bytes", type=int, default=DEFAULT_SHARD_BYTES)
-    p.add_argument("--out", default=default_data_dir())
-    p.set_defaults(fn=cmd_shard)
+    if p := command("shard", "pack CSV series into shards", cmd_shard):
+        p.add_argument("--input", nargs="+", required=True)
+        p.add_argument("--shard-bytes", dest="shard_bytes", type=int, default=DEFAULT_SHARD_BYTES)
+        p.add_argument("--out", default=default_data_dir())
 
-    p = sub.add_parser("stats", help="complexity statistics (unit-root, forecastability)")
-    p.add_argument("--input", nargs="*", default=[])
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--lag", type=int, default=None)
-    p.set_defaults(fn=cmd_stats)
+    if p := command("stats", "complexity statistics (unit-root, forecastability)", cmd_stats):
+        p.add_argument("--input", nargs="*", default=[])
+        p.add_argument("--manifest", default=None)
+        p.add_argument("--lag", type=int, default=None)
 
-    p = sub.add_parser("train", help="stage-1 pre-training")
-    seed(p)
-    model_config(p, train=True)
-    p.add_argument("--data", default=None, help="manifest path or shard dir")
-    p.add_argument("--out-dir", dest="out_dir", default="runs/pretrain")
-    p.add_argument("--resume", default=None)
-    p.add_argument("--log-every", dest="log_every", type=int, default=0)
-    p.set_defaults(fn=cmd_train)
+    if p := command("train", "stage-1 pre-training", cmd_train):
+        seed(p)
+        model_config(p, train=True)
+        p.add_argument("--data", default=None, help="manifest path or shard dir")
+        p.add_argument("--out-dir", dest="out_dir", default="runs/pretrain")
+        p.add_argument("--resume", default=None)
+        p.add_argument("--log-every", dest="log_every", type=int, default=0)
 
-    p = sub.add_parser("posttrain", help="stage-2 continued pre-training")
-    seed(p)
-    model_config(p, train=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True, help="post-training corpus manifest")
-    p.add_argument("--revisit", default=None, help="pre-training corpus manifest to mix back")
-    p.add_argument("--mixture-weights", dest="mixture_weights", default="1.0,1.0")
-    p.add_argument("--out-dir", dest="out_dir", default="runs/posttrain")
-    p.add_argument("--log-every", dest="log_every", type=int, default=0)
-    p.set_defaults(fn=cmd_posttrain)
+    if p := command("posttrain", "stage-2 continued pre-training", cmd_posttrain):
+        seed(p)
+        model_config(p, train=True)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--data", required=True, help="post-training corpus manifest")
+        p.add_argument("--revisit", default=None, help="pre-training corpus manifest to mix back")
+        p.add_argument("--mixture-weights", dest="mixture_weights", default="1.0,1.0")
+        p.add_argument("--out-dir", dest="out_dir", default="runs/posttrain")
+        p.add_argument("--log-every", dest="log_every", type=int, default=0)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    seed(p)
-    p.add_argument("--coords", type=int, default=24)
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.set_defaults(fn=cmd_gradcheck)
+    if p := command("gradcheck", "finite-difference gradient verification", cmd_gradcheck):
+        seed(p)
+        p.add_argument("--coords", type=int, default=24)
+        p.add_argument("--epsilon", type=float, default=1e-5)
 
-    p = sub.add_parser("forecast", help="quantile forecast from a CSV series")
-    model_config(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--mode", choices=("serial", "rolling"), default="serial")
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_forecast)
+    if p := command("forecast", "quantile forecast from a CSV series", cmd_forecast):
+        model_config(p)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--input", required=True)
+        p.add_argument("--horizon", type=int, required=True)
+        p.add_argument("--mode", choices=("serial", "rolling"), default="serial")
+        p.add_argument("--out", default="-")
 
-    p = sub.add_parser("eval", help="hold-out evaluation with MASE / CRPS-wQL")
-    model_config(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", nargs="+", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--season", type=int, default=1)
-    p.add_argument("--mode", choices=("serial", "rolling"), default="serial")
-    p.set_defaults(fn=cmd_eval)
+    if p := command("eval", "hold-out evaluation with MASE / CRPS-wQL", cmd_eval):
+        model_config(p)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--input", nargs="+", required=True)
+        p.add_argument("--horizon", type=int, required=True)
+        p.add_argument("--season", type=int, default=1)
+        p.add_argument("--mode", choices=("serial", "rolling"), default="serial")
 
-    p = sub.add_parser("bench", help="serial vs rolling inference cost")
-    seed(p)
-    model_config(p)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--horizons", default="80")
-    p.add_argument("--reps", type=int, default=5)
-    p.set_defaults(fn=cmd_bench)
+    if p := command("bench", "serial vs rolling inference cost", cmd_bench):
+        seed(p)
+        model_config(p)
+        p.add_argument("--checkpoint", default=None)
+        p.add_argument("--horizons", default="80")
+        p.add_argument("--reps", type=int, default=5)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -362,11 +362,14 @@ def read_csv_series(path: str) -> np.ndarray:
         header = f.readline().strip().lower()
         if header != "value":
             raise InputError(f"{path}: expected a 'value' header, got {header!r}")
-        values = []
-        for lineno, line in enumerate(f, 2):  # line 1 is the header
+        lines = f.readlines()
+    try:
+        values = np.fromiter(map(float, filter(str.strip, lines)), np.float64)
+    except ValueError:  # find the line, now that one is known to be bad
+        for lineno, line in enumerate(lines, 2):  # line 1 is the header
             if line.strip():
                 try:
-                    values.append(float(line))
+                    float(line)
                 except ValueError:
                     raise InputError(f"{path}: line {lineno}: not a number: "
                                      f"{line.strip()!r}") from None

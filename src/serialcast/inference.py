@@ -26,7 +26,7 @@ from .autodiff import Params, Tensor, no_grad
 from .backbone import ModelConfig, model_forward, patch_project
 from .dataloader import finite_series
 from .errors import InputError, NumericError
-from .objectives import QuantileGrid, default_grid, wql
+from .objectives import WQL_EPS, QuantileGrid, default_grid
 from .tokenizer import denormalize, make_batch, patchify, renormalize  # noqa: F401
 
 # renormalize and patchify run inside make_batch; their names stay bound here
@@ -81,12 +81,12 @@ def _group_pass(contexts, depth: int, params: Params, cfg: ModelConfig):
     returns the rows' unsorted (B, Q, (depth+1)*P) data-scale quantile patches
     and the number of blocks the pass ran."""
     batch = make_batch(contexts, cfg.patch_len, cfg.n_max)
-    rows = np.arange(len(contexts))
+    rows, last_token = np.arange(len(contexts)), batch.last_token
     with no_grad():
-        trace = model_forward(batch, params, cfg, depth)
+        trace = model_forward(batch, params, cfg, depth, last_token)
         # each row's last real token feeds predictions: every depth's (B, 1, d)
         # rows, stacked depth-major, go through the head once, each its own product
-        last = np.concatenate([h.data[rows, batch.last_token, None] for h in trace.depth_outputs])
+        last = np.concatenate([h.data[rows, last_token, None] for h in trace.depth_outputs])
         heads = patch_project(Tensor(last), params, cfg).data[:, 0]  # ((depth+1)*B, Q, P)
     raw = np.concatenate(heads.reshape(depth + 1, len(contexts), *heads.shape[1:]), axis=2)
     return denormalize(raw, batch.mu[:, None, None], batch.sigma[:, None, None]), len(trace.aux)
@@ -167,14 +167,14 @@ def mase(forecast_median, actuals, insample, season: int = 1) -> float:
     return float(np.mean(np.abs(yhat - y)) / max(seasonal_naive_scale(insample, season), MASE_EPS))
 
 
-def is_degenerate_scale(insample, season: int = 1) -> bool:
-    return seasonal_naive_scale(insample, season) < MASE_EPS
-
-
 def eval_crps_wql(dist: ForecastDistribution, actuals) -> float:
-    """Mean over levels of the weighted quantile loss, in data scale."""
+    """Mean over levels of the weighted quantile loss, in data scale: ``wql``
+    of every level at once, each level's sums as ``wql`` adds them."""
     y = np.asarray(actuals, dtype=np.float64)
-    return float(np.mean([wql(y, dist.values[k], qk) for k, qk in enumerate(dist.levels.levels)]))
+    q = np.asarray(dist.levels.levels)[:, None]
+    e = y - dist.values
+    rho = np.maximum(q * e, (q - 1.0) * e)
+    return float(np.mean(2.0 * rho.sum(axis=1) / max(np.abs(y).sum(), WQL_EPS)))
 
 
 # -- evaluation + benchmark ---------------------------------------------------
@@ -221,10 +221,11 @@ def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int, season
     report = EvalReport()
     crps_vals = []
     for (context, actual), dist in zip(held, dists):
-        if is_degenerate_scale(context, season):
+        scale = seasonal_naive_scale(context, season)
+        if scale < MASE_EPS:
             report.mase_per_series.append(0.0 if np.allclose(dist.median, actual) else float("inf"))
         else:
-            report.mase_per_series.append(mase(dist.median, actual, context, season))
+            report.mase_per_series.append(float(np.mean(np.abs(dist.median - actual)) / scale))
         crps_vals.append(eval_crps_wql(dist, actual))
     # the evaluated mode's passes are counted; the other mode's depend only on
     # the horizon, so they come from the closed form

@@ -84,6 +84,18 @@ def test_gather_scatter():
         assert np.array_equal(ad.gather_slots(Tensor(x), slots).data[slots[:, -1]], x)
 
 
+def test_put_rows_is_the_adjoint_of_getitem():
+    rows = np.array([4, 0, 2])
+    check_op(lambda a: ad.put_rows(a, rows, 5), (3, 2))
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+    out = ad.put_rows(Tensor(x), rows, 5).data
+    assert np.array_equal(out[rows], x)
+    assert not np.delete(out, rows, axis=0).any()
+    # <put(x), y> = <x, get(y)>
+    assert np.isclose((out * y).sum(), (x * ad.getitem(Tensor(y), rows).data).sum())
+
+
 def test_reductions():
     check_op(lambda a: ad.tsum(a, axis=1), (3, 4))
     check_op(lambda a: ad.tsum(a, axis=-1), (2, 3))

@@ -310,6 +310,31 @@ class TestModelForward:
                 for hb, ha in zip(batched.embeddings, alone.embeddings):
                     np.testing.assert_array_equal(hb.data[r], ha.data[0])
 
+    @pytest.mark.parametrize("variant", ["serial", "shift_token"])
+    def test_padded_pass_routes_only_the_rows_read(self, tiny_cfg, variant):
+        cfg = replace(tiny_cfg, variant=variant)
+        params = init_params(cfg, seed=1, dtype=np.float64)
+        # 1, 2 and 4 real patches of the 4-patch window
+        batch = make_batch([np.sin(np.arange(n) / 3.0) for n in (3, 8, 16)], cfg.patch_len,
+                           cfg.n_max)
+        last = batch.last_token
+        real, b, k = int((last + 1).sum()), len(last), cfg.top_k
+        with ad.no_grad():
+            every = model_forward(batch, params, cfg, cfg.n_serial_blocks)
+            read = model_forward(batch, params, cfg, cfg.n_serial_blocks, last)
+        assert real < b * cfg.n_max
+        assert [r.counts.sum() for r in every.aux] == [k * real] * len(every.aux)
+        assert [r.counts.sum() for r in read.aux] == [k * real] * (len(read.aux) - 1) + [k * b]
+        rows = np.arange(b)
+        for he, hr in zip(every.depth_outputs, read.depth_outputs):
+            np.testing.assert_array_equal(hr.data[rows, last], he.data[rows, last])
+
+    def test_training_batch_routes_every_token(self, tiny_cfg, tiny_params, tiny_batch):
+        trace = model_forward(tiny_batch, tiny_params, tiny_cfg, tiny_cfg.n_serial_blocks)
+        tokens = tiny_batch.patches.shape[0] * tiny_batch.n_input
+        assert [r.counts.sum() for r in trace.aux] == [tiny_cfg.top_k * tokens] * len(trace.aux)
+        assert {r.affinity.shape for r in trace.aux} == {(tokens, tiny_cfg.n_experts)}
+
     def test_shift_variant_uses_future_embeddings(self, tiny_batch):
         cfg = ModelConfig(d_model=16, patch_len=4, n_max=4, n_main_blocks=2, n_serial_blocks=2,
                           n_experts=4, top_k=2, n_heads=1, n_quantiles=3, variant="shift_token")

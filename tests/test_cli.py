@@ -115,6 +115,46 @@ def test_stats_bad_csv_exits_one(tmp_path, capsys, text, message):
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, values", [("1.0\n\n2.0\n", [1.0, 2.0]),  # a blank line
+                                          ("1_000\n", [1000.0]),  # as Python's float reads it
+                                          (" 2.5 \n", [2.5])])
+def test_csv_lines_read_as_float_reads_them(tmp_path, body, values):
+    path = tmp_path / "s.csv"
+    path.write_text("value\n" + body)
+    np.testing.assert_array_equal(read_csv_series(str(path)), values)
+
+
+def test_bad_csv_line_after_many_good_ones_is_named(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("value\n" + "1.5\n" * 200 + "1.5x\n2.0\n")
+    assert run(["stats", "--input", str(path)]) == 1
+    assert f"{path}: line 202: not a number: '1.5x'" in capsys.readouterr().err
+
+
+COMMANDS = ("synth", "shard", "stats", "train", "posttrain", "gradcheck", "forecast", "eval",
+            "bench")
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert run(["--help"]) == 0
+    assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, key", [("synth", "--noise-sigma"), ("shard", "--shard-bytes"),
+                                       ("stats", "--lag"), ("train", "--peak-lr"),
+                                       ("posttrain", "--mixture-weights"),
+                                       ("gradcheck", "--coords"), ("forecast", "--d-model"),
+                                       ("eval", "--season"), ("bench", "--horizons")])
+def test_subcommand_help_lists_its_keys(name, key, capsys):
+    # run builds only the named subcommand's flags: its help must be the full parser's
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([name, "--help"])
+    want = capsys.readouterr().out
+    assert run([name, "--help"]) == 0
+    assert capsys.readouterr().out == want
+    assert key in want
+
+
 def test_stats_non_utf8_csv_exits_one(tmp_path, capsys):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"value\n1.0\n2\xb05\n")

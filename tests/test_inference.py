@@ -14,7 +14,7 @@ from serialcast.errors import ConfigError, InputError
 from serialcast.inference import (_chunk_len, _forecast_loop, _group_pass, bench_inference,
                                   eval_crps_wql, evaluate, expected_block_count, expected_passes,
                                   forecast, forecast_rolling_ntp, mase, seasonal_naive_scale)
-from serialcast.objectives import QuantileGrid, pinball
+from serialcast.objectives import QuantileGrid, pinball, wql
 from serialcast.tokenizer import make_batch
 
 CFG = ModelConfig(d_model=16, patch_len=4, n_max=8, n_main_blocks=2, n_serial_blocks=3,
@@ -322,9 +322,6 @@ class TestMase:
     def test_degenerate_periodic_guard(self):
         insample = np.tile([1.0, 2.0], 25)
         assert seasonal_naive_scale(insample, season=2) < 1e-12
-        from serialcast.inference import is_degenerate_scale
-
-        assert is_degenerate_scale(insample, season=2)
 
     def test_random_walk_one_step_naive_is_one(self):
         # at horizon 1 the naive error and the in-sample scale share the same
@@ -368,6 +365,9 @@ class TestCrpsWql:
             rho = sum(pinball(y[t], vals[k, t], q) for t in range(6))
             total += 2.0 * rho / np.abs(y).sum()
         assert np.isclose(eval_crps_wql(dist, y), total / 3)
+        # the same sums as the reference form's, level by level
+        assert eval_crps_wql(dist, y) == np.mean([wql(y, vals[k], q)
+                                                  for k, q in enumerate(dist.levels.levels)])
 
 
 class TestEvaluateAndBench:
@@ -388,6 +388,15 @@ class TestEvaluateAndBench:
         report = evaluate(params, CFG, series, horizon=horizon, mode=mode)
         for m in ("serial", "rolling"):
             assert getattr(report, f"passes_{m}") == 3 * expected_passes(m, horizon, CFG)
+
+    def test_mase_per_series_guards_a_flat_scale(self, params):
+        flat = np.tile([1.0, 2.0], 30)  # its season-2 naive error is 0
+        walk = np.random.default_rng(2).normal(size=60).cumsum()
+        report = evaluate(params, CFG, [flat, walk], horizon=8, season=2)
+        dists = _forecast_loop([flat[:-8], walk[:-8]], 8, params, CFG, _chunk_len("serial", CFG))
+        assert not np.allclose(dists[0].median, flat[-8:])
+        assert report.mase_per_series == [float("inf"),
+                                          mase(dists[1].median, walk[-8:], walk[:-8], season=2)]
 
     def test_evaluate_empty_series_list_rejected(self, params):
         with pytest.raises(InputError, match="at least one series"):

@@ -619,6 +619,38 @@ class TestGradientCheckSuite:
         total.backward()
         assert np.any(params["block0.attn.tau_raw"].grad != 0.0)
 
+    @pytest.mark.parametrize("variant", ["serial", "shift_token"])
+    def test_right_padded_batch_passes(self, variant):
+        # the rows with 2 and 1 real input patches of 4 route only those tokens
+        # in every block, and their pads' expert outputs are written back as 0
+        from serialcast.objectives import stage_loss
+        from serialcast.tokenizer import make_supervised_batch
+        from serialcast.trainer import zero_grads
+
+        cfg = replace(REFERENCE_TINY, variant=variant)
+        params = init_params(cfg, seed=0, dtype=np.float64)
+        rng = np.random.default_rng(3)
+        n_total = cfg.n_max + cfg.n_serial_blocks + 1
+        windows = rng.normal(size=(3, n_total * cfg.patch_len)).cumsum(axis=1)
+        batch = make_supervised_batch(windows, cfg.n_max, cfg.patch_len)
+        for row, n_real in ((1, 2), (2, 1)):
+            batch.patches[row, n_real:] = batch.masks[row, n_real:] = 0.0
+        assert list(batch.last_token) == [3, 1, 0]
+        depth = cfg.n_serial_blocks
+
+        def loss() -> Tensor:
+            trace = model_forward(batch, params, cfg, depth)
+            assert trace.aux[0].counts.sum() == cfg.top_k * 7  # 4 + 2 + 1 real tokens
+            return stage_loss("pretrain", trace, batch, params, cfg)[0]
+
+        zero_grads(params)
+        loss().backward()
+        numeric = finite_diff_gradient(lambda _p: float(loss().data), params, 1e-5,
+                                       coords_per_tensor=4, rng=np.random.default_rng(4))
+        reports = compare_gradients({k: p.grad for k, p in params.items()}, numeric)
+        assert [str(r) for r in reports if not r.passed] == []
+        assert all(np.isfinite(p.grad).all() for p in params.values())
+
     def test_corrupted_backward_reported(self, monkeypatch):
         # harness sanity: a deliberately wrong backward must surface as a failure
         orig = ad.silu
