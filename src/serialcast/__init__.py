@@ -11,7 +11,7 @@ from .backbone import ModelConfig, init_params, model_forward
 from .inference import ForecastDistribution, forecast, forecast_rolling_ntp
 from .objectives import QuantileGrid
 from .tokenizer import PatchBatch, denormalize, patchify, renormalize
-from .trainer import TrainConfig, load_checkpoint, run_posttrain, run_pretrain, save_checkpoint
+from .trainer import TrainConfig, load_checkpoint, run_pretrain, run_stage, save_checkpoint
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "denormalize",
     "patchify",
     "run_pretrain",
-    "run_posttrain",
+    "run_stage",
     "save_checkpoint",
     "load_checkpoint",
     "__version__",

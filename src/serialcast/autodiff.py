@@ -340,14 +340,15 @@ def grouped_linear(a, w, b, counts) -> Tensor:
     # ways: a single row takes a different path than the same row in a batch,
     # and output columns past the last multiple of FULL_TILE are computed by
     # edge kernels chosen by the row count. So a lone row runs twice and the
-    # weights get zero columns up to a multiple of FULL_TILE.
-    wide = w.data if o % FULL_TILE == 0 else np.pad(w.data, ((0, 0), (0, 0), (0, -o % FULL_TILE)))
+    # weights of each group with rows get zero columns up to a multiple of FULL_TILE.
+    pad = -o % FULL_TILE
     for j, lo, hi in groups:
-        if hi - lo > 1 and wide is w.data:
-            np.matmul(a.data[lo:hi], wide[j], out=y[lo:hi])
+        wj = np.pad(w.data[j], ((0, 0), (0, pad))) if pad else w.data[j]
+        if hi - lo > 1 and not pad:
+            np.matmul(a.data[lo:hi], wj, out=y[lo:hi])
         else:
             rows = a.data[lo:hi] if hi - lo > 1 else a.data[[lo, lo]]
-            y[lo:hi] = (rows @ wide[j])[: hi - lo, :o]
+            y[lo:hi] = (rows @ wj)[: hi - lo, :o]
     y += np.repeat(b.data, counts, axis=0)
 
     def bw(out):

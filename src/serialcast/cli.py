@@ -25,11 +25,12 @@ from .datagen import (SignalSpec, adf_statistic, dataset_complexity, derive_seed
 from .dataloader import (DEFAULT_SHARD_BYTES, MANIFEST_NAME, ShardManifest, build_shards,
                          csv_lines, default_data_dir, read_all_series, read_csv_series,
                          write_csv_series, write_whole)
-from .errors import ConfigError, InputError, SerialcastError
+from .errors import (CheckpointError, ConfigError, InputError, NumericError,
+                     SerialcastError)
 from .inference import (bench_inference, evaluate, expected_block_count, forecast,
                         forecast_rolling_ntp)
-from .trainer import (TrainConfig, gradient_check_suite, load_checkpoint, run_posttrain,
-                      run_pretrain, validate_params)
+from .trainer import (TrainConfig, gradient_check_suite, load_checkpoint, run_stage,
+                      validate_params)
 
 
 def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object]]:
@@ -41,6 +42,8 @@ def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object]]:
 MODEL_KEYS = _keys(ModelConfig)
 # the subcommand sets the stage; --seed and --out-dir have their own flags
 TRAIN_KEYS = _keys(TrainConfig, skip=("stage", "seed", "out_dir"))
+# a run's settings: the model and train keys; the seed, stage and sources
+RUN_FILES = ("config.txt", "run.txt")
 # composites are built in code; --seed has its own flag
 SIGNAL_KEYS = _keys(SignalSpec, skip=("combine", "components", "seed"))
 
@@ -112,10 +115,9 @@ def _signal_spec_from_args(args, seed: int) -> SignalSpec:
     return SignalSpec(seed=seed, **given)
 
 
-def _load_manifest(path: str) -> ShardManifest:
-    if os.path.isdir(path):
-        path = os.path.join(path, MANIFEST_NAME)
-    return ShardManifest.load(path)
+def _manifest_path(path: str) -> str:
+    """A manifest file, or the one a shard directory holds."""
+    return os.path.join(path, MANIFEST_NAME) if os.path.isdir(path) else path
 
 
 def _number_list(text: str, flag: str, typ) -> list:
@@ -182,7 +184,7 @@ def _write_shards(series, args, names: list[str] | None = None) -> int:
 
 def cmd_stats(args) -> int:
     if args.manifest:
-        variates = read_all_series(_load_manifest(args.manifest))
+        variates = read_all_series(ShardManifest.load(_manifest_path(args.manifest)))
     else:
         variates = _gather_series(args.input)
     for i, v in enumerate(variates):
@@ -194,40 +196,52 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _train_cfg(merged: dict, stage: str, seed: int, out_dir: str) -> TrainConfig:
-    return TrainConfig(stage=stage, seed=seed, out_dir=out_dir,
-                       **{k: merged[k] for k in TRAIN_KEYS})
+def _check_resume(resume: str, settings: dict):
+    """Refuse settings that would not go on with the trajectory of the run that wrote ``resume``."""
+    stored = {}
+    for name in RUN_FILES:
+        stored.update(load_config_file(os.path.join(os.path.dirname(resume), name)))
+    given = {k: f"{v}" for k, v in settings.items()}
+    for k in {**given, **stored}:
+        if k != "checkpoint_interval" and given.get(k) != stored.get(k):
+            raise CheckpointError(f"{resume} was written by a run with {k}={stored.get(k)}, "
+                                  f"this run has {k}={given.get(k)}")
 
 
 def cmd_train(args) -> int:
+    """train and posttrain, the subcommand naming the stage."""
+    if args.stage == "posttrain" and not (args.checkpoint or args.resume):
+        raise InputError("posttrain needs --checkpoint or --resume")
     merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
-    echo_config("train", merged, args.seed)
+    echo_config(args.command, merged, args.seed)
     cfg = _model_cfg(merged)
-    tcfg = _train_cfg(merged, "pretrain", args.seed, args.out_dir)
-    manifest = _load_manifest(args.data or default_data_dir())
-    result = run_pretrain(cfg, tcfg, manifest, resume_from=args.resume,
-                          log_every=args.log_every)
-    save_config(os.path.join(args.out_dir, "config.txt"), merged)
-    print(f"checkpoint: {result.checkpoint_path}")
-    if result.history:
-        print(f"final loss: {result.history[-1].loss:.6f}")
-    return 0
-
-
-def cmd_posttrain(args) -> int:
-    merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
-    echo_config("posttrain", merged, args.seed)
-    cfg = _model_cfg(merged)
+    tcfg = TrainConfig(stage=args.stage, seed=args.seed, out_dir=args.out_dir,
+                       **{k: merged[k] for k in TRAIN_KEYS})
     weights = _number_list(args.mixture_weights, "--mixture-weights", float)
-    tcfg = _train_cfg(merged, "posttrain", args.seed, args.out_dir)
-    sources = [(_load_manifest(args.data), weights[0])]
-    if args.revisit:
-        if len(weights) < 2:
-            raise InputError("--mixture-weights needs one weight per source")
-        sources.append((_load_manifest(args.revisit), weights[1]))
-    result = run_posttrain(args.checkpoint, cfg, tcfg, sources, log_every=args.log_every)
-    save_config(os.path.join(args.out_dir, "config.txt"), merged)
+    paths = [_manifest_path(p) for p in (args.data or default_data_dir(), args.revisit) if p]
+    if len(weights) < len(paths):
+        raise InputError("--mixture-weights needs one weight per source")
+    sources = [(ShardManifest.load(p), w) for p, w in zip(paths, weights)]
+    run_keys = {"seed": args.seed, "stage": args.stage}
+    for i, (path, (manifest, weight)) in enumerate(zip(paths, sources)):
+        run_keys |= {f"source{i}": os.path.abspath(path), f"source{i}_weight": weight,
+                     f"source{i}_crc32": f"{manifest.crc32:08x}"}
+
+    def record_settings():  # into out_dir, once the weights are checked
+        if args.resume:
+            _check_resume(args.resume, {**merged, **run_keys})
+        for name, values in zip(RUN_FILES, (merged, run_keys)):
+            save_config(os.path.join(args.out_dir, name), values)
+
+    result = run_stage(cfg, tcfg, sources, start_from=args.checkpoint, resume_from=args.resume,
+                       log_every=args.log_every, before_first_step=record_settings)
     print(f"checkpoint: {result.checkpoint_path}")
+    print(f"skipped {sum(r.skipped for r in result.history)} of {len(result.history)} steps")
+    if result.history:
+        last = result.history[-1]
+        print(f"final loss: {last.loss:.6f}")
+        if last.skipped and not np.isfinite(last.loss):
+            raise NumericError(f"the run diverged: its last step was skipped with loss {last.loss}")
     return 0
 
 
@@ -343,23 +357,19 @@ def build_parser(only: str | None = None) -> _Parser:
         p.add_argument("--manifest", default=None)
         p.add_argument("--lag", type=int, default=None)
 
-    if p := command("train", "stage-1 pre-training", cmd_train):
-        seed(p)
-        model_config(p, train=True)
-        p.add_argument("--data", default=None, help="manifest path or shard dir")
-        p.add_argument("--out-dir", dest="out_dir", default="runs/pretrain")
-        p.add_argument("--resume", default=None)
-        p.add_argument("--log-every", dest="log_every", type=int, default=0)
-
-    if p := command("posttrain", "stage-2 continued pre-training", cmd_posttrain):
-        seed(p)
-        model_config(p, train=True)
-        p.add_argument("--checkpoint", required=True)
-        p.add_argument("--data", required=True, help="post-training corpus manifest")
-        p.add_argument("--revisit", default=None, help="pre-training corpus manifest to mix back")
-        p.add_argument("--mixture-weights", dest="mixture_weights", default="1.0,1.0")
-        p.add_argument("--out-dir", dest="out_dir", default="runs/posttrain")
-        p.add_argument("--log-every", dest="log_every", type=int, default=0)
+    for name, stage, summary in (("train", "pretrain", "stage-1 pre-training"),
+                                 ("posttrain", "posttrain", "stage-2 continued pre-training")):
+        if p := command(name, summary, cmd_train):
+            p.set_defaults(stage=stage)
+            seed(p)
+            model_config(p, train=True)
+            p.add_argument("--checkpoint", default=None, help="weights to start from")
+            p.add_argument("--resume", default=None, help="checkpoint to go on from")
+            p.add_argument("--data", default=None, help="manifest path or shard dir")
+            p.add_argument("--revisit", default=None, help="second corpus manifest to mix in")
+            p.add_argument("--mixture-weights", dest="mixture_weights", default="1.0,1.0")
+            p.add_argument("--out-dir", dest="out_dir", default=f"runs/{stage}")
+            p.add_argument("--log-every", dest="log_every", type=int, default=0)
 
     if p := command("gradcheck", "finite-difference gradient verification", cmd_gradcheck):
         seed(p)

@@ -105,14 +105,22 @@ class ShardManifest:
     def shard_path(self, i: int) -> str:
         return os.path.join(self.root_dir, self.entries[i].path)
 
-    def save(self, path: str):
-        """Write the manifest whole, after refusing any entry ``load`` would reject."""
+    def _body(self) -> bytes:
         lines = [f"{MANIFEST_MAGIC} {MANIFEST_VERSION}"]
         lines += [f"{e.path} {e.crc32:08x} {','.join(map(str, e.series_lengths))}"
                   for e in self.entries]
         if bad := [line for line in lines[1:] if not _SHARD_LINE.fullmatch(line)]:
             raise InputError(f"manifest entry {bad[0]!r} would not read back")
-        body = "".join(line + "\n" for line in lines).encode()
+        return "".join(line + "\n" for line in lines).encode()
+
+    @property
+    def crc32(self) -> int:
+        """The CRC32 of the entries, as the saved manifest's last line gives it."""
+        return zlib.crc32(self._body())
+
+    def save(self, path: str):
+        """Write the manifest whole, after refusing any entry ``load`` would reject."""
+        body = self._body()
         write_whole(path, [body, f"crc32 {zlib.crc32(body):08x}\n".encode()])
 
     @classmethod
@@ -337,7 +345,8 @@ class WindowSampler:
 
 
 class MixtureSampler:
-    """Draws each sample from one source, chosen with probability ~ weight."""
+    """Draws each sample from one source, chosen with probability ~ weight; a
+    mixture of one takes nothing from the rng, so it draws as its sampler does."""
 
     def __init__(self, sources: list[tuple[WindowSampler, float]]):
         if not sources:
@@ -349,7 +358,7 @@ class MixtureSampler:
         self.probs = weights / weights.sum()
 
     def sample_raw(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        i = int(rng.choice(len(self.samplers), p=self.probs))
+        i = int(rng.choice(len(self.samplers), p=self.probs)) if len(self.samplers) > 1 else 0
         return self.samplers[i].sample_raw(length, rng)
 
 

@@ -161,10 +161,14 @@ def seasonal_naive_scale(insample, season: int = 1) -> float:
 
 
 def mase(forecast_median, actuals, insample, season: int = 1) -> float:
-    """mean|yhat - y| / in-sample seasonal-naive MAE, eps-guarded."""
+    """mean|yhat - y| / in-sample seasonal-naive MAE. A scale below MASE_EPS is
+    flat: the result is then 0 if the forecast is allclose to the actuals, else inf."""
     yhat = np.asarray(forecast_median, dtype=np.float64)
     y = np.asarray(actuals, dtype=np.float64)
-    return float(np.mean(np.abs(yhat - y)) / max(seasonal_naive_scale(insample, season), MASE_EPS))
+    scale = seasonal_naive_scale(insample, season)
+    if scale < MASE_EPS:
+        return 0.0 if np.allclose(yhat, y) else math.inf
+    return float(np.mean(np.abs(yhat - y)) / scale)
 
 
 def eval_crps_wql(dist: ForecastDistribution, actuals) -> float:
@@ -221,11 +225,7 @@ def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int, season
     report = EvalReport()
     crps_vals = []
     for (context, actual), dist in zip(held, dists):
-        scale = seasonal_naive_scale(context, season)
-        if scale < MASE_EPS:
-            report.mase_per_series.append(0.0 if np.allclose(dist.median, actual) else float("inf"))
-        else:
-            report.mase_per_series.append(float(np.mean(np.abs(dist.median - actual)) / scale))
+        report.mase_per_series.append(mase(dist.median, actual, context, season))
         crps_vals.append(eval_crps_wql(dist, actual))
     # the evaluated mode's passes are counted; the other mode's depend only on
     # the horizon, so they come from the closed form

@@ -186,15 +186,16 @@ def train_step(params: Params, batch: PatchBatch, model_cfg: ModelConfig,
     ``opt.step`` advances, so a resumed run draws the same batches after it.
     ``decayed`` is ``decayed_names(model_cfg)``, computed once per run."""
     zero_grads(params)
-    trace = model_forward(batch, params, model_cfg, depth=model_cfg.n_serial_blocks)
-    total, parts = stage_loss(train_cfg.stage, trace, batch, params, model_cfg, grid)
-    norm = 0.0
-    if math.isfinite(parts["total"]):
-        total.backward()
-        norm = clip_gradients(params, train_cfg.clip_norm)
-        if math.isfinite(norm):
-            adamw_update(params, opt, lr, train_cfg, decayed)
-            return StepResult(parts["total"], parts, norm, lr)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked just below
+        trace = model_forward(batch, params, model_cfg, depth=model_cfg.n_serial_blocks)
+        total, parts = stage_loss(train_cfg.stage, trace, batch, params, model_cfg, grid)
+        norm = 0.0
+        if math.isfinite(parts["total"]):
+            total.backward()
+            norm = clip_gradients(params, train_cfg.clip_norm)
+            if math.isfinite(norm):
+                adamw_update(params, opt, lr, train_cfg, decayed)
+                return StepResult(parts["total"], parts, norm, lr)
     opt.step += 1
     return StepResult(parts["total"], parts, norm, lr, skipped=True)
 
@@ -339,30 +340,35 @@ class TrainResult:
     checkpoint_path: str = ""
 
 
-def _load_weights(path: str, model_cfg: ModelConfig,
-                  train_cfg: TrainConfig) -> tuple[Params, OptState | None]:
-    """A checkpoint to train on: its tensors must match ``model_cfg`` and the
-    run's precision, since training would otherwise go on in the stored dtype."""
-    params, opt = load_checkpoint(path)
-    validate_params(params, model_cfg)
-    want = np.dtype(train_cfg.dtype)
-    for name, p in params.items():
-        if p.dtype != want:
-            raise CheckpointError(f"precision={train_cfg.precision} trains in {want}, "
-                                  f"but {path} holds {name} in {p.dtype}")
-    return params, opt
-
-
-def _run_loop(params: Params, opt: OptState, sampler, model_cfg: ModelConfig,
-              train_cfg: TrainConfig, start_step: int = 0,
-              log_every: int = 0) -> TrainResult:
+def run_stage(model_cfg: ModelConfig, train_cfg: TrainConfig,
+              sources: list[tuple[ShardManifest, float]], start_from: str | None = None,
+              resume_from: str | None = None, log_every: int = 0,
+              before_first_step=lambda: None) -> TrainResult:
+    """Train either stage on ``sources``, (manifest, weight) pairs drawn in
+    proportion to their weights; pre-training is one source of weight 1. The
+    run goes on from ``resume_from``'s weights, moments and step, or starts from
+    ``start_from``'s weights with fresh moments, or from ``init_params``. ``n_max``
+    may exceed the bound the weights were trained at: rotary positions need no
+    weights. ``before_first_step`` runs once the weights are checked."""
     if log_every < 0:
         raise InputError(f"log_every must be >= 0, got {log_every}")
+    if path := resume_from or start_from:
+        params, opt = load_checkpoint(path)
+        validate_params(params, model_cfg)
+        for name, p in params.items():  # or training goes on in the stored dtype
+            if p.dtype != train_cfg.dtype:
+                raise CheckpointError(f"precision={train_cfg.precision} trains in "
+                                      f"{np.dtype(train_cfg.dtype)}, but {path} holds {name} "
+                                      f"in {p.dtype}")
+    else:
+        params, opt = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype), None
+    opt = opt if resume_from and opt else OptState.fresh(params)
+    sampler = MixtureSampler([(WindowSampler(m), w) for m, w in sources])
+    before_first_step()
     grid = default_grid(model_cfg.n_quantiles)
     decayed = decayed_names(model_cfg)
     history: list[StepResult] = []
-    ckpt_path = os.path.join(train_cfg.out_dir, f"{train_cfg.stage}.sfck")
-    for step in range(start_step, train_cfg.steps):
+    for step in range(opt.step, train_cfg.steps):
         batch = draw_batch(sampler, model_cfg, train_cfg, step)
         res = train_step(params, batch, model_cfg, train_cfg, opt, lr_at(step, train_cfg),
                          decayed, grid)
@@ -374,42 +380,15 @@ def _run_loop(params: Params, opt: OptState, sampler, model_cfg: ModelConfig,
         if train_cfg.checkpoint_interval and (step + 1) % train_cfg.checkpoint_interval == 0:
             save_checkpoint(params, opt,
                             os.path.join(train_cfg.out_dir, f"{train_cfg.stage}_step{step + 1:06d}.sfck"))
+    ckpt_path = os.path.join(train_cfg.out_dir, f"{train_cfg.stage}.sfck")
     save_checkpoint(params, opt, ckpt_path)
     return TrainResult(params, opt, history, ckpt_path)
 
 
-def run_pretrain(model_cfg: ModelConfig, train_cfg: TrainConfig, manifest: ShardManifest,
-                 resume_from: str | None = None, log_every: int = 0) -> TrainResult:
-    """Stage 1: uniform serial weights, augmentation on, fresh or resumed."""
-    if train_cfg.stage != "pretrain":
-        raise InputError("run_pretrain needs stage=pretrain")
-    sampler = WindowSampler(manifest)
-    if resume_from:
-        params, opt = _load_weights(resume_from, model_cfg, train_cfg)
-        opt = opt or OptState.fresh(params)
-        start = opt.step
-    else:
-        params = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype)
-        opt = OptState.fresh(params)
-        start = 0
-    return _run_loop(params, opt, sampler, model_cfg, train_cfg, start_step=start,
-                     log_every=log_every)
-
-
-def run_posttrain(pretrained: str, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                  sources: list[tuple[ShardManifest, float]], log_every: int = 0) -> TrainResult:
-    """Stage 2: horizon-decayed serial weights and data revisiting.
-
-    Optimizer moments start fresh for the new schedule. ``model_cfg.n_max``
-    may exceed the pre-training bound: rotary positions need no new weights,
-    so extending the context is only a larger ``n_max``.
-    """
-    if train_cfg.stage != "posttrain":
-        raise InputError("run_posttrain needs stage=posttrain")
-    params, _ = _load_weights(pretrained, model_cfg, train_cfg)
-    sampler = MixtureSampler([(WindowSampler(m), w) for m, w in sources])
-    opt = OptState.fresh(params)
-    return _run_loop(params, opt, sampler, model_cfg, train_cfg, log_every=log_every)
+def run_pretrain(model_cfg: ModelConfig, train_cfg: TrainConfig,
+                 manifest: ShardManifest) -> TrainResult:
+    """A fresh run over one corpus: ``run_stage(model_cfg, train_cfg, [(manifest, 1.0)])``."""
+    return run_stage(model_cfg, train_cfg, [(manifest, 1.0)])
 
 
 # -- gradient checking ---------------------------------------------------------

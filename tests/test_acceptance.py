@@ -24,7 +24,7 @@ from serialcast.inference import (bench_inference, eval_crps_wql, forecast,
 from serialcast.objectives import (default_grid, depth_losses, horizon_decay_weights, mean_aux_loss,
                                    pinball, wql)
 from serialcast.tokenizer import make_batch, make_supervised_batch
-from serialcast.trainer import TrainConfig, gradient_check_suite, run_posttrain, run_pretrain
+from serialcast.trainer import TrainConfig, gradient_check_suite, run_pretrain, run_stage
 
 
 def report(criterion: int, detail: str):
@@ -221,8 +221,8 @@ def test_criterion_8_posttrain_effect(toy_run):
                                  str(toy_run["tmp"] / "post_data"))
     post_cfg = TrainConfig(stage="posttrain", steps=400, batch_size=8, peak_lr=1e-3,
                            seed=0, out_dir=str(toy_run["tmp"] / "run_post"))
-    post = run_posttrain(toy_run["result"].checkpoint_path, TOY_CFG, post_cfg,
-                         [(post_manifest, 0.7), (toy_run["manifest"], 0.3)])
+    post = run_stage(TOY_CFG, post_cfg, [(post_manifest, 0.7), (toy_run["manifest"], 0.3)],
+                     start_from=toy_run["result"].checkpoint_path)
     post_loss = first_block_val_loss(post.params)
     assert post_loss <= pre_loss, \
         f"first-block val loss rose: {pre_loss:.4f} -> {post_loss:.4f}"

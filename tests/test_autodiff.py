@@ -122,16 +122,18 @@ def test_grouped_linear():
 
 def test_grouped_linear_row_independent_of_group_size():
     # a row's output must not depend on how many rows share its group, or
-    # causality in the expert layers is no longer bit-exact
+    # causality in the expert layers is no longer bit-exact; 18 output
+    # columns take the zero-padded weights, with an empty group between
     rng = np.random.default_rng(2)
-    w, b = rng.normal(size=(2, 16, 32)), rng.normal(size=(2, 32))
-    rows = rng.normal(size=(5, 16))
-    outs = []
-    for size in (1, 2, 5):
-        a = np.concatenate([rng.normal(size=(3, 16)), rows[:size]])
-        out = ad.grouped_linear(Tensor(a), Tensor(w), Tensor(b), np.array([3, size])).data
-        outs.append(out[3])
-    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+    for o, counts in ((32, [3]), (18, [3, 0])):
+        w, b = rng.normal(size=(len(counts) + 1, 16, o)), rng.normal(size=(len(counts) + 1, o))
+        rows = rng.normal(size=(5, 16))
+        outs = []
+        for size in (1, 2, 5):
+            a = np.concatenate([rng.normal(size=(3, 16)), rows[:size]])
+            out = ad.grouped_linear(Tensor(a), Tensor(w), Tensor(b), np.array(counts + [size]))
+            outs.append(out.data[3])
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
 
 def test_softmax_rows_sum_to_one():

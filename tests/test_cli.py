@@ -609,6 +609,63 @@ def test_run_argument_refused_before_first_step(pipeline, tmp_path, capsys, comm
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("variant, revisit", [("serial", False), ("shift_token", False),
+                                            ("serial", True)])
+def test_posttrain_resume_matches_uninterrupted_run(pipeline, tmp_path, capsys, monkeypatch,
+                                                    variant, revisit):
+    argv = ["posttrain", "--config", pipeline["config"], "--data", pipeline["data"],
+            "--variant", variant, "--steps", "3", "--batch-size", "2", "--checkpoint-interval", "1"]
+    if revisit:
+        argv += ["--revisit", pipeline["data"], "--mixture-weights", "0.7,0.3"]
+    full, stopped = tmp_path / "full", tmp_path / "stopped"
+    assert run(argv + ["--checkpoint", pipeline["ckpt"], "--out-dir", str(full)]) == 0
+    step = trainer.train_step
+
+    def stop_at_second_step(params, batch, model_cfg, train_cfg, opt, *rest):
+        if opt.step == 1:
+            raise OSError("stopped")
+        return step(params, batch, model_cfg, train_cfg, opt, *rest)
+
+    monkeypatch.setattr(trainer, "train_step", stop_at_second_step)
+    assert run(argv + ["--checkpoint", pipeline["ckpt"], "--out-dir", str(stopped)]) == 2
+    monkeypatch.undo()
+    # the settings were written before step 0
+    assert sorted(os.listdir(stopped)) == ["config.txt", "posttrain_step000001.sfck", "run.txt"]
+    assert _files(stopped)["run.txt"] == _files(full)["run.txt"]
+    # resumed with another checkpoint interval and a log, and without --checkpoint
+    assert run(argv + ["--resume", str(stopped / "posttrain_step000001.sfck"),
+                       "--out-dir", str(stopped), "--checkpoint-interval", "0",
+                       "--log-every", "1"]) == 0
+    assert "skipped 0 of 2 steps" in capsys.readouterr().out
+    assert (stopped / "posttrain.sfck").read_bytes() == (full / "posttrain.sfck").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, stored", [("--seed", "9", "5"), ("--steps", "4", "3"),
+                                                 ("--variant", "shift_token", "serial")])
+def test_resume_with_other_setting_exits_two(pipeline, tmp_path, capsys, flag, value, stored):
+    key = flag[2:].replace("-", "_")
+    argv = ["train", "--resume", pipeline["ckpt"], "--config", pipeline["config"], "--data",
+            pipeline["data"], "--seed", "5", "--out-dir", str(tmp_path / "run"), flag, value]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{pipeline['ckpt']} was written by a run with {key}={stored}, " \
+           f"this run has {key}={value}" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverged_run_exits_two(pipeline, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    argv = ["train", "--data", pipeline["data"], "--out-dir", str(out_dir), *MODEL_FLAGS,
+            "--steps", "6", "--batch-size", "2", "--peak-lr", "1e30", "--clip-norm", "0"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "skipped 5 of 6 steps" in captured.out and "final loss: nan" in captured.out
+    assert "runtime failure: the run diverged: its last step was skipped with loss nan" \
+        in captured.err
+    assert (out_dir / "pretrain.sfck").exists()
+
+
 def test_n_max_override_rejected(pipeline, tmp_path, capsys):
     argv = ["posttrain", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
             "--steps", "1", "--batch-size", "2", "--out-dir", str(tmp_path / "post")] + MODEL_FLAGS

@@ -323,6 +323,11 @@ class TestMase:
         insample = np.tile([1.0, 2.0], 25)
         assert seasonal_naive_scale(insample, season=2) < 1e-12
 
+    def test_flat_scale_is_zero_or_inf(self):
+        insample = np.tile([1.0, 2.0], 25)
+        assert mase([1.0, 2.0], [1.0, 2.0], insample, season=2) == 0.0
+        assert mase([1.0, 2.5], [1.0, 2.0], insample, season=2) == float("inf")
+
     def test_random_walk_one_step_naive_is_one(self):
         # at horizon 1 the naive error and the in-sample scale share the same
         # distribution, so the ratio concentrates near 1 (at long horizons

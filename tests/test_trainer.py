@@ -23,7 +23,7 @@ from serialcast.tokenizer import make_batch
 from serialcast.trainer import (REFERENCE_TINY, OptState, TrainConfig, adamw_update,
                                 clip_gradients, compare_gradients, decayed_names, draw_batch,
                                 finite_diff_gradient, gradient_check_suite, load_checkpoint,
-                                lr_at, run_posttrain, run_pretrain, save_checkpoint, train_step,
+                                lr_at, run_pretrain, run_stage, save_checkpoint, train_step,
                                 validate_params)
 
 
@@ -484,7 +484,7 @@ class TestResume:
         assert os.path.exists(snapshot)
         resumed_cfg = TrainConfig(stage="pretrain", steps=6, batch_size=2, seed=2,
                                   out_dir=str(tmp_path / "resumed"))
-        resumed = run_pretrain(SMALL, resumed_cfg, toy_manifest, resume_from=snapshot)
+        resumed = run_stage(SMALL, resumed_cfg, [(toy_manifest, 1.0)], resume_from=snapshot)
         assert resumed.opt.step == 6
         for k in full.params:
             np.testing.assert_array_equal(full.params[k].data, resumed.params[k].data)
@@ -508,7 +508,8 @@ class TestResume:
         assert [h.skipped for h in full.history] == [False, True, False, False, False]
         snapshot = str(tmp_path / "full" / "pretrain_step000003.sfck")
         assert load_checkpoint(snapshot)[1].step == 3
-        resumed = run_pretrain(SMALL, tcfg("resumed"), toy_manifest, resume_from=snapshot)
+        resumed = run_stage(SMALL, tcfg("resumed"), [(toy_manifest, 1.0)],
+                            resume_from=snapshot)
         assert len(resumed.history) == 2
         with open(full.checkpoint_path, "rb") as a, open(resumed.checkpoint_path, "rb") as b:
             assert a.read() == b.read()
@@ -529,9 +530,8 @@ class TestRunArguments:
         save_checkpoint(init_params(SMALL, seed=1, dtype=np.float32), None, ckpt)
         tcfg = TrainConfig(stage=stage, steps=2, batch_size=2, out_dir=str(tmp_path / "run"),
                            **train)
-        if stage == "pretrain":
-            return run_pretrain(SMALL, tcfg, manifest, resume_from=ckpt, log_every=log_every)
-        return run_posttrain(ckpt, SMALL, tcfg, [(manifest, 1.0)], log_every=log_every)
+        source = "resume_from" if stage == "pretrain" else "start_from"
+        return run_stage(SMALL, tcfg, [(manifest, 1.0)], log_every=log_every, **{source: ckpt})
 
     @pytest.mark.parametrize("stage", ["pretrain", "posttrain"])
     def test_negative_log_every_rejected_before_first_step(self, toy_manifest, tmp_path, stage):
