@@ -1,9 +1,10 @@
 """Single executable exposing the pipeline.
 
 Subcommands: synth, shard, stats, train, posttrain, gradcheck, forecast,
-eval, bench. Configuration keys can come from defaults, a key=value config
-file, or flags of the same name (later wins). Unknown keys are rejected and
-the effective configuration is echoed to stderr at startup.
+eval, bench. Configuration keys come from defaults < the settings beside the
+loaded checkpoint < a key=value --config file < flags. A stored key given
+another value exits 2: any but checkpoint_interval on --resume, a model key on
+forecast, eval and bench. Unknown keys are rejected; the result is echoed.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
@@ -14,7 +15,7 @@ import argparse
 import glob
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -42,6 +43,7 @@ def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object]]:
 MODEL_KEYS = _keys(ModelConfig)
 # the subcommand sets the stage; --seed and --out-dir have their own flags
 TRAIN_KEYS = _keys(TrainConfig, skip=("stage", "seed", "out_dir"))
+CONFIG_KEYS = {**MODEL_KEYS, **TRAIN_KEYS}
 # a run's settings: the model and train keys; the seed, stage and sources
 RUN_FILES = ("config.txt", "run.txt")
 # composites are built in code; --seed has its own flag
@@ -74,9 +76,9 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def merge_config(args, keys: dict, config_path: str | None) -> dict:
-    """defaults < config file < explicit flags; unknown file keys rejected."""
-    merged = {k: d for k, (_t, d) in keys.items()}
+def merge_config(args, keys: dict, config_path: str | None, base: dict | None = None) -> dict:
+    """base (or the defaults) < config file < explicit flags; unknown file keys rejected."""
+    merged = dict(base or {k: d for k, (_t, d) in keys.items()})
     if config_path:
         for k, v in load_config_file(config_path).items():
             if k not in keys:
@@ -92,11 +94,6 @@ def merge_config(args, keys: dict, config_path: str | None) -> dict:
         if flag is not None:
             merged[k] = flag
     return merged
-
-
-def echo_config(name: str, merged: dict, seed: int | None = None):
-    head = f"[{name}]" if seed is None else f"[{name}] seed={seed}"
-    print(head + "".join(f" {k}={merged[k]}" for k in sorted(merged)), file=sys.stderr)
 
 
 def save_config(path: str, merged: dict):
@@ -196,31 +193,49 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _check_resume(resume: str, settings: dict):
-    """Refuse settings that would not go on with the trajectory of the run that wrote ``resume``."""
-    stored = {}
-    for name in RUN_FILES:
-        stored.update(load_config_file(os.path.join(os.path.dirname(resume), name)))
-    given = {k: f"{v}" for k, v in settings.items()}
-    for k in {**given, **stored}:
-        if k != "checkpoint_interval" and given.get(k) != stored.get(k):
-            raise CheckpointError(f"{resume} was written by a run with {k}={stored.get(k)}, "
-                                  f"this run has {k}={given.get(k)}")
+def _settings(args) -> tuple[ModelConfig, dict, dict]:
+    """A command's model and train keys, echoed: defaults < those stored beside the checkpoint
+    it loads < --config < flags. Also what is stored there: config.txt's keys, and on --resume
+    run.txt's, whose seed stands in for --seed; {} if no config.txt is there (a resume fails)."""
+    resume = getattr(args, "resume", None)
+    config, run_file = (os.path.join(os.path.dirname(resume or args.checkpoint or ""), name)
+                        for name in RUN_FILES)
+    stored = merge_config(None, CONFIG_KEYS, config) if resume or (
+        args.checkpoint and os.path.exists(config)) else {}
+    merged = merge_config(args, CONFIG_KEYS, args.config, base=stored)
+    stored |= load_config_file(run_file) if resume else {}
+    if "resume" in args and args.seed is None:  # train and posttrain: run.txt's seed, or 0
+        args.seed = _number_list(stored.get("seed", "0"), "seed", int)[0]
+    print(f"[{args.command}]" + (f" seed={args.seed}" if "seed" in args else "")
+          + "".join(f" {k}={merged[k]}" for k in sorted(merged)), file=sys.stderr)
+    return _model_cfg(merged), merged, stored
+
+
+def _refuse_changes(ckpt: str, stored: dict, given: dict):
+    """Refuse a given key that differs from the one stored beside ``ckpt``; model
+    keys compare as ModelConfig resolves them (n_heads=0 is max(1, d_model // 64))."""
+    stored, given = ({k: f"{v}" for k, v in {**d, **asdict(_model_cfg(d))}.items()}
+                     for d in (stored, given))
+    for k in given:
+        if k != "checkpoint_interval" and given[k] != stored.get(k):
+            raise CheckpointError(f"{ckpt} was written by a run with {k}={stored.get(k)}, "
+                                  f"this run has {k}={given[k]}")
 
 
 def cmd_train(args) -> int:
     """train and posttrain, the subcommand naming the stage."""
     if args.stage == "posttrain" and not (args.checkpoint or args.resume):
         raise InputError("posttrain needs --checkpoint or --resume")
-    merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
-    echo_config(args.command, merged, args.seed)
-    cfg = _model_cfg(merged)
+    cfg, merged, stored = _settings(args)
     tcfg = TrainConfig(stage=args.stage, seed=args.seed, out_dir=args.out_dir,
                        **{k: merged[k] for k in TRAIN_KEYS})
-    weights = _number_list(args.mixture_weights, "--mixture-weights", float)
-    paths = [_manifest_path(p) for p in (args.data or default_data_dir(), args.revisit) if p]
-    if len(weights) < len(paths):
-        raise InputError("--mixture-weights needs one weight per source")
+    # on --resume, run.txt stands in for each source not given
+    paths = [_manifest_path(p) for p in (args.data or stored.get("source0") or default_data_dir(),
+                                         args.revisit or stored.get("source1")) if p]
+    weights = _number_list(args.mixture_weights or ",".join(stored.get(f"source{i}_weight", "1.0")
+                           for i in range(len(paths))), "--mixture-weights", float)
+    if len(weights) != len(paths):
+        raise InputError(f"--mixture-weights: {len(weights)} weights for {len(paths)} sources")
     sources = [(ShardManifest.load(p), w) for p, w in zip(paths, weights)]
     run_keys = {"seed": args.seed, "stage": args.stage}
     for i, (path, (manifest, weight)) in enumerate(zip(paths, sources)):
@@ -229,7 +244,7 @@ def cmd_train(args) -> int:
 
     def record_settings():  # into out_dir, once the weights are checked
         if args.resume:
-            _check_resume(args.resume, {**merged, **run_keys})
+            _refuse_changes(args.resume, stored, {**merged, **run_keys})
         for name, values in zip(RUN_FILES, (merged, run_keys)):
             save_config(os.path.join(args.out_dir, name), values)
 
@@ -260,17 +275,20 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _load_model(args, merged: dict):
-    cfg = _model_cfg(merged)
+def _load_model(args):
+    """The model of forecast, eval and bench: --checkpoint's weights or fresh ones."""
+    cfg, _merged, stored = _settings(args)
+    if stored:
+        _refuse_changes(args.checkpoint, stored, asdict(cfg))
+    if not args.checkpoint:
+        return cfg, init_params(cfg, seed=args.seed, dtype=np.float32)
     params, _state = load_checkpoint(args.checkpoint)
     validate_params(params, cfg)
     return cfg, params
 
 
 def cmd_forecast(args) -> int:
-    merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
-    echo_config("forecast", merged)
-    cfg, params = _load_model(args, merged)
+    cfg, params = _load_model(args)
     series = read_csv_series(args.input)
     fn = forecast_rolling_ntp if args.mode == "rolling" else forecast
     dist = fn(series, args.horizon, params, cfg)
@@ -286,9 +304,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
-    echo_config("eval", merged)
-    cfg, params = _load_model(args, merged)
+    cfg, params = _load_model(args)
     series = _gather_series(args.input)
     report = evaluate(params, cfg, series, args.horizon, season=args.season, mode=args.mode)
     for line in report.lines():
@@ -297,13 +313,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS}, args.config)
-    echo_config("bench", merged, args.seed)
-    if args.checkpoint:
-        cfg, params = _load_model(args, merged)
-    else:
-        cfg = _model_cfg(merged)
-        params = init_params(cfg, seed=args.seed, dtype=np.float32)
+    cfg, params = _load_model(args)
     horizons = _number_list(args.horizons, "--horizons", int)
     for point in bench_inference(params, cfg, horizons, repetitions=args.reps, seed=args.seed):
         exp_s = expected_block_count("serial", point.horizon, cfg)
@@ -361,13 +371,13 @@ def build_parser(only: str | None = None) -> _Parser:
                                  ("posttrain", "posttrain", "stage-2 continued pre-training")):
         if p := command(name, summary, cmd_train):
             p.set_defaults(stage=stage)
-            seed(p)
+            p.add_argument("--seed", type=int, default=None)  # a resume's run.txt, or else 0
             model_config(p, train=True)
             p.add_argument("--checkpoint", default=None, help="weights to start from")
             p.add_argument("--resume", default=None, help="checkpoint to go on from")
             p.add_argument("--data", default=None, help="manifest path or shard dir")
             p.add_argument("--revisit", default=None, help="second corpus manifest to mix in")
-            p.add_argument("--mixture-weights", dest="mixture_weights", default="1.0,1.0")
+            p.add_argument("--mixture-weights", dest="mixture_weights", default=None)
             p.add_argument("--out-dir", dest="out_dir", default=f"runs/{stage}")
             p.add_argument("--log-every", dest="log_every", type=int, default=0)
 

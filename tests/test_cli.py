@@ -1,6 +1,8 @@
 """CLI contracts: exit codes, config precedence, determinism, pipeline."""
 
 import os
+import re
+import shutil
 import zlib
 from dataclasses import replace
 
@@ -192,6 +194,9 @@ def test_removed_flags_exit_one(argv, capsys):
     (["bench", *MODEL_FLAGS, "--horizons", "abc"], "--horizons"),
     (["posttrain", *MODEL_FLAGS, "--checkpoint", "none.sfck", "--data", "none",
       "--mixture-weights", "a,b"], "--mixture-weights"),
+    # one weight per source: a surplus weight is refused, not dropped
+    (["train", *MODEL_FLAGS, "--data", "none", "--mixture-weights", "0.7,0.3"],
+     "--mixture-weights"),
 ])
 def test_bad_number_list_exits_one(argv, flag, capsys):
     assert run(argv) == 1
@@ -367,6 +372,53 @@ def test_forecast_mismatched_model_flags(pipeline, capsys):
     code = run(["forecast", "--checkpoint", pipeline["ckpt"], "--config", pipeline["config"],
                 "--input", pipeline["csv"], "--horizon", "8", "--d-model", "32"])
     assert code == 2  # checkpoint/config mismatch is a load failure
+
+
+@pytest.mark.parametrize("command", ["forecast", "eval", "bench"])
+def test_settings_beside_checkpoint_stand_in_for_config(pipeline, capsys, command):
+    argv = [command, "--checkpoint", pipeline["ckpt"]]
+    argv += (["--horizons", "8", "--reps", "1"] if command == "bench" else
+             ["--input", pipeline["csv"], "--horizon", "8"])
+    outputs = []
+    for config in ([], ["--config", pipeline["config"]]):
+        assert run(argv + config) == 0
+        captured = capsys.readouterr()
+        outputs.append((re.sub(r"wall_\w+[ =][\d.]+", "", captured.out), captured.err))
+    assert outputs[0] == outputs[1]
+    assert "d_model=16" in outputs[0][1] and "n_max=8" in outputs[0][1]
+
+
+@pytest.mark.parametrize("command, flag, value, stored", [
+    ("forecast", "--theta-base", "5", "10000.0"), ("forecast", "--top-k", "2", "1"),
+    ("forecast", "--variant", "shift_token", "serial"), ("eval", "--theta-base", "5", "10000.0"),
+    ("bench", "--n-max", "16", "8")])
+def test_model_key_other_than_stored_exits_two(pipeline, tmp_path, capsys, command, flag, value,
+                                               stored):
+    argv = [command, "--checkpoint", pipeline["ckpt"], flag, value]
+    out = tmp_path / "f.csv"
+    argv += {"forecast": ["--input", pipeline["csv"], "--horizon", "8", "--out", str(out)],
+             "eval": ["--input", pipeline["csv"], "--horizon", "8"],
+             "bench": ["--horizons", "8", "--reps", "1"]}[command]
+    assert run(argv) == 2
+    key = flag[2:].replace("-", "_")
+    given = f"{float(value)}" if key == "theta_base" else value
+    captured = capsys.readouterr()
+    assert f"{pipeline['ckpt']} was written by a run with {key}={stored}, " \
+           f"this run has {key}={given}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("n_heads, code", [("1", 0), ("2", 2)])
+def test_stored_model_keys_compare_as_resolved(pipeline, tmp_path, capsys, n_heads, code):
+    # the run wrote n_heads=0, which a d_model=16 model resolves to 1 head
+    ckpt = tmp_path / "m.sfck"
+    shutil.copyfile(pipeline["ckpt"], ckpt)
+    stored = cli.load_config_file(pipeline["config"]) | {"n_heads": "0"}
+    cli.save_config(str(tmp_path / "config.txt"), stored)
+    assert run(["forecast", "--checkpoint", str(ckpt), "--input", pipeline["csv"],
+                "--horizon", "8", "--n-heads", n_heads]) == code
+    if code:
+        assert "n_heads=1, this run has n_heads=2" in capsys.readouterr().err
 
 
 def test_forecast_per_expert_checkpoint_rejected(pipeline, capsys):
@@ -591,6 +643,11 @@ def test_posttrain_n_max_extends_context(pipeline, capsys):
     assert series.size == 64
     assert np.array_equal(got, forecast(series, 8, params, cfg).values)
     assert not np.array_equal(got, forecast(series, 8, params, replace(cfg, n_max=8)).values)
+    # the pre-training's n_max=8 does not hold for this checkpoint
+    assert run(["forecast", "--checkpoint", ckpt, "--config", pipeline["config"],
+                "--input", pipeline["csv"], "--horizon", "8"]) == 2
+    assert f"{ckpt} was written by a run with n_max=16, this run has n_max=8" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "posttrain"])
@@ -632,12 +689,14 @@ def test_posttrain_resume_matches_uninterrupted_run(pipeline, tmp_path, capsys, 
     # the settings were written before step 0
     assert sorted(os.listdir(stopped)) == ["config.txt", "posttrain_step000001.sfck", "run.txt"]
     assert _files(stopped)["run.txt"] == _files(full)["run.txt"]
-    # resumed with another checkpoint interval and a log, and without --checkpoint
-    assert run(argv + ["--resume", str(stopped / "posttrain_step000001.sfck"),
-                       "--out-dir", str(stopped), "--checkpoint-interval", "0",
-                       "--log-every", "1"]) == 0
+    # resumed with another checkpoint interval and a log, and with no other flag:
+    # the settings, the seed and the sources come from beside the checkpoint
+    resumed = tmp_path / "resumed"
+    assert run(["posttrain", "--resume", str(stopped / "posttrain_step000001.sfck"),
+                "--out-dir", str(resumed), "--checkpoint-interval", "0", "--log-every", "1"]) == 0
     assert "skipped 0 of 2 steps" in capsys.readouterr().out
-    assert (stopped / "posttrain.sfck").read_bytes() == (full / "posttrain.sfck").read_bytes()
+    assert (resumed / "posttrain.sfck").read_bytes() == (full / "posttrain.sfck").read_bytes()
+    assert _files(resumed)["run.txt"] == _files(full)["run.txt"]
 
 
 @pytest.mark.parametrize("flag, value, stored", [("--seed", "9", "5"), ("--steps", "4", "3"),
