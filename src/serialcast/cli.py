@@ -1,10 +1,11 @@
 """Single executable exposing the pipeline.
 
 Subcommands: synth, shard, stats, train, posttrain, gradcheck, forecast,
-eval, bench. Configuration keys come from defaults < the settings beside the
-loaded checkpoint < a key=value --config file < flags. A stored key given
-another value exits 2: any but checkpoint_interval on --resume, a model key on
-forecast, eval and bench. Unknown keys are rejected; the result is echoed.
+eval, bench. Configuration keys, the seed among them, come from defaults < the
+settings beside the loaded checkpoint < a key=value --config file < flags.
+Unknown keys are rejected; the result is echoed. A model key other than the
+stored one exits 2 on forecast, eval and bench; on --resume, ``run_stage``
+refuses any setting the run would change.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
@@ -24,14 +25,13 @@ from .backbone import ModelConfig, init_params
 from .datagen import (SignalSpec, adf_statistic, dataset_complexity, derive_seed, forecastability,
                       gen_signal)
 from .dataloader import (DEFAULT_SHARD_BYTES, MANIFEST_NAME, ShardManifest, build_shards,
-                         csv_lines, default_data_dir, read_all_series, read_csv_series,
-                         write_csv_series, write_whole)
-from .errors import (CheckpointError, ConfigError, InputError, NumericError,
-                     SerialcastError)
+                         csv_lines, default_data_dir, load_config_file, read_all_series,
+                         read_csv_series, write_csv_series, write_whole)
+from .errors import ConfigError, InputError, NumericError, SerialcastError
 from .inference import (bench_inference, evaluate, expected_block_count, forecast,
                         forecast_rolling_ntp)
-from .trainer import (TrainConfig, gradient_check_suite, load_checkpoint, run_stage,
-                      validate_params)
+from .trainer import (SETTINGS_FILES, TrainConfig, gradient_check_suite, load_checkpoint,
+                      refuse_changes, run_stage, validate_params)
 
 
 def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object]]:
@@ -41,11 +41,9 @@ def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object]]:
 
 
 MODEL_KEYS = _keys(ModelConfig)
-# the subcommand sets the stage; --seed and --out-dir have their own flags
-TRAIN_KEYS = _keys(TrainConfig, skip=("stage", "seed", "out_dir"))
+# the subcommand sets the stage; --out-dir has its own flag
+TRAIN_KEYS = _keys(TrainConfig, skip=("stage", "out_dir"))
 CONFIG_KEYS = {**MODEL_KEYS, **TRAIN_KEYS}
-# a run's settings: the model and train keys; the seed, stage and sources
-RUN_FILES = ("config.txt", "run.txt")
 # composites are built in code; --seed has its own flag
 SIGNAL_KEYS = _keys(SignalSpec, skip=("combine", "components", "seed"))
 
@@ -60,20 +58,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_keys(parser: argparse.ArgumentParser, keys: dict):
     for key, (typ, _default) in keys.items():
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None)
-
-
-def load_config_file(path: str) -> dict[str, str]:
-    values = {}
-    with open(path, encoding="utf-8", errors="replace") as f:  # bad bytes fail as bad values
-        for i, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{i}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
-    return values
 
 
 def merge_config(args, keys: dict, config_path: str | None, base: dict | None = None) -> dict:
@@ -94,13 +78,6 @@ def merge_config(args, keys: dict, config_path: str | None, base: dict | None = 
         if flag is not None:
             merged[k] = flag
     return merged
-
-
-def save_config(path: str, merged: dict):
-    for k, v in merged.items():  # nan, or a str that load_config_file would cut or strip
-        if v != v or isinstance(v, str) and (v != v.strip() or any(c in v for c in "#\r\n")):
-            raise InputError(f"{k}={v!r} cannot be restored from its config file")
-    write_whole(path, ["".join(f"{k}={merged[k]}\n" for k in sorted(merged)).encode()])
 
 
 def _model_cfg(merged: dict) -> ModelConfig:
@@ -196,30 +173,17 @@ def cmd_stats(args) -> int:
 def _settings(args) -> tuple[ModelConfig, dict, dict]:
     """A command's model and train keys, echoed: defaults < those stored beside the checkpoint
     it loads < --config < flags. Also what is stored there: config.txt's keys, and on --resume
-    run.txt's, whose seed stands in for --seed; {} if no config.txt is there (a resume fails)."""
+    run.txt's; {} if no config.txt is there (a resume fails)."""
     resume = getattr(args, "resume", None)
     config, run_file = (os.path.join(os.path.dirname(resume or args.checkpoint or ""), name)
-                        for name in RUN_FILES)
+                        for name in SETTINGS_FILES)
     stored = merge_config(None, CONFIG_KEYS, config) if resume or (
         args.checkpoint and os.path.exists(config)) else {}
     merged = merge_config(args, CONFIG_KEYS, args.config, base=stored)
     stored |= load_config_file(run_file) if resume else {}
-    if "resume" in args and args.seed is None:  # train and posttrain: run.txt's seed, or 0
-        args.seed = _number_list(stored.get("seed", "0"), "seed", int)[0]
-    print(f"[{args.command}]" + (f" seed={args.seed}" if "seed" in args else "")
-          + "".join(f" {k}={merged[k]}" for k in sorted(merged)), file=sys.stderr)
+    print(f"[{args.command}]" + "".join(f" {k}={merged[k]}" for k in sorted(merged)),
+          file=sys.stderr)
     return _model_cfg(merged), merged, stored
-
-
-def _refuse_changes(ckpt: str, stored: dict, given: dict):
-    """Refuse a given key that differs from the one stored beside ``ckpt``; model
-    keys compare as ModelConfig resolves them (n_heads=0 is max(1, d_model // 64))."""
-    stored, given = ({k: f"{v}" for k, v in {**d, **asdict(_model_cfg(d))}.items()}
-                     for d in (stored, given))
-    for k in given:
-        if k != "checkpoint_interval" and given[k] != stored.get(k):
-            raise CheckpointError(f"{ckpt} was written by a run with {k}={stored.get(k)}, "
-                                  f"this run has {k}={given[k]}")
 
 
 def cmd_train(args) -> int:
@@ -227,7 +191,7 @@ def cmd_train(args) -> int:
     if args.stage == "posttrain" and not (args.checkpoint or args.resume):
         raise InputError("posttrain needs --checkpoint or --resume")
     cfg, merged, stored = _settings(args)
-    tcfg = TrainConfig(stage=args.stage, seed=args.seed, out_dir=args.out_dir,
+    tcfg = TrainConfig(stage=args.stage, out_dir=args.out_dir,
                        **{k: merged[k] for k in TRAIN_KEYS})
     # on --resume, run.txt stands in for each source not given
     paths = [_manifest_path(p) for p in (args.data or stored.get("source0") or default_data_dir(),
@@ -237,19 +201,8 @@ def cmd_train(args) -> int:
     if len(weights) != len(paths):
         raise InputError(f"--mixture-weights: {len(weights)} weights for {len(paths)} sources")
     sources = [(ShardManifest.load(p), w) for p, w in zip(paths, weights)]
-    run_keys = {"seed": args.seed, "stage": args.stage}
-    for i, (path, (manifest, weight)) in enumerate(zip(paths, sources)):
-        run_keys |= {f"source{i}": os.path.abspath(path), f"source{i}_weight": weight,
-                     f"source{i}_crc32": f"{manifest.crc32:08x}"}
-
-    def record_settings():  # into out_dir, once the weights are checked
-        if args.resume:
-            _refuse_changes(args.resume, stored, {**merged, **run_keys})
-        for name, values in zip(RUN_FILES, (merged, run_keys)):
-            save_config(os.path.join(args.out_dir, name), values)
-
     result = run_stage(cfg, tcfg, sources, start_from=args.checkpoint, resume_from=args.resume,
-                       log_every=args.log_every, before_first_step=record_settings)
+                       log_every=args.log_every)
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"skipped {sum(r.skipped for r in result.history)} of {len(result.history)} steps")
     if result.history:
@@ -261,8 +214,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = gradient_check_suite(seed=args.seed, coords_per_tensor=args.coords,
-                                   epsilon=args.epsilon)
+    reports = gradient_check_suite(seed=args.seed, coords_per_tensor=args.coords)
     failures = [r for r in reports if not r.passed]
     for r in reports:
         print(r)
@@ -278,8 +230,8 @@ def cmd_gradcheck(args) -> int:
 def _load_model(args):
     """The model of forecast, eval and bench: --checkpoint's weights or fresh ones."""
     cfg, _merged, stored = _settings(args)
-    if stored:
-        _refuse_changes(args.checkpoint, stored, asdict(cfg))
+    if stored:  # model keys compare as ModelConfig resolves them
+        refuse_changes(args.checkpoint, asdict(_model_cfg(stored)), asdict(cfg))
     if not args.checkpoint:
         return cfg, init_params(cfg, seed=args.seed, dtype=np.float32)
     params, _state = load_checkpoint(args.checkpoint)
@@ -371,7 +323,6 @@ def build_parser(only: str | None = None) -> _Parser:
                                  ("posttrain", "posttrain", "stage-2 continued pre-training")):
         if p := command(name, summary, cmd_train):
             p.set_defaults(stage=stage)
-            p.add_argument("--seed", type=int, default=None)  # a resume's run.txt, or else 0
             model_config(p, train=True)
             p.add_argument("--checkpoint", default=None, help="weights to start from")
             p.add_argument("--resume", default=None, help="checkpoint to go on from")
@@ -384,7 +335,6 @@ def build_parser(only: str | None = None) -> _Parser:
     if p := command("gradcheck", "finite-difference gradient verification", cmd_gradcheck):
         seed(p)
         p.add_argument("--coords", type=int, default=24)
-        p.add_argument("--epsilon", type=float, default=1e-5)
 
     if p := command("forecast", "quantile forecast from a CSV series", cmd_forecast):
         model_config(p)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InputError, SamplerError
+from .errors import ConfigError, DataError, InputError, SamplerError
 
 MANIFEST_MAGIC = "SFMANIFEST"
 MANIFEST_VERSION = 2
@@ -67,6 +67,27 @@ def write_whole(path: str, chunks):
     except BaseException:
         _remove([tmp])
         raise
+
+
+def load_config_file(path: str) -> dict[str, str]:
+    values = {}
+    with open(path, encoding="utf-8", errors="replace") as f:  # bad bytes fail as bad values
+        for i, line in enumerate(f, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{i}: expected key=value, got {line!r}")
+            key, val = line.split("=", 1)
+            values[key.strip()] = val.strip()
+    return values
+
+
+def save_config(path: str, merged: dict):
+    for k, v in merged.items():  # nan, or a str that load_config_file would cut or strip
+        if v != v or isinstance(v, str) and (v != v.strip() or any(c in v for c in "#\r\n")):
+            raise InputError(f"{k}={v!r} cannot be restored from its config file")
+    write_whole(path, ["".join(f"{k}={merged[k]}\n" for k in sorted(merged)).encode()])
 
 
 def _remove(paths):

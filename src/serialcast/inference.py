@@ -260,13 +260,12 @@ class BenchPoint:
 
 
 def bench_inference(params: Params, cfg: ModelConfig, horizons, repetitions: int = 5,
-                    context_len: int | None = None, seed: int = 0) -> list[BenchPoint]:
-    """Median wall time and exact block counts, serial vs rolling, per horizon."""
+                    seed: int = 0) -> list[BenchPoint]:
+    """Median wall time and exact block counts, serial vs rolling, per horizon, on
+    one random walk of ``n_max * patch_len`` points."""
     if repetitions < 1:
         raise InputError("repetitions must be >= 1")
-    rng = np.random.default_rng(seed)
-    t = context_len or cfg.n_max * cfg.patch_len
-    series = rng.normal(size=t).cumsum()
+    series = np.random.default_rng(seed).normal(size=cfg.n_max * cfg.patch_len).cumsum()
     out = []
     for f in horizons:
         times = {"serial": [], "rolling": []}

@@ -29,14 +29,15 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import Params, Tensor
 from .backbone import RANDOM_INITS, ModelConfig, init_params, model_forward, param_table
 from .datagen import RESAMPLE_FACTORS, derive_seed, resample, value_flip
-from .dataloader import MixtureSampler, ShardManifest, WindowSampler, write_whole
+from .dataloader import (MixtureSampler, ShardManifest, WindowSampler, load_config_file,
+                         save_config, write_whole)
 from .errors import CheckpointError, ConfigError, InputError, SamplerError
 from .objectives import QuantileGrid, default_grid, stage_loss
 from .tokenizer import PatchBatch, make_supervised_batch
@@ -55,6 +56,8 @@ ADAM_EPS = 1e-8  # keeps the update finite where the second moment is 0
 # GRAD_ABS_FLOOR, where finite-difference noise dominates.
 GRAD_REL_TOL = 1e-4
 GRAD_ABS_FLOOR = 1e-7
+FD_EPSILON = 1e-5  # the central-difference step
+SETTINGS_FILES = ("config.txt", "run.txt")  # what run_stage writes beside its checkpoints
 
 
 @dataclass
@@ -340,16 +343,28 @@ class TrainResult:
     checkpoint_path: str = ""
 
 
+def refuse_changes(ckpt: str, stored: dict, given: dict, exempt: tuple[str, ...] = ()):
+    """Refuse a key not in ``exempt`` whose value in ``given`` differs from the one
+    ``stored`` beside ``ckpt``, or that only one of the two holds."""
+    for k in {**given, **stored}:
+        if k not in exempt and f"{given.get(k)}" != f"{stored.get(k)}":
+            raise CheckpointError(f"{ckpt} was written by a run with {k}={stored.get(k)}, "
+                                  f"this run has {k}={given.get(k)}")
+
+
 def run_stage(model_cfg: ModelConfig, train_cfg: TrainConfig,
               sources: list[tuple[ShardManifest, float]], start_from: str | None = None,
-              resume_from: str | None = None, log_every: int = 0,
-              before_first_step=lambda: None) -> TrainResult:
+              resume_from: str | None = None, log_every: int = 0) -> TrainResult:
     """Train either stage on ``sources``, (manifest, weight) pairs drawn in
     proportion to their weights; pre-training is one source of weight 1. The
     run goes on from ``resume_from``'s weights, moments and step, or starts from
     ``start_from``'s weights with fresh moments, or from ``init_params``. ``n_max``
     may exceed the bound the weights were trained at: rotary positions need no
-    weights. ``before_first_step`` runs once the weights are checked."""
+    weights. Once the weights are checked, the run writes into ``out_dir`` the
+    model keys as ``ModelConfig`` resolves them and the train keys, then the
+    stage and each source's corpus path, weight and CRC32. A resume first
+    refuses, naming it, any setting but ``checkpoint_interval`` and a source's
+    path that differs from the one stored beside ``resume_from``."""
     if log_every < 0:
         raise InputError(f"log_every must be >= 0, got {log_every}")
     if path := resume_from or start_from:
@@ -364,7 +379,19 @@ def run_stage(model_cfg: ModelConfig, train_cfg: TrainConfig,
         params, opt = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype), None
     opt = opt if resume_from and opt else OptState.fresh(params)
     sampler = MixtureSampler([(WindowSampler(m), w) for m, w in sources])
-    before_first_step()
+    config = asdict(model_cfg) | asdict(train_cfg)
+    del config["out_dir"]
+    run = {"stage": config.pop("stage")}
+    for i, (manifest, weight) in enumerate(sources):
+        run |= {f"source{i}": os.path.abspath(manifest.root_dir), f"source{i}_weight": weight,
+                f"source{i}_crc32": f"{manifest.crc32:08x}"}
+    if resume_from:
+        stored = {k: v for name in SETTINGS_FILES for k, v in
+                  load_config_file(os.path.join(os.path.dirname(resume_from), name)).items()}
+        refuse_changes(resume_from, stored, config | run,
+                       exempt=("checkpoint_interval", *(f"source{i}" for i in range(len(sources)))))
+    for name, values in zip(SETTINGS_FILES, (config, run)):
+        save_config(os.path.join(train_cfg.out_dir, name), values)
     grid = default_grid(model_cfg.n_quantiles)
     decayed = decayed_names(model_cfg)
     history: list[StepResult] = []
@@ -411,17 +438,14 @@ def zero_grads(params: Params):
         p.zero_grad()
 
 
-def finite_diff_gradient(loss_fn, params: Params, epsilon: float = 1e-5,
-                         coords_per_tensor: int | None = None,
+def finite_diff_gradient(loss_fn, params: Params, coords_per_tensor: int | None = None,
                          rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
-    """Central-difference gradient (f(t+e) - f(t-e)) / 2e per coordinate.
+    """Central-difference gradient (f(t+e) - f(t-e)) / 2e per coordinate, e = FD_EPSILON.
 
     With ``coords_per_tensor`` set (at least 1), only that many randomly
     chosen coordinates are evaluated per tensor; unsampled entries are NaN.
     ``loss_fn`` must be deterministic (checked by a repeated base evaluation).
     """
-    if not (1e-6 <= epsilon <= 1e-4):
-        raise InputError(f"epsilon {epsilon} outside [1e-6, 1e-4]")
     if coords_per_tensor is not None and coords_per_tensor < 1:
         raise InputError(f"coords per tensor must be >= 1, got {coords_per_tensor}")
     for name, p in params.items():
@@ -442,12 +466,12 @@ def finite_diff_gradient(loss_fn, params: Params, epsilon: float = 1e-5,
         g = np.full(n, np.nan)
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + epsilon
+            flat[i] = orig + FD_EPSILON
             hi = float(loss_fn(params))
-            flat[i] = orig - epsilon
+            flat[i] = orig - FD_EPSILON
             lo = float(loss_fn(params))
             flat[i] = orig
-            g[i] = (hi - lo) / (2.0 * epsilon)
+            g[i] = (hi - lo) / (2.0 * FD_EPSILON)
         out[name] = g.reshape(p.data.shape)
     return out
 
@@ -479,8 +503,7 @@ REFERENCE_TINY = ModelConfig(d_model=16, patch_len=4, n_max=4, n_main_blocks=2,
                              n_quantiles=3)
 
 
-def gradient_check_suite(seed: int = 0, coords_per_tensor: int = 24,
-                         epsilon: float = 1e-5) -> list[GradCheckReport]:
+def gradient_check_suite(seed: int = 0, coords_per_tensor: int = 24) -> list[GradCheckReport]:
     """Check every parameter family of the full pre-train loss against
     central finite differences on the reference tiny configuration, over a
     batch of two random-walk windows."""
@@ -500,7 +523,7 @@ def gradient_check_suite(seed: int = 0, coords_per_tensor: int = 24,
     loss().backward()
     entries = _expert_slices(params, cfg)
     # the entries are views into params, so loss() sees every perturbation
-    numeric = finite_diff_gradient(lambda _entries: float(loss().data), entries, epsilon,
+    numeric = finite_diff_gradient(lambda _entries: float(loss().data), entries,
                                    coords_per_tensor=coords_per_tensor,
                                    rng=np.random.default_rng(derive_seed(seed, 2)))
     analytic = {k: p.grad for k, p in entries.items()}

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serialcast.backbone import ModelConfig, init_params
-from serialcast.cli import MODEL_KEYS, TRAIN_KEYS, merge_config, run, save_config
+from serialcast.cli import MODEL_KEYS, TRAIN_KEYS, merge_config, run
 from serialcast.dataloader import (MANIFEST_NAME, ShardEntry, ShardManifest, WindowSampler,
-                                   build_shards, read_all_series, read_csv_series,
+                                   build_shards, read_all_series, read_csv_series, save_config,
                                    write_csv_series)
 from serialcast.errors import CheckpointError, DataError, InputError
 from serialcast.trainer import OptState, load_checkpoint, save_checkpoint

@@ -13,8 +13,9 @@ from serialcast import cli, trainer
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig
 from serialcast.cli import run
-from serialcast.dataloader import (MANIFEST_NAME, ShardManifest, build_shards, read_all_series,
-                                   read_csv_series, write_csv_series)
+from serialcast.dataloader import (MANIFEST_NAME, ShardManifest, build_shards, load_config_file,
+                                   read_all_series, read_csv_series, save_config,
+                                   write_csv_series)
 from serialcast.inference import expected_passes, forecast
 from serialcast.trainer import load_checkpoint, save_checkpoint
 
@@ -413,8 +414,8 @@ def test_stored_model_keys_compare_as_resolved(pipeline, tmp_path, capsys, n_hea
     # the run wrote n_heads=0, which a d_model=16 model resolves to 1 head
     ckpt = tmp_path / "m.sfck"
     shutil.copyfile(pipeline["ckpt"], ckpt)
-    stored = cli.load_config_file(pipeline["config"]) | {"n_heads": "0"}
-    cli.save_config(str(tmp_path / "config.txt"), stored)
+    stored = load_config_file(pipeline["config"]) | {"n_heads": "0"}
+    save_config(str(tmp_path / "config.txt"), stored)
     assert run(["forecast", "--checkpoint", str(ckpt), "--input", pipeline["csv"],
                 "--horizon", "8", "--n-heads", n_heads]) == code
     if code:
@@ -710,6 +711,32 @@ def test_resume_with_other_setting_exits_two(pipeline, tmp_path, capsys, flag, v
     assert f"{pipeline['ckpt']} was written by a run with {key}={stored}, " \
            f"this run has {key}={value}" in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("corpus, code", [("copy", 0), ("other", 2)])
+def test_resume_matches_a_source_by_its_crc(pipeline, tmp_path, capsys, corpus, code):
+    # a source is matched by its CRC32 and weight, not by its path: a copy of the
+    # corpus elsewhere resumes, a corpus with other content is refused
+    full = tmp_path / "full"
+    assert run(["train", "--data", pipeline["data"], "--out-dir", str(full), *MODEL_FLAGS,
+                "--steps", "3", "--batch-size", "2", "--checkpoint-interval", "1"]) == 0
+    data = tmp_path / corpus
+    if corpus == "copy":
+        shutil.copytree(pipeline["data"], data)
+    else:
+        assert run(["synth", "--format", "shard", "--count", "6", "--length", "400",
+                    "--period", "16", "--noise-sigma", "0.05", "--out", str(data),
+                    "--seed", "4"]) == 0
+    capsys.readouterr()
+    resumed = tmp_path / "resumed"
+    assert run(["train", "--resume", str(full / "pretrain_step000001.sfck"), "--data", str(data),
+                "--out-dir", str(resumed)]) == code
+    if code:
+        assert "source0_crc32=" in capsys.readouterr().err
+        assert not resumed.exists()
+    else:
+        assert (resumed / "pretrain.sfck").read_bytes() == (full / "pretrain.sfck").read_bytes()
+        assert f"source0={data}" in (resumed / "run.txt").read_text().splitlines()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -229,6 +229,25 @@ def test_contract_over_context_lengths(case):
                                       hb.data[0, : max(i - ahead, 0)])
 
 
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(st.integers(1, CFG.n_max * CFG.patch_len), _FINITE, _FINITE.filter(lambda a: a != 0),
+       _FINITE, st.integers(1, 2 * CFG.native_horizon))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_constant_context_moves_with_its_level_only(params, length, x0, a, b, horizon):
+    # a constant context normalizes with sigma = SIGMA_FLOOR, not its own scale, so
+    # a*x + b is not equivariant; what holds is that the forecast less the level
+    # does not depend on the level
+    x = np.full(length, x0)
+    moved = a * x0 + b
+    tol = 16 * np.finfo(np.float64).eps * max(1.0, abs(x0), abs(moved))
+    for fn in (forecast, forecast_rolling_ntp):
+        offset = fn(x, horizon, params, CFG).values - x0
+        moved_offset = fn(a * x + b, horizon, params, CFG).values - moved
+        assert np.abs(moved_offset - offset).max() <= tol, fn.__name__
+
+
 # per ModelConfig key: valid tiny values, then values that break the key alone
 # or together with another (an odd head size, top_k above n_experts)
 _CONFIG_VALUES = {

@@ -118,7 +118,7 @@ class TestEmbedPatches:
         ad.tsum(ad.mul(embed_patches(patches, masks, emb), w)).backward()
         fd = finite_diff_gradient(
             lambda p: float((embed_patches(p["x"], masks, emb).data * w).sum()),
-            {"x": patches}, 1e-5)
+            {"x": patches})
         reports = compare_gradients({"x": patches.grad}, fd)
         assert all(r.passed for r in reports)
 
