@@ -621,6 +621,8 @@ def test_posttrain_from_checkpoint(pipeline, capsys):
                 "--out-dir", out_dir])
     assert code == 0
     assert os.path.exists(os.path.join(out_dir, "posttrain.sfck"))
+    # the seed is a config key like the others: the pre-training's seed=5 carries over
+    assert load_config_file(os.path.join(out_dir, "config.txt"))["seed"] == "5"
 
 
 def test_posttrain_n_max_extends_context(pipeline, capsys):
