@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,9 @@ class ForecastDistribution:
     levels: QuantileGrid
     passes: int = 1  # forward passes spent producing it
     blocks: int = 0  # backbone blocks run over all passes (a serial block counts once)
-    wall_ms: float = 0.0  # each pass's wall time divided by the rows that shared it, summed
+    # its passes' wall time, each split among the rows that shared it; eval's
+    # wall_ms_p50 and bench's wall_ms_*_p50 are medians of it
+    wall_ms: float = 0.0
 
     @property
     def horizon(self) -> int:
@@ -186,12 +188,12 @@ def eval_crps_wql(dist: ForecastDistribution, actuals) -> float:
 
 @dataclass
 class EvalReport:
-    mase_per_series: list[float] = field(default_factory=list)
-    mase: float = float("nan")
-    crps_wql: float = float("nan")
-    passes_serial: int = 0
-    passes_rolling: int = 0
-    wall_ms_p50: float = 0.0
+    mase_per_series: list[float]
+    mase: float
+    crps_wql: float
+    passes_serial: int
+    passes_rolling: int
+    wall_ms_p50: float
 
     def lines(self) -> list[str]:
         return [
@@ -222,22 +224,18 @@ def evaluate(params: Params, cfg: ModelConfig, series_list, horizon: int, season
         raise InputError("evaluate needs at least one series")
     dists = _forecast_loop([context for context, _ in held], horizon, params, cfg,
                            _chunk_len(mode, cfg))
-    report = EvalReport()
-    crps_vals = []
-    for (context, actual), dist in zip(held, dists):
-        report.mase_per_series.append(mase(dist.median, actual, context, season))
-        crps_vals.append(eval_crps_wql(dist, actual))
+    mases = [mase(dist.median, actual, context, season)
+             for (context, actual), dist in zip(held, dists)]
+    finite = [v for v in mases if math.isfinite(v)]
     # the evaluated mode's passes are counted; the other mode's depend only on
     # the horizon, so they come from the closed form
     other = "rolling" if mode == "serial" else "serial"
     passes = {mode: sum(dist.passes for dist in dists),
               other: len(dists) * expected_passes(other, horizon, cfg)}
-    report.passes_serial, report.passes_rolling = passes["serial"], passes["rolling"]
-    finite = [v for v in report.mase_per_series if math.isfinite(v)]
-    report.mase = float(np.mean(finite)) if finite else float("nan")
-    report.crps_wql = float(np.mean(crps_vals))
-    report.wall_ms_p50 = float(np.median([dist.wall_ms for dist in dists]))
-    return report
+    return EvalReport(
+        mases, float(np.mean(finite)) if finite else float("nan"),
+        float(np.mean([eval_crps_wql(dist, actual) for (_, actual), dist in zip(held, dists)])),
+        passes["serial"], passes["rolling"], float(np.median([dist.wall_ms for dist in dists])))
 
 
 @dataclass
@@ -261,22 +259,19 @@ class BenchPoint:
 
 def bench_inference(params: Params, cfg: ModelConfig, horizons, repetitions: int = 5,
                     seed: int = 0) -> list[BenchPoint]:
-    """Median wall time and exact block counts, serial vs rolling, per horizon, on
-    one random walk of ``n_max * patch_len`` points."""
+    """Exact block and pass counts and median wall times, serial vs rolling, per
+    horizon, on one random walk of ``n_max * patch_len`` points. Each repetition
+    runs one serial and one rolling forecast back to back, so a burst of load
+    falls on both modes; a ``wall_ms_*_p50`` is the median of that mode's
+    forecasts' own ``wall_ms``, the time of their forward passes."""
     if repetitions < 1:
         raise InputError("repetitions must be >= 1")
     series = np.random.default_rng(seed).normal(size=cfg.n_max * cfg.patch_len).cumsum()
     out = []
     for f in horizons:
-        times = {"serial": [], "rolling": []}
-        dists = {}
-        for mode, fn in (("serial", forecast), ("rolling", forecast_rolling_ntp)):
-            for _ in range(repetitions):
-                t0 = time.perf_counter()
-                dists[mode] = fn(series, f, params, cfg)
-                times[mode].append(1000.0 * (time.perf_counter() - t0))
-        serial, rolling = dists["serial"], dists["rolling"]
+        pairs = [(forecast(series, f, params, cfg), forecast_rolling_ntp(series, f, params, cfg))
+                 for _ in range(repetitions)]
+        serial, rolling = pairs[-1]
         out.append(BenchPoint(f, serial.blocks, rolling.blocks, serial.passes, rolling.passes,
-                              float(np.median(times["serial"])),
-                              float(np.median(times["rolling"]))))
+                              *(float(np.median([d.wall_ms for d in ds])) for ds in zip(*pairs))))
     return out

@@ -225,8 +225,6 @@ def draw_window(sampler, total_points: int, rng: np.random.Generator,
             factor = 1.0
     if factor == 1.0:
         raw = sampler.sample_raw(total_points, rng)
-    if raw.size < total_points:  # rounding shortfall: extend by edge value
-        raw = np.concatenate([raw, np.full(total_points - raw.size, raw[-1])])
     if flip_prob > 0 and rng.random() < flip_prob:
         raw = value_flip(raw)
     return raw
@@ -364,9 +362,13 @@ def run_stage(model_cfg: ModelConfig, train_cfg: TrainConfig,
     model keys as ``ModelConfig`` resolves them and the train keys, then the
     stage and each source's corpus path, weight and CRC32. A resume first
     refuses, naming it, any setting but ``checkpoint_interval`` and a source's
-    path that differs from the one stored beside ``resume_from``."""
+    path that differs from the one stored beside ``resume_from``, and before
+    that a ``resume_from`` without moments. Given both checkpoints, it refuses."""
     if log_every < 0:
         raise InputError(f"log_every must be >= 0, got {log_every}")
+    if start_from and resume_from:
+        raise InputError(f"a run starts from a checkpoint or resumes one, not both: "
+                         f"start_from={start_from}, resume_from={resume_from}")
     if path := resume_from or start_from:
         params, opt = load_checkpoint(path)
         validate_params(params, model_cfg)
@@ -375,9 +377,11 @@ def run_stage(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 raise CheckpointError(f"precision={train_cfg.precision} trains in "
                                       f"{np.dtype(train_cfg.dtype)}, but {path} holds {name} "
                                       f"in {p.dtype}")
+        if resume_from and opt is None:
+            raise CheckpointError(f"{path} holds no optimizer moments, so it cannot be resumed")
     else:
         params, opt = init_params(model_cfg, seed=train_cfg.seed, dtype=train_cfg.dtype), None
-    opt = opt if resume_from and opt else OptState.fresh(params)
+    opt = opt if resume_from else OptState.fresh(params)
     sampler = MixtureSampler([(WindowSampler(m), w) for m, w in sources])
     config = asdict(model_cfg) | asdict(train_cfg)
     del config["out_dir"]

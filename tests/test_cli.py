@@ -715,6 +715,28 @@ def test_resume_with_other_setting_exits_two(pipeline, tmp_path, capsys, flag, v
     assert not (tmp_path / "run").exists()
 
 
+def test_resume_without_moments_exits_two(pipeline, tmp_path, capsys):
+    # a weights-only copy, with the run's settings beside it
+    weights = tmp_path / "weights"
+    weights.mkdir()
+    for name in trainer.SETTINGS_FILES:
+        shutil.copy(os.path.join(os.path.dirname(pipeline["ckpt"]), name), weights)
+    ckpt = str(weights / "pretrain.sfck")
+    save_checkpoint(load_checkpoint(pipeline["ckpt"])[0], None, ckpt)
+    assert run(["train", "--resume", ckpt, "--out-dir", str(tmp_path / "run")]) == 2
+    assert f"{ckpt} holds no optimizer moments" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "posttrain"])
+def test_checkpoint_and_resume_together_exit_one(pipeline, tmp_path, capsys, command):
+    argv = [command, "--checkpoint", pipeline["ckpt"], "--resume", pipeline["ckpt"],
+            "--out-dir", str(tmp_path / "run")]
+    assert run(argv) == 1
+    assert "not both" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("corpus, code", [("copy", 0), ("other", 2)])
 def test_resume_matches_a_source_by_its_crc(pipeline, tmp_path, capsys, corpus, code):
     # a source is matched by its CRC32 and weight, not by its path: a copy of the

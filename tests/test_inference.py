@@ -1,5 +1,6 @@
 """Forecast semantics, batching, pass counting, metrics, and the benchmark harness."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -440,3 +441,37 @@ class TestEvaluateAndBench:
         assert pt.passes_serial == 1
         assert pt.passes_rolling == CFG.n_serial_blocks + 1
         assert pt.wall_ms_serial_p50 > 0 and pt.wall_ms_rolling_p50 > 0
+
+    @pytest.fixture
+    def fake_forecasts(self, monkeypatch):
+        """Serial and rolling forecasts that record each call and return set wall times."""
+        walls = {"serial": [5.0, 1.0, 3.0, 9.0, 2.0], "rolling": [20.0, 40.0, 10.0, 50.0, 30.0]}
+        calls = []
+
+        def fake(mode, blocks):
+            wall = itertools.cycle(walls[mode])
+
+            def fn(series, horizon, params, cfg):
+                calls.append((mode, horizon))
+                return inference.ForecastDistribution(np.zeros((1, horizon)), None, passes=blocks,
+                                                      blocks=blocks, wall_ms=next(wall))
+            return fn
+
+        monkeypatch.setattr(inference, "forecast", fake("serial", 1))
+        monkeypatch.setattr(inference, "forecast_rolling_ntp", fake("rolling", 3))
+        return walls, calls
+
+    def test_bench_alternates_serial_and_rolling(self, params, fake_forecasts):
+        _walls, calls = fake_forecasts
+        bench_inference(params, CFG, [8, 12], repetitions=3)
+        assert calls == [(mode, h) for h in (8, 12) for _ in range(3)
+                         for mode in ("serial", "rolling")]
+
+    @pytest.mark.parametrize("repetitions", [1, 4, 5])
+    def test_bench_p50_is_median_of_forecast_wall_ms(self, params, fake_forecasts, repetitions):
+        walls, _calls = fake_forecasts
+        (point,) = bench_inference(params, CFG, [8], repetitions=repetitions)
+        assert point.wall_ms_serial_p50 == np.median(walls["serial"][:repetitions])
+        assert point.wall_ms_rolling_p50 == np.median(walls["rolling"][:repetitions])
+        assert (point.blocks_serial, point.blocks_rolling) == (1, 3)
+        assert (point.passes_serial, point.passes_rolling) == (1, 3)

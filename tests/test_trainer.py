@@ -16,15 +16,15 @@ from serialcast import cli, dataloader, trainer
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig, init_params, model_forward
 from serialcast.datagen import SignalSpec, gen_signal
-from serialcast.dataloader import (MANIFEST_NAME, ShardEntry, ShardManifest, build_shards,
-                                   write_csv_series)
-from serialcast.errors import CheckpointError, ConfigError, InputError
+from serialcast.dataloader import (MANIFEST_NAME, ShardEntry, ShardManifest, WindowSampler,
+                                   build_shards, write_csv_series)
+from serialcast.errors import CheckpointError, ConfigError, InputError, SamplerError
 from serialcast.tokenizer import make_batch
 from serialcast.trainer import (REFERENCE_TINY, OptState, TrainConfig, adamw_update,
                                 clip_gradients, compare_gradients, decayed_names, draw_batch,
-                                finite_diff_gradient, gradient_check_suite, load_checkpoint,
-                                lr_at, run_pretrain, run_stage, save_checkpoint, train_step,
-                                validate_params)
+                                draw_window, finite_diff_gradient, gradient_check_suite,
+                                load_checkpoint, lr_at, run_pretrain, run_stage, save_checkpoint,
+                                train_step, validate_params)
 
 
 @pytest.fixture
@@ -528,6 +528,29 @@ class TestResume:
             run_stage(model_cfg, tcfg, [(toy_manifest, 1.0)], resume_from=ckpt)
         assert not (tmp_path / "resumed").exists()
 
+    def test_checkpoint_without_moments_refused(self, toy_manifest, tmp_path):
+        # fresh moments would start the run again at step 0
+        tcfg = TrainConfig(stage="pretrain", steps=2, batch_size=2, seed=2,
+                           out_dir=str(tmp_path / "full"))
+        weights = str(tmp_path / "full" / "weights.sfck")  # beside the run's settings
+        save_checkpoint(run_pretrain(SMALL, tcfg, toy_manifest).params, None, weights)
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(weights)} holds no optimizer moments"):
+            run_stage(SMALL, replace(tcfg, out_dir=str(tmp_path / "resumed")),
+                      [(toy_manifest, 1.0)], resume_from=weights)
+        assert not (tmp_path / "resumed").exists()
+
+    def test_start_and_resume_together_refused(self, toy_manifest, tmp_path):
+        # refused before either is loaded: the start checkpoint does not exist
+        tcfg = TrainConfig(stage="pretrain", steps=2, batch_size=2, seed=2,
+                           out_dir=str(tmp_path / "full"))
+        ckpt = run_pretrain(SMALL, tcfg, toy_manifest).checkpoint_path
+        with pytest.raises(InputError, match="not both"):
+            run_stage(SMALL, replace(tcfg, out_dir=str(tmp_path / "resumed")),
+                      [(toy_manifest, 1.0)], start_from=str(tmp_path / "missing.sfck"),
+                      resume_from=ckpt)
+        assert not (tmp_path / "resumed").exists()
+
     def test_zero_steps_checkpoints_init(self, toy_manifest, tmp_path):
         tcfg = TrainConfig(stage="pretrain", steps=0, batch_size=2, seed=9,
                            out_dir=str(tmp_path / "zero"))
@@ -536,6 +559,25 @@ class TestResume:
         fresh = init_params(SMALL, seed=9, dtype=np.float32)
         for k in fresh:
             np.testing.assert_array_equal(loaded[k].data, fresh[k].data)
+
+
+class TestDrawWindow:
+    @pytest.mark.parametrize("factor", trainer.RESAMPLE_FACTORS)
+    def test_every_factor_draws_exactly_total_points(self, toy_manifest, monkeypatch, factor):
+        monkeypatch.setattr(trainer, "RESAMPLE_FACTORS", (factor,))
+        sampler, rng = WindowSampler(toy_manifest), np.random.default_rng(0)
+        for total in (32, 37, 45, 99, 100):
+            for _ in range(4):
+                assert draw_window(sampler, total, rng, 1.0, 0.0).size == total
+
+    def test_fallback_draws_exactly_total_points(self, toy_manifest, monkeypatch):
+        # 4 x 120 points is longer than any of the corpus's 400-point series,
+        # so the 0.25 factor falls back to the plain draw
+        sampler, rng = WindowSampler(toy_manifest), np.random.default_rng(0)
+        with pytest.raises(SamplerError):
+            sampler.sample_raw(480, rng)
+        monkeypatch.setattr(trainer, "RESAMPLE_FACTORS", (0.25,))
+        assert draw_window(sampler, 120, rng, 1.0, 0.0).size == 120
 
 
 class TestRunArguments:
