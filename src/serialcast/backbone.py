@@ -213,22 +213,14 @@ def embed_patches(patches, masks, params: Params) -> Tensor:
     return ad.add(skip, linear(hidden, "mlp_out"))
 
 
-def rope_angle_table(positions: np.ndarray, d: int, theta_base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables of shape (len(positions), d//2).
-
-    Pair m rotates by angle position * theta_base^(-2m/d).
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    freqs = theta_base ** (-2.0 * np.arange(d // 2) / d)
-    angles = positions[:, None] * freqs[None, :]
-    return np.cos(angles), np.sin(angles)
-
-
 # bounded: one entry per context length, head size and dtype in use
 @functools.lru_cache(maxsize=256)
 def rope_table(n: int, d: int, theta_base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only cos/sin tables for positions 0..n-1, cast once to ``dtype``."""
-    tables = tuple(t.astype(dtype) for t in rope_angle_table(np.arange(n), d, theta_base))
+    """Read-only cos/sin tables of shape (n, d//2) for positions 0..n-1, cast
+    once to ``dtype``. Pair m rotates by angle position * theta_base^(-2m/d)."""
+    freqs = theta_base ** (-2.0 * np.arange(d // 2) / d)
+    angles = np.arange(n, dtype=np.float64)[:, None] * freqs[None, :]
+    tables = tuple(t.astype(dtype) for t in (np.cos(angles), np.sin(angles)))
     for t in tables:
         t.flags.writeable = False
     return tables

@@ -5,7 +5,8 @@ eval, bench. Configuration keys, the seed among them, come from defaults < the
 settings beside the loaded checkpoint < a key=value --config file < flags.
 Unknown keys are rejected; the result is echoed. A model key other than the
 stored one exits 2 on forecast, eval and bench; on --resume, ``run_stage``
-refuses any setting the run would change.
+refuses any setting the run would change. train and posttrain take
+--checkpoint or --resume, not both.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
@@ -324,8 +325,10 @@ def build_parser(only: str | None = None) -> _Parser:
         if p := command(name, summary, cmd_train):
             p.set_defaults(stage=stage)
             model_config(p, train=True)
-            p.add_argument("--checkpoint", default=None, help="weights to start from")
-            p.add_argument("--resume", default=None, help="checkpoint to go on from")
+            # start from a checkpoint or resume one: the pair exits 1 before any file is read
+            start = p.add_mutually_exclusive_group()
+            start.add_argument("--checkpoint", default=None, help="weights to start from")
+            start.add_argument("--resume", default=None, help="checkpoint to go on from")
             p.add_argument("--data", default=None, help="manifest path or shard dir")
             p.add_argument("--revisit", default=None, help="second corpus manifest to mix in")
             p.add_argument("--mixture-weights", dest="mixture_weights", default=None)

@@ -174,8 +174,8 @@ def mase(forecast_median, actuals, insample, season: int = 1) -> float:
 
 
 def eval_crps_wql(dist: ForecastDistribution, actuals) -> float:
-    """Mean over levels of the weighted quantile loss, in data scale: ``wql``
-    of every level at once, each level's sums as ``wql`` adds them."""
+    """Mean over levels of the weighted quantile loss 2 * sum(pinball) /
+    max(sum|y|, eps), in data scale, every level at once."""
     y = np.asarray(actuals, dtype=np.float64)
     q = np.asarray(dist.levels.levels)[:, None]
     e = y - dist.values

@@ -1,4 +1,4 @@
-"""Quantile grids and the training loss, plus reference forms of the metrics.
+"""Quantile grids and the training loss.
 
 The main stack's outputs predict the patch one step ahead and serial block
 j's outputs the patch j+1 ahead, so next-patch training is depth 0 of one
@@ -37,10 +37,6 @@ class QuantileGrid:
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise InputError("quantile levels must be strictly increasing")
 
-    @property
-    def q(self) -> int:
-        return len(self.levels)
-
     def median_index(self) -> int:
         """Index of the level closest to 0.5 (exact when 0.5 is in the grid)."""
         return int(np.argmin(np.abs(np.asarray(self.levels) - 0.5)))
@@ -51,26 +47,6 @@ def default_grid(n_levels: int) -> QuantileGrid:
     if n_levels == 1:
         return QuantileGrid((0.5,))
     return QuantileGrid(tuple(float(q) for q in np.linspace(0.1, 0.9, n_levels).round(6)))
-
-
-# -- scalar/numpy reference forms ---------------------------------------
-
-
-def pinball(x: float, xhat: float, q: float) -> float:
-    """(1-q)(xhat-x) if x < xhat else q(x-xhat); nonnegative."""
-    if not (0.0 < q < 1.0):
-        raise InputError("pinball level must be in (0, 1)")
-    return (1.0 - q) * (xhat - x) if x < xhat else q * (x - xhat)
-
-
-def wql(x, xhat, q: float, mask=None) -> float:
-    """2 * sum(pinball) / max(sum|x|, eps) over observed positions."""
-    x = np.asarray(x, dtype=np.float64)
-    xhat = np.asarray(xhat, dtype=np.float64)
-    m = np.ones_like(x) if mask is None else np.asarray(mask, dtype=np.float64)
-    e = x - xhat
-    rho = np.maximum(q * e, (q - 1.0) * e) * m
-    return 2.0 * rho.sum() / max((np.abs(x) * m).sum(), WQL_EPS)
 
 
 # -- training loss -------------------------------------------------------

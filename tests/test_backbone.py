@@ -9,7 +9,7 @@ from serialcast import autodiff as ad
 from serialcast import backbone, inference, objectives
 from serialcast.autodiff import Tensor, rmsnorm
 from serialcast.backbone import (ModelConfig, Routing, attention_forward, init_params,
-                                 model_forward, moe_forward, moe_block, rope_angle_table,
+                                 model_forward, moe_forward, moe_block, rope_table,
                                  scaled_masked_softmax, serial_block)
 from serialcast.errors import ConfigError, InputError
 from serialcast.tokenizer import make_batch
@@ -24,7 +24,7 @@ def reference_scores(h: np.ndarray, params, prefix: str, cfg: ModelConfig) -> np
     k = h @ wk
     q = q / np.linalg.norm(q, axis=-1, keepdims=True)
     k = k / np.linalg.norm(k, axis=-1, keepdims=True)
-    cos, sin = rope_angle_table(np.arange(n), q.shape[-1], cfg.theta_base)
+    cos, sin = rope_table(n, q.shape[-1], cfg.theta_base, np.dtype(np.float64))
 
     def rot(v, c, s):
         out = np.empty_like(v)
@@ -412,8 +412,8 @@ def rotary_rotate(v, position: int, theta_base: float = 10000.0) -> Tensor:
     v = ad.astensor(v)
     if position < 0:
         raise InputError("rotary position must be >= 0")
-    cos, sin = rope_angle_table(np.array([position]), v.shape[-1], theta_base)
-    return ad.rope_rotate(v, cos[0], sin[0])
+    cos, sin = rope_table(position + 1, v.shape[-1], theta_base, np.dtype(np.float64))
+    return ad.rope_rotate(v, cos[position], sin[position])
 
 
 class TestRotary:

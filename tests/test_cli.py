@@ -733,7 +733,22 @@ def test_checkpoint_and_resume_together_exit_one(pipeline, tmp_path, capsys, com
     argv = [command, "--checkpoint", pipeline["ckpt"], "--resume", pipeline["ckpt"],
             "--out-dir", str(tmp_path / "run")]
     assert run(argv) == 1
-    assert "not both" in capsys.readouterr().err
+    assert "--resume: not allowed with argument --checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "posttrain"])
+def test_checkpoint_and_resume_refused_before_settings_are_read(pipeline, tmp_path, capsys,
+                                                                command):
+    # the resumed checkpoint has no settings beside it: the pair is refused
+    # before they are looked for
+    lonely = tmp_path / "lonely"
+    lonely.mkdir()
+    shutil.copy(pipeline["ckpt"], lonely)
+    argv = [command, "--checkpoint", pipeline["ckpt"], "--resume", str(lonely / "pretrain.sfck"),
+            "--out-dir", str(tmp_path / "run")]
+    assert run(argv) == 1
+    assert "--resume: not allowed with argument --checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

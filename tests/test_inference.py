@@ -15,8 +15,10 @@ from serialcast.errors import ConfigError, InputError
 from serialcast.inference import (_chunk_len, _forecast_loop, _group_pass, bench_inference,
                                   eval_crps_wql, evaluate, expected_block_count, expected_passes,
                                   forecast, forecast_rolling_ntp, mase, seasonal_naive_scale)
-from serialcast.objectives import QuantileGrid, pinball, wql
+from serialcast.objectives import QuantileGrid
 from serialcast.tokenizer import make_batch
+
+from oracles import pinball, wql
 
 CFG = ModelConfig(d_model=16, patch_len=4, n_max=8, n_main_blocks=2, n_serial_blocks=3,
                   n_experts=2, top_k=1, n_heads=1, n_quantiles=5)

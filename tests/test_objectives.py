@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from serialcast.backbone import ModelConfig, init_params, model_forward
 from serialcast.errors import InputError
 from serialcast.objectives import (QuantileGrid, default_grid, depth_losses, mean_aux_loss,
-                                   patch_project, pinball, stage_loss, wql,
-                                   horizon_decay_weights)
+                                   patch_project, stage_loss, horizon_decay_weights)
 from serialcast.tokenizer import make_supervised_batch
+
+from oracles import pinball, wql
 
 level = st.floats(0.01, 0.99)
 
@@ -20,8 +21,8 @@ level = st.floats(0.01, 0.99)
 def pred_loss(x_patch, preds, grid: QuantileGrid, mask=None) -> float:
     """Mean over levels of wQL for one patch; preds has shape (Q, P)."""
     preds = np.asarray(preds, dtype=np.float64)
-    if preds.shape[0] != grid.q:
-        raise InputError(f"expected {grid.q} quantile rows, got {preds.shape[0]}")
+    if preds.shape[0] != len(grid.levels):
+        raise InputError(f"expected {len(grid.levels)} quantile rows, got {preds.shape[0]}")
     return float(np.mean([wql(x_patch, preds[k], qk, mask) for k, qk in enumerate(grid.levels)]))
 value = st.floats(-100.0, 100.0)
 
@@ -302,7 +303,7 @@ def test_float32_graph_is_float32_throughout(tiny_cfg, tiny_batch):
 class TestGridValidation:
     def test_default_grid(self):
         grid = QuantileGrid()
-        assert grid.q == 9 and grid.levels[4] == 0.5 and grid.median_index() == 4
+        assert len(grid.levels) == 9 and grid.levels[4] == 0.5 and grid.median_index() == 4
 
     def test_monotone_required(self):
         with pytest.raises(InputError):
