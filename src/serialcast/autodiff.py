@@ -6,8 +6,9 @@ topological order and accumulates gradients into every reachable tensor that
 has ``requires_grad`` set (or that sits between such a tensor and the output).
 
 All ops broadcast like numpy; gradients of broadcast operands are summed back
-to the operand's shape. Graph construction can be suppressed globally with
-``no_grad()`` for inference-speed forward passes.
+to the operand's shape. An op records a graph only when an input requires
+grad, so a forward pass over weights that do not, as inference runs it,
+records none.
 
 The fused layer ops (``rmsnorm``, ``l2_normalize``, ``softmax`` with a mask
 and a scale) are one node each with a hand-written backward, computing in the
@@ -17,27 +18,13 @@ input's dtype, so an f32 model stays f32. A model's parameters travel as
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-_GRAD_ENABLED = True
 FULL_TILE = 16  # output columns per full BLAS kernel tile, see grouped_linear
 L2_GUARD = 1e-12  # l2_normalize's denominator floor for zero vectors
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph construction inside the context (pure-numpy forward)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -113,15 +100,16 @@ def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None] | None) -> Tensor:
-    """Build an op output; skips graph recording when grads are off/unneeded."""
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[Tensor], None]) -> Tensor:
+    """Build an op output that records its graph, and so requires grad itself,
+    iff some parent requires grad."""
     out = Tensor(data)
-    if not _GRAD_ENABLED or backward is None:
-        return out
-    if any(p.requires_grad or p._parents for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward  # gets the output passed in, so no node refers to itself
+    for p in parents:  # a plain loop: any() over a generator costs more per op
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = backward  # gets the output passed in, so no node refers to itself
+            break
     return out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Params, Tensor, no_grad
+from .autodiff import Params, Tensor
 from .backbone import ModelConfig, model_forward, patch_project
 from .dataloader import finite_series
 from .errors import InputError, NumericError
@@ -84,12 +84,11 @@ def _group_pass(contexts, depth: int, params: Params, cfg: ModelConfig):
     and the number of blocks the pass ran."""
     batch = make_batch(contexts, cfg.patch_len, cfg.n_max)
     rows, last_token = np.arange(len(contexts)), batch.last_token
-    with no_grad():
-        trace = model_forward(batch, params, cfg, depth, last_token)
-        # each row's last real token feeds predictions: every depth's (B, 1, d)
-        # rows, stacked depth-major, go through the head once, each its own product
-        last = np.concatenate([h.data[rows, last_token, None] for h in trace.depth_outputs])
-        heads = patch_project(Tensor(last), params, cfg).data[:, 0]  # ((depth+1)*B, Q, P)
+    trace = model_forward(batch, params, cfg, depth, last_token)
+    # each row's last real token feeds predictions: every depth's (B, 1, d)
+    # rows, stacked depth-major, go through the head once, each its own product
+    last = np.concatenate([h.data[rows, last_token, None] for h in trace.depth_outputs])
+    heads = patch_project(Tensor(last), params, cfg).data[:, 0]  # ((depth+1)*B, Q, P)
     raw = np.concatenate(heads.reshape(depth + 1, len(contexts), *heads.shape[1:]), axis=2)
     return denormalize(raw, batch.mu[:, None, None], batch.sigma[:, None, None]), len(trace.aux)
 
@@ -103,6 +102,9 @@ def _forecast_loop(series_list, horizon: int, params: Params, cfg: ModelConfig,
     sorted along the level axis; a pass that is not all finite raises."""
     if horizon < 1:
         raise InputError("horizon must be >= 1")
+    # the same weights, sharing their data, as tensors that do not require
+    # grad: no op of the passes records a graph
+    params = {k: Tensor(p.data) for k, p in params.items()}
     grid = default_grid(cfg.n_quantiles)
     contexts = [_truncate(finite_series(s, f"series {i}"), cfg) for i, s in enumerate(series_list)]
     chunks: list[list[np.ndarray]] = [[] for _ in contexts]

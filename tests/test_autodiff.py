@@ -236,11 +236,9 @@ def test_backward_requires_scalar():
         ad.mul(x, 2.0).backward()
 
 
-def test_no_grad_suppresses_graph():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with ad.no_grad():
-        y = ad.mul(x, 2.0)
-    assert y._parents == () and y._backward is None
+def test_op_without_grad_inputs_records_no_graph():
+    y = ad.mul(Tensor(np.ones(3)), 2.0)
+    assert y._parents == () and y._backward is None and not y.requires_grad
 
 
 def test_deep_chain_iterative_topo():

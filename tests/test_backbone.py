@@ -319,9 +319,8 @@ class TestModelForward:
                            cfg.n_max)
         last = batch.last_token
         real, b, k = int((last + 1).sum()), len(last), cfg.top_k
-        with ad.no_grad():
-            every = model_forward(batch, params, cfg, cfg.n_serial_blocks)
-            read = model_forward(batch, params, cfg, cfg.n_serial_blocks, last)
+        every = model_forward(batch, params, cfg, cfg.n_serial_blocks)
+        read = model_forward(batch, params, cfg, cfg.n_serial_blocks, last)
         assert real < b * cfg.n_max
         assert [r.counts.sum() for r in every.aux] == [k * real] * len(every.aux)
         assert [r.counts.sum() for r in read.aux] == [k * real] * (len(read.aux) - 1) + [k * b]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serialcast import inference
+from serialcast import autodiff, inference
 from serialcast.backbone import (VARIANT_SERIAL, VARIANT_SHIFT, ModelConfig, init_params,
                                  model_forward)
 from serialcast.errors import ConfigError, InputError
@@ -52,6 +52,27 @@ class TestForecast:
         assert dist.passes == 2
         assert dist.values.shape[1] == f
         assert dist.blocks == (CFG.n_main_blocks + CFG.n_serial_blocks) + CFG.n_main_blocks
+
+    @pytest.mark.parametrize("run", [forecast, forecast_rolling_ntp])
+    def test_forecast_records_no_graph(self, series, monkeypatch, run):
+        # a trainer's weights require grad and may hold grads; a forecast over
+        # them records no op output that requires grad and leaves both alone
+        params = init_params(CFG, seed=3, dtype=np.float64)
+        grads = {k: np.full_like(p.data, 0.5) for k, p in params.items()}
+        for k, p in params.items():
+            p.grad = grads[k]
+        make, outputs = autodiff._make, []
+
+        def counted(*args):
+            outputs.append(make(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(autodiff, "_make", counted)
+        run(series, CFG.native_horizon + CFG.patch_len, params, CFG)
+        assert outputs and sum(out.requires_grad for out in outputs) == 0
+        for k, p in params.items():
+            assert p.requires_grad and p.grad is grads[k], k
+            np.testing.assert_array_equal(p.grad, 0.5)
 
     def test_prefix_consistency_exact(self, params, series):
         full = forecast(series, CFG.native_horizon, params, CFG)

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import threading
 import zlib
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from serialcast import autodiff as ad
-from serialcast import cli, dataloader, trainer
+from serialcast import cli, dataloader, inference, trainer
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig, init_params, model_forward
 from serialcast.datagen import SignalSpec, gen_signal
@@ -271,6 +272,44 @@ class TestTrainStep:
         res = train_step(params, batch, SMALL, tcfg, opt, 1e-3, decayed_names(SMALL))
         assert math.isfinite(res.loss) and res.grad_norm == np.inf
         self._assert_skipped(res, params, opt, before)
+
+    def test_step_alone_while_a_forecast_runs_in_another_thread(self, toy_manifest,
+                                                                monkeypatch):
+        # a forecast held inside its pass changes nothing a step on the thread
+        # beside it records: its StepResult and its weights are the lone step's
+        tcfg = TrainConfig(stage="pretrain", steps=1, batch_size=2, precision="f64")
+
+        def step():
+            params = init_params(SMALL, seed=0, dtype=np.float64)
+            batch = draw_batch(WindowSampler(toy_manifest), SMALL, tcfg, 0)
+            res = train_step(params, batch, SMALL, tcfg, OptState.fresh(params), 1e-3,
+                             decayed_names(SMALL))
+            return res, {k: p.data for k, p in params.items()}
+
+        alone, weights = step()
+        entered, release, done = threading.Event(), threading.Event(), []
+        forward = inference.model_forward
+
+        def held(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=60)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "model_forward", held)
+        other = init_params(SMALL, seed=1, dtype=np.float64)
+        thread = threading.Thread(target=lambda: done.append(
+            inference.forecast(np.sin(np.arange(24) / 3.0), SMALL.patch_len, other, SMALL)))
+        thread.start()
+        try:
+            assert entered.wait(timeout=60)
+            during, after = step()
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive() and len(done) == 1
+        assert during == alone and not during.skipped and during.grad_norm > 0
+        for k in weights:
+            np.testing.assert_array_equal(after[k], weights[k])
 
     def test_trajectory_deterministic(self, toy_manifest, tmp_path):
         tcfg = lambda sub: TrainConfig(stage="pretrain", steps=4, batch_size=2, seed=11,
