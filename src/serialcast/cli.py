@@ -23,10 +23,10 @@ from typing import get_type_hints
 import numpy as np
 
 from .backbone import ModelConfig, init_params
-from .datagen import (SignalSpec, adf_statistic, dataset_complexity, derive_seed, forecastability,
-                      gen_signal)
-from .dataloader import (DEFAULT_SHARD_BYTES, MANIFEST_NAME, ShardManifest, build_shards,
-                         csv_lines, default_data_dir, load_config_file, read_all_series,
+from .datagen import (ComplexityPoint, SignalSpec, adf_statistic, dataset_complexity, derive_seed,
+                      forecastability, gen_signal)
+from .dataloader import (DEFAULT_DATA_DIR, DEFAULT_SHARD_BYTES, MANIFEST_NAME, ShardManifest,
+                         build_shards, csv_lines, load_config_file, read_all_series,
                          read_csv_series, write_csv_series, write_whole)
 from .errors import ConfigError, InputError, NumericError, SerialcastError
 from .inference import (bench_inference, evaluate, expected_block_count, forecast,
@@ -162,10 +162,11 @@ def cmd_stats(args) -> int:
         variates = read_all_series(ShardManifest.load(_manifest_path(args.manifest)))
     else:
         variates = _gather_series(args.input)
+    points = []  # each series' figures, printed as they come
     for i, v in enumerate(variates):
-        print(f"series {i}: n={v.size} adf={adf_statistic(v, args.lag):.4f} "
-              f"forecastability={forecastability(v):.4f}")
-    point = dataset_complexity(variates, args.lag)
+        points.append(p := ComplexityPoint(adf_statistic(v, args.lag), forecastability(v)))
+        print(f"series {i}: n={v.size} adf={p.adf:.4f} forecastability={p.forecastability:.4f}")
+    point = dataset_complexity([v.size for v in variates], points)
     print(f"aggregate adf {point.adf:.6f}")
     print(f"aggregate forecastability {point.forecastability:.6f}")
     return 0
@@ -195,7 +196,7 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(stage=args.stage, out_dir=args.out_dir,
                        **{k: merged[k] for k in TRAIN_KEYS})
     # on --resume, run.txt stands in for each source not given
-    paths = [_manifest_path(p) for p in (args.data or stored.get("source0") or default_data_dir(),
+    paths = [_manifest_path(p) for p in (args.data or stored.get("source0") or DEFAULT_DATA_DIR,
                                          args.revisit or stored.get("source1")) if p]
     weights = _number_list(args.mixture_weights or ",".join(stored.get(f"source{i}_weight", "1.0")
                            for i in range(len(paths))), "--mixture-weights", float)
@@ -313,7 +314,7 @@ def build_parser(only: str | None = None) -> _Parser:
     if p := command("shard", "pack CSV series into shards", cmd_shard):
         p.add_argument("--input", nargs="+", required=True)
         p.add_argument("--shard-bytes", dest="shard_bytes", type=int, default=DEFAULT_SHARD_BYTES)
-        p.add_argument("--out", default=default_data_dir())
+        p.add_argument("--out", default=DEFAULT_DATA_DIR)
 
     if p := command("stats", "complexity statistics (unit-root, forecastability)", cmd_stats):
         p.add_argument("--input", nargs="*", default=[])

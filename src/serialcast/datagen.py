@@ -204,15 +204,13 @@ def forecastability(series) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def dataset_complexity(variates, lag_order: int | None = None) -> ComplexityPoint:
-    """Length-weighted mean ADF statistic and forecastability over variates."""
-    variates = [np.asarray(v, dtype=np.float64) for v in variates]
-    if not variates:
+def dataset_complexity(lengths: list[int], points: list[ComplexityPoint]) -> ComplexityPoint:
+    """Length-weighted mean of each variate's ADF statistic and forecastability."""
+    if not points:
         raise InputError("dataset_complexity needs at least one variate")
-    lengths = np.array([v.size for v in variates], dtype=np.float64)
-    w = lengths / lengths.sum()
-    adf = float(sum(wi * adf_statistic(v, lag_order) for wi, v in zip(w, variates)))
-    fc = float(sum(wi * forecastability(v) for wi, v in zip(w, variates)))
+    w = np.array(lengths, dtype=np.float64) / sum(lengths)
+    adf = float(sum(wi * p.adf for wi, p in zip(w, points)))
+    fc = float(sum(wi * p.forecastability for wi, p in zip(w, points)))
     return ComplexityPoint(adf=adf, forecastability=fc)
 
 

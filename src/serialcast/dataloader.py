@@ -14,12 +14,13 @@ lengths are stored::
     crc32 <CRC32 of every byte before this line, 8 hex digits>
 
 Loading the manifest checks its version, then its CRC; checking a shard
-checks that its size is 4 x the sum of its lengths, then streams its CRC
-and checks that every value is finite, as the writer requires too.
-The sampler checks a shard the first time it draws from it, then reads each
-window with one ``pread``, after checking that the shard's size and mtime
-have not moved. Any mismatch is a ``DataError`` that names the file. A
-version-1 corpus must be rebuilt. Every file is written whole (``write_whole``).
+checks that its size is 4 x the sum of its lengths, then its CRC and that
+every value is finite, as the writer requires too. The sampler checks a shard
+the first time it draws from it. Every read of a shard, the check's included,
+is one ``pread`` (``read_values``) after checking that the shard's size and
+mtime have not moved since the check began. Any mismatch is a ``DataError``
+that names the file. A version-1 corpus must be rebuilt. Every file is
+written whole (``write_whole``).
 A rebuild takes the lowest free ``shard_NNNNN.sfd`` names, replaces the manifest
 last, then removes the old shards, so a failed rebuild keeps the old corpus.
 """
@@ -43,9 +44,8 @@ MANIFEST_NAME = "manifest.sfm"
 MIN_SHARD_BYTES = 1 << 20
 CHECK_CHUNK = 1 << 16  # bytes a shard check holds at once
 DEFAULT_SHARD_BYTES = 4 << 20
+DEFAULT_DATA_DIR = os.path.join(".", "data")
 VALUE_DTYPE = np.dtype("<f4")
-
-DATA_DIR_ENV = "SF_DATA_DIR"
 
 _VERSION_LINE = re.compile(rf"{MANIFEST_MAGIC} ([0-9]+)")
 _SHARD_LINE = re.compile(r"(\S+) ([0-9a-f]{8}) ([0-9]+(?:,[0-9]+)*)")
@@ -242,34 +242,25 @@ def build_shards(series_iter, shard_bytes: int = DEFAULT_SHARD_BYTES,
     return manifest
 
 
-def _stamp(fd: int) -> tuple[int, int]:
-    st = os.fstat(fd)
+def _stamp(file: str | int) -> tuple[int, int]:
+    st = os.stat(file)
     return st.st_size, st.st_mtime_ns
 
 
 def check_shard(path: str, crc32: int, lengths: list[int]) -> tuple[int, int]:
-    """Check one shard against its manifest entry: its size, then the CRC32 of
-    its bytes, streamed ``CHECK_CHUNK`` bytes at a time, then that every value
-    is finite. Returns the file's (size, mtime_ns) stamp."""
-    width = VALUE_DTYPE.itemsize
-    expected = width * sum(lengths)
-    with open(path, "rb", buffering=0) as f:
-        stamp = _stamp(f.fileno())
-        buf = memoryview(bytearray(CHECK_CHUNK))
-        crc = done = 0
-        first_bad = None  # index of the first value that is not finite
-        while stamp[0] == expected and (got := f.readinto(buf[: expected - done])):
-            while got % width and (more := f.readinto(buf[got : expected - done])):
-                got += more  # a short read: complete the last value
-            crc = zlib.crc32(buf[:got], crc)
-            values = np.frombuffer(buf[: got - got % width], VALUE_DTYPE)
-            if first_bad is None and (bad := _first_non_finite(values)) is not None:
-                first_bad = done // width + bad
-            done += got
-    size = stamp[0] if stamp[0] != expected else done  # done falls short if it shrank meanwhile
-    if size != expected:
-        raise DataError(f"{path}: {size} bytes, but the manifest's lengths need {expected}: "
-                        "truncated shard or mismatched manifest")
+    """Check one shard against its manifest entry: its size, then, read
+    ``CHECK_CHUNK`` bytes at a time through ``read_values``, its CRC32 and that
+    every value is finite. Returns the (size, mtime_ns) stamp all reads match."""
+    width, total, stamp = VALUE_DTYPE.itemsize, sum(lengths), _stamp(path)
+    if stamp[0] != width * total:
+        raise DataError(f"{path}: {stamp[0]} bytes, but the manifest's lengths need "
+                        f"{width * total}: truncated shard or mismatched manifest")
+    crc, first_bad, step = 0, None, CHECK_CHUNK // width
+    for start in range(0, total, step):
+        values = read_values(path, stamp, start, min(step, total - start))
+        crc = zlib.crc32(values, crc)
+        if first_bad is None and (bad := _first_non_finite(values)) is not None:
+            first_bad = start + bad
     if crc != crc32:
         raise DataError(f"{path}: checksum mismatch, shard rejected")
     if first_bad is not None:
@@ -279,9 +270,10 @@ def check_shard(path: str, crc32: int, lengths: list[int]) -> tuple[int, int]:
 
 
 def read_values(path: str, stamp: tuple[int, int], start: int, count: int) -> np.ndarray:
-    """``count`` float32 values from value ``start`` of a checked shard, in one
-    pread. A file whose (size, mtime_ns) moved from ``stamp``, or a short read,
-    is a ``DataError``; an in-place rewrite within one mtime tick is not seen."""
+    """``count`` float32 values from value ``start`` of a shard, in one pread:
+    every read of a shard, its check's too, comes through here. A file whose
+    (size, mtime_ns) moved from ``stamp``, or a short read, is a ``DataError``;
+    an in-place rewrite within one mtime tick is not seen."""
     size, at = count * VALUE_DTYPE.itemsize, start * VALUE_DTYPE.itemsize
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -413,7 +405,3 @@ def csv_lines(values, label: str) -> str:
 
 def write_csv_series(path: str, values):
     write_whole(path, [csv_lines(values, path).encode()])
-
-
-def default_data_dir() -> str:
-    return os.environ.get(DATA_DIR_ENV, os.path.join(".", "data"))

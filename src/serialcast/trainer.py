@@ -10,12 +10,14 @@ Checkpoint format "SFCK" version 2 (little-endian): magic, u32 version,
 u64 optimizer step, u32 parameter count, then one stream of tensor records
 read front to back, each ``u16 name length, name, u8 dtype code, u8 ndim,
 ndim x u64 shape, raw values``. The parameters come first; the optimizer
-moments, when saved, follow as ``m.<name>`` and ``v.<name>`` records. A
-CRC32 of everything before it ends the file. Loading checks the magic, the
-CRC, then the version, so a flipped byte, a truncated file or a version-1
-file is a ``CheckpointError``. Saving goes through ``dataloader.write_whole``
-(temporary file, fsync, rename), so a failed save leaves the previous
-checkpoint intact. Save -> load -> save is byte-identical.
+moments, when saved, follow as an ``m.<name>`` record per parameter, then a
+``v.<name>`` per parameter, in parameter order and of its shape. Every tensor
+has one dtype. A CRC32 of everything before it ends the file. Loading checks
+the magic, the CRC, the version, then that layout, so a flipped byte, a
+truncated file, a version-1 file or another layout is a ``CheckpointError``;
+saving refuses another layout before it writes, then goes through
+``dataloader.write_whole`` (temporary file, fsync, rename), so a failed save
+leaves the previous checkpoint intact. Save -> load -> save is byte-identical.
 
 Gradient checking compares every analytic gradient with an independent
 central-difference estimate (``finite_diff_gradient``) in 64-bit; training
@@ -24,6 +26,7 @@ may run the same code in 32-bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -245,33 +248,42 @@ def draw_batch(sampler, model_cfg: ModelConfig, train_cfg: TrainConfig, step: in
 # -- checkpoints -----------------------------------------------------------
 
 
-def _encode(params: Params, state: OptState | None):
-    """The checkpoint's chunks in file order, all but the CRC trailer."""
-    step = 0 if state is None else state.step
-    yield _HEADER.pack(CKPT_MAGIC, CKPT_VERSION, step, len(params))
+def _records(params: Params, state: OptState | None) -> list[tuple[str, np.ndarray]]:
+    """The tensor records in file order: the parameters, then the moments."""
     records = [(k, p.data) for k, p in params.items()]
     if state is not None:
         records += [(f"m.{k}", a) for k, a in state.m.items()]
         records += [(f"v.{k}", a) for k, a in state.v.items()]
-    for name, arr in records:
-        if arr.dtype not in _DTYPE_CODES:
-            raise CheckpointError(f"unsupported dtype {arr.dtype} for {name}")
-        nb = name.encode()
-        yield struct.pack(f"<H{len(nb)}sBB{arr.ndim}Q", len(nb), nb, _DTYPE_CODES[arr.dtype],
-                          arr.ndim, *arr.shape)
-        yield np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+    return records
+
+
+def _refuse_layout(path: str, records: list[tuple[str, np.ndarray]], count: int):
+    """Refuse records but those ``_records`` gives: ``count`` distinct parameters,
+    then an ``m.`` and a ``v.`` record of each one's shape, in parameter order,
+    or no moments; all in one dtype a checkpoint stores."""
+    given = [(k, a.shape) for k, a in records[count:]]
+    moments = [(f"{s}.{k}", a.shape) for s in "mv" for k, a in records[:count]]
+    if len(dict(records[:count])) != count or given not in ([], moments):
+        raise CheckpointError(f"{path}: expected {count} distinct parameter records, then an m. "
+                              "and a v. record of each one's shape, in parameter order, or none")
+    if len(dtypes := {a.dtype for _, a in records}) > 1 or not dtypes <= _DTYPE_CODES.keys():
+        raise CheckpointError(f"{path}: tensors in {', '.join(sorted(map(str, dtypes)))}; a "
+                              "checkpoint holds one dtype, float32 or float64")
 
 
 def save_checkpoint(params: Params, state: OptState | None, path: str):
-    """Write the checkpoint whole: a failed save leaves the previous one untouched."""
-    def chunks():
-        crc = 0
-        for chunk in _encode(params, state):
-            crc = zlib.crc32(chunk, crc)
-            yield chunk
-        yield struct.pack("<I", crc)
-
-    write_whole(path, chunks())
+    """Write the checkpoint whole: a failed save leaves the previous one untouched,
+    and a layout ``load_checkpoint`` would refuse is refused before any write."""
+    records = _records(params, state)
+    _refuse_layout(path, records, len(params))
+    chunks = [_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, state.step if state else 0, len(params))]
+    for name, arr in records:
+        nb = name.encode()
+        chunks += [struct.pack(f"<H{len(nb)}sBB{arr.ndim}Q", len(nb), nb, _DTYPE_CODES[arr.dtype],
+                               arr.ndim, *arr.shape),
+                   np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))]
+    crc = functools.reduce(lambda crc, chunk: zlib.crc32(chunk, crc), chunks, 0)
+    write_whole(path, [*chunks, struct.pack("<I", crc)])
 
 
 def load_checkpoint(path: str) -> tuple[Params, OptState | None]:
@@ -304,17 +316,15 @@ def load_checkpoint(path: str) -> tuple[Params, OptState | None]:
             off += size * dtype.itemsize
     except (struct.error, ValueError) as e:
         raise CheckpointError(f"{path}: malformed record at byte {off}: {e}") from None
+    _refuse_layout(path, records, count)
     params = {k: Tensor(a, requires_grad=True) for k, a in records[:count]}
-    m = {k[2:]: a for k, a in records[count:] if k.startswith("m.")}
-    v = {k[2:]: a for k, a in records[count:] if k.startswith("v.")}
-    if len(params) != count or len(m) + len(v) != len(records) - count:
-        raise CheckpointError(f"{path}: expected {count} distinct parameter records, "
-                              "then optimizer moments only")
-    return params, (OptState(m, v, step) if m or v else None)
+    m, v = ({k[2:]: a for k, a in records[i * count : (i + 1) * count]} for i in (1, 2))
+    return params, (OptState(m, v, step) if m else None)
 
 
-def validate_params(params: Params, cfg: ModelConfig):
-    """Check the tensor names and shapes against ``param_table(cfg)``, and every value finite."""
+def validate_params(params: Params, cfg: ModelConfig, state: OptState | None = None):
+    """Check the tensor names and shapes against ``param_table(cfg)``, and every
+    value finite, the moments' in ``state`` too."""
     expected = param_table(cfg)
     missing = [k for k in expected if k not in params]
     extra = [k for k in params if k not in expected]
@@ -326,8 +336,9 @@ def validate_params(params: Params, cfg: ModelConfig):
         if params[k].shape != spec.shape:
             raise CheckpointError(f"shape mismatch for {k}: checkpoint {params[k].shape}, "
                                   f"config wants {spec.shape}")
-        if not np.isfinite(params[k].data).all():
-            raise CheckpointError(f"{k} holds a value that is not finite")
+    for name, a in _records(params, state):
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{name} holds a value that is not finite")
 
 
 # -- stage runners ----------------------------------------------------------
@@ -363,7 +374,8 @@ def run_stage(model_cfg: ModelConfig, train_cfg: TrainConfig,
     stage and each source's corpus path, weight and CRC32. A resume first
     refuses, naming it, any setting but ``checkpoint_interval`` and a source's
     path that differs from the one stored beside ``resume_from``, and before
-    that a ``resume_from`` without moments. Given both checkpoints, it refuses."""
+    that a ``resume_from`` without moments or with a moment not finite. Given
+    both checkpoints, it refuses."""
     if log_every < 0:
         raise InputError(f"log_every must be >= 0, got {log_every}")
     if start_from and resume_from:
@@ -371,12 +383,11 @@ def run_stage(model_cfg: ModelConfig, train_cfg: TrainConfig,
                          f"start_from={start_from}, resume_from={resume_from}")
     if path := resume_from or start_from:
         params, opt = load_checkpoint(path)
-        validate_params(params, model_cfg)
-        for name, p in params.items():  # or training goes on in the stored dtype
-            if p.dtype != train_cfg.dtype:
-                raise CheckpointError(f"precision={train_cfg.precision} trains in "
-                                      f"{np.dtype(train_cfg.dtype)}, but {path} holds {name} "
-                                      f"in {p.dtype}")
+        validate_params(params, model_cfg, opt if resume_from else None)  # and the moments resumed
+        dtype = next(iter(params.values())).dtype  # every tensor's, as load_checkpoint checks
+        if dtype != train_cfg.dtype:  # or training goes on in the stored dtype
+            raise CheckpointError(f"precision={train_cfg.precision} trains in "
+                                  f"{np.dtype(train_cfg.dtype)}, but {path} holds {dtype}")
         if resume_from and opt is None:
             raise CheckpointError(f"{path} holds no optimizer moments, so it cannot be resumed")
     else:

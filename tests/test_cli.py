@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import UNWRITTEN_LAYOUTS
 
-from serialcast import cli, trainer
+from serialcast import cli, datagen, trainer
 from serialcast.autodiff import Tensor
 from serialcast.backbone import ModelConfig
 from serialcast.cli import run
@@ -72,6 +73,26 @@ def test_stats_on_csv(tmp_path, capsys):
     assert "aggregate forecastability" in out
     value = float([l for l in out.splitlines() if l.startswith("aggregate forecastability")][0].split()[-1])
     assert value > 0.9
+
+
+def test_stats_computes_each_series_figures_once(tmp_path, capsys, monkeypatch):
+    paths = [str(tmp_path / f"s{i}.csv") for i in range(3)]
+    for i, path in enumerate(paths):
+        run(["synth", "--kind", "sinusoidal", "--length", str(100 + 40 * i), "--noise-sigma",
+             "0.1", "--seed", str(i), "--out", path])
+    assert run(["stats", "--input", *paths]) == 0
+    before = capsys.readouterr().out
+    calls, adf_statistic = [], datagen.adf_statistic
+
+    def counted(series, lag_order=None):
+        calls.append(len(series))
+        return adf_statistic(series, lag_order)
+
+    for module in (cli, datagen):  # the aggregate's computation included
+        monkeypatch.setattr(module, "adf_statistic", counted)
+    assert run(["stats", "--input", *paths]) == 0
+    assert sorted(calls) == [100, 140, 180]
+    assert capsys.readouterr().out == before
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -726,6 +747,29 @@ def test_resume_without_moments_exits_two(pipeline, tmp_path, capsys):
     assert run(["train", "--resume", ckpt, "--out-dir", str(tmp_path / "run")]) == 2
     assert f"{ckpt} holds no optimizer moments" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("change, tensor", [*((c, None) for c in sorted(UNWRITTEN_LAYOUTS)),
+                                            ("nan", "m.head.w"), ("nan", "v.head.b")])
+def test_resume_from_checkpoint_its_writer_refuses_exits_two(pipeline, tmp_path, capsys,
+                                                             unwritten_checkpoint, change, tensor):
+    # a changed copy, with the run's settings beside it
+    changed = tmp_path / "changed"
+    changed.mkdir()
+    for name in trainer.SETTINGS_FILES:
+        shutil.copy(os.path.join(os.path.dirname(pipeline["ckpt"]), name), changed)
+    ckpt = str(changed / "pretrain.sfck")
+    unwritten_checkpoint(pipeline["ckpt"], ckpt, change, tensor)
+    assert run(["train", "--resume", ckpt, "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert (f"runtime failure: {tensor} holds" if tensor else f"runtime failure: {ckpt}: ") in err
+    assert not (tmp_path / "run").exists()
+    if change == "nan":  # a forecast reads no moment
+        return
+    assert run(["forecast", "--checkpoint", ckpt, "--input", pipeline["csv"], "--horizon", "8",
+                "--out", str(tmp_path / "forecast.csv")]) == 2
+    assert f"runtime failure: {ckpt}: " in capsys.readouterr().err
+    assert not (tmp_path / "forecast.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "posttrain"])

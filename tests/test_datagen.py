@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serialcast.datagen import (SignalSpec, adf_statistic, dataset_complexity, derive_seed,
-                                dickey_fuller_design, forecastability, gen_signal, resample,
-                                schwert_lag, value_flip)
+from serialcast.datagen import (ComplexityPoint, SignalSpec, adf_statistic, dataset_complexity,
+                                derive_seed, dickey_fuller_design, forecastability, gen_signal,
+                                resample, schwert_lag, value_flip)
 from serialcast.errors import InputError
 
 
@@ -238,23 +238,30 @@ class TestForecastability:
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
+def _complexity(variates, lag_order):
+    """``dataset_complexity`` of each variate's own figures, as ``stats`` computes them."""
+    return dataset_complexity([v.size for v in variates],
+                              [ComplexityPoint(adf_statistic(v, lag_order), forecastability(v))
+                               for v in variates])
+
+
 class TestDatasetComplexity:
     def test_single_variate_passthrough(self):
         x = np.random.default_rng(9).normal(size=300)
-        point = dataset_complexity([x], lag_order=0)
+        point = _complexity([x], lag_order=0)
         assert np.isclose(point.adf, adf_statistic(x, 0))
         assert np.isclose(point.forecastability, forecastability(x))
 
     def test_equal_lengths_average(self):
         rng = np.random.default_rng(10)
         a, b = rng.normal(size=200), rng.normal(size=200).cumsum()
-        point = dataset_complexity([a, b], lag_order=0)
+        point = _complexity([a, b], lag_order=0)
         assert np.isclose(point.adf, (adf_statistic(a, 0) + adf_statistic(b, 0)) / 2)
 
     def test_length_weighted_recount(self):
         rng = np.random.default_rng(11)
         variates = [rng.normal(size=n) for n in (120, 350, 80)]
-        point = dataset_complexity(variates, lag_order=0)
+        point = _complexity(variates, lag_order=0)
         total = sum(v.size for v in variates)
         adf = sum(v.size / total * adf_statistic(v, 0) for v in variates)
         fc = sum(v.size / total * forecastability(v) for v in variates)
@@ -263,7 +270,7 @@ class TestDatasetComplexity:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            dataset_complexity([])
+            dataset_complexity([], [])
 
 
 class TestDeriveSeed:

@@ -1,6 +1,5 @@
 """Shard round trips, sampler statistics, window reads, CSV interface."""
 
-import io
 import os
 import re
 import tracemalloc
@@ -9,11 +8,10 @@ import zlib
 import numpy as np
 import pytest
 
-from serialcast import dataloader
 from serialcast.cli import run
-from serialcast.dataloader import (MANIFEST_NAME, MixtureSampler, ShardEntry, ShardManifest,
-                                   WindowSampler, build_shards, read_all_series, read_csv_series,
-                                   write_csv_series)
+from serialcast.dataloader import (CHECK_CHUNK, MANIFEST_NAME, MixtureSampler, ShardEntry,
+                                   ShardManifest, WindowSampler, build_shards, read_all_series,
+                                   read_csv_series, write_csv_series)
 from serialcast.errors import DataError, InputError, SamplerError
 
 MIB = 1 << 20
@@ -273,12 +271,27 @@ class TestChangedAfterCheck:
                                             "[0-9]+: truncated shard"):
             sampler.sample_raw(100, np.random.default_rng(1))
 
+    @pytest.mark.parametrize("change", ["rewrite", "truncate"])
+    def test_change_during_check_names_file(self, tmp_path, monkeypatch, change):
+        # the shard spans two check chunks; it changes once the first is read
+        manifest = make_manifest(tmp_path, [np.arange(20000, dtype=np.float32)])
+        path, pread = manifest.shard_path(0), os.pread
 
-class ShortReads(io.FileIO):
-    """A file whose every read returns at most 7 bytes."""
+        def pread_then_change(fd, n, at):
+            blob = pread(fd, n, at)
+            if at == 0 and change == "truncate":
+                os.truncate(path, os.path.getsize(path) - 4)
+            elif at == 0:  # same size, one byte of the chunk just read flipped
+                mtime = os.stat(path).st_mtime_ns
+                data = bytearray(open(path, "rb").read())
+                data[0] ^= 0x01
+                open(path, "wb").write(bytes(data))
+                os.utime(path, ns=(mtime, mtime + 10**9))
+            return blob
 
-    def readinto(self, b):
-        return super().readinto(memoryview(b)[:7])
+        monkeypatch.setattr(os, "pread", pread_then_change)
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: changed since its check"):
+            WindowSampler(manifest).sample_raw(100, np.random.default_rng(0))
 
 
 class TestNonFiniteValues:
@@ -300,20 +313,23 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize("short_reads", [False, True])
     def test_check_rejects_stored_value_not_finite(self, tmp_path, unchecked_corpus, monkeypatch,
                                                    short_reads):
-        # 20000 values span two 64 KiB check chunks; the infs are in the second
+        # 20000 values span two check chunks; the infs are in the second
         values = np.arange(20000, dtype=np.float32)
         values[17000 : 17002] = np.inf, -np.inf
+        assert CHECK_CHUNK < 17000 * values.itemsize < 2 * CHECK_CHUNK
         root, shard = unchecked_corpus(values)
         manifest = ShardManifest.load(os.path.join(root, MANIFEST_NAME))
         finite = np.where(np.isfinite(values), values, 0.0).astype(np.float32)
         finite.tofile(tmp_path / "finite.sfd")
-        if short_reads:  # the shard check is the only open call left
-            monkeypatch.setattr(dataloader, "open", lambda path, mode, buffering: ShortReads(path),
-                                raising=False)
         loaded = read_all_series(ShardManifest([ShardEntry("finite.sfd", zlib.crc32(finite),
                                                            [finite.size])], str(tmp_path)))
         np.testing.assert_array_equal(loaded[0], finite)
         message = f"^{re.escape(shard)}: value 17000 is not finite"
+        if short_reads:  # the check reads through os.pread, and a short read ends it
+            pread = os.pread
+            monkeypatch.setattr(os, "pread", lambda fd, n, at: pread(fd, n, at)[: 7 if at else n])
+            message = (f"^{re.escape(shard)}: read 7 of {values.nbytes - CHECK_CHUNK} bytes at "
+                       f"byte {CHECK_CHUNK}: truncated shard")
         with pytest.raises(DataError, match=message):
             read_all_series(manifest)
         with pytest.raises(DataError, match=message):

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import UNWRITTEN_LAYOUTS
 
 from serialcast import autodiff as ad
 from serialcast import cli, dataloader, inference, trainer
@@ -476,6 +477,22 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert open(path, "rb").read() == before
         assert {f.name: f.read_bytes() for f in root.iterdir()} == files  # no temporary file
+
+    @pytest.mark.parametrize("change", sorted(UNWRITTEN_LAYOUTS))
+    def test_layout_unlike_the_writers_refused(self, tmp_path, unwritten_checkpoint, change):
+        # moments that are not one m. and one v. per parameter, in its order and
+        # shape, or tensors in two dtypes: refused on load, and on save before
+        # anything is written
+        params = init_params(SMALL, seed=3, dtype=np.float32)
+        src, dst = str(tmp_path / "a.sfck"), str(tmp_path / "b.sfck")
+        save_checkpoint(params, OptState.fresh(params), src)
+        weights, m, v = unwritten_checkpoint(src, dst, change)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(dst)}: "):
+            load_checkpoint(dst)
+        out = str(tmp_path / "out" / "c.sfck")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(out)}: "):
+            save_checkpoint({k: Tensor(a) for k, a in weights.items()}, OptState(m, v, 3), out)
+        assert not (tmp_path / "out").exists()
 
     def test_mismatched_config_lists_offender(self, tmp_path):
         params = init_params(SMALL, seed=6, dtype=np.float32)
